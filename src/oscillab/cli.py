@@ -34,6 +34,7 @@ from .padic import PadicAffineSystem, affine_minimality_check, orbit_residue_cen
 from .polyphase import (
     ErgodicAverageSeries,
     PhasePolynomial,
+    _validated_checkpoints,
     fourier_bohr_scan,
     geometric_checkpoints,
     weighted_exponential_average,
@@ -92,7 +93,6 @@ class ExperimentConfig:
     out_dir: str = "."
     seed: int | None = None
     checkpoints: tuple[int, ...] | None = None
-    threads: int | None = None
 
     def serialize(self) -> str:
         payload = asdict(self)
@@ -112,7 +112,6 @@ class ExperimentConfig:
             out_dir=data.get("out_dir", "."),
             seed=data.get("seed"),
             checkpoints=tuple(cps) if cps is not None else None,
-            threads=data.get("threads"),
         )
 
 
@@ -283,12 +282,7 @@ def _load_weights(params: dict, length: int, seed: int | None) -> ComplexSequenc
 
 def _checkpoints_or_default(config: ExperimentConfig, n: int) -> tuple[int, ...]:
     if config.checkpoints:
-        cps = tuple(int(c) for c in config.checkpoints)
-        if any(c < 1 for c in cps) or any(b <= a for a, b in zip(cps, cps[1:])):
-            raise ConfigError("checkpoints: must be strictly increasing and >= 1")
-        if cps[-1] > n:
-            raise ConfigError(f"checkpoints: {cps[-1]} exceeds n = {n}")
-        return cps
+        return _validated_checkpoints(config.checkpoints, n)
     return geometric_checkpoints(max(1, n // 16), n)
 
 
@@ -625,8 +619,6 @@ def run_experiment(config: ExperimentConfig) -> tuple[int, list[Path]]:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-_COMMON_FLAGS = ("--config", "--out", "--seed", "--threads", "--checkpoints")
-
 _SUBCOMMAND_FLAGS = {
     "generate": ("--generator", "--n", "--alpha", "--power", "--path"),
     "average": ("--generator", "--n", "--coeffs", "--alpha", "--power", "--path"),
@@ -653,7 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--config", help="JSON config file; flags override its fields")
         sub.add_argument("--out", help="output directory (default: current)")
         sub.add_argument("--seed", type=int, help="64-bit seed for random weights")
-        sub.add_argument("--threads", type=int, help="bound on internal parallelism")
         sub.add_argument("--checkpoints", help="comma-separated checkpoint lengths")
         for flag in _SUBCOMMAND_FLAGS[command]:
             name = flag.lstrip("-")
@@ -675,7 +666,7 @@ def _config_from_args(args) -> ExperimentConfig:
             )
     else:
         config = ExperimentConfig(command=args.command)
-    skip = {"command", "config", "out", "seed", "threads", "checkpoints"}
+    skip = {"command", "config", "out", "seed", "checkpoints"}
     for key, value in vars(args).items():
         if key in skip or value in (None, False):
             continue
@@ -684,8 +675,6 @@ def _config_from_args(args) -> ExperimentConfig:
         config.out_dir = args.out
     if args.seed is not None:
         config.seed = args.seed
-    if args.threads is not None:
-        config.threads = args.threads
     if args.checkpoints:
         config.checkpoints = _parse_int_list(args.checkpoints)
     if args.command == "multi-average" and "weights" in config.params:

@@ -26,7 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polyphase import PhasePolynomial, _as_complex_values, phase_stream, unit_values
+from .polyphase import (
+    PhasePolynomial,
+    _as_complex_values,
+    _validated_checkpoints,
+    phase_stream,
+    unit_values,
+)
 
 GRID_BUDGET = 10_000_000
 
@@ -223,9 +229,18 @@ def report_to_json(report: OscillationReport) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _loglog_slope(ns, sups) -> float:
-    xs = np.log(np.asarray(ns, dtype=np.float64))
-    ys = np.log(np.maximum(np.asarray(sups, dtype=np.float64), 1e-300))
+def growth_exponent(series) -> float:
+    """Least-squares slope of log value against log N.
+
+    Needs at least three points with positive values.
+    """
+    points = [(int(n), float(v)) for n, v in series]
+    if len(points) < 3:
+        raise ValueError("series: at least 3 points required")
+    if any(v <= 0 for _, v in points):
+        raise ValueError("series: values must be positive")
+    xs = np.log([n for n, _ in points])
+    ys = np.log([v for _, v in points])
     xs = xs - xs.mean()
     return float((xs * (ys - ys.mean())).sum() / (xs * xs).sum())
 
@@ -253,11 +268,9 @@ def estimate_oscillation_profile(
         raise ValueError("d_max: must be >= 1")
     if grid_per_dim is None and d_max > 3:
         raise ValueError("d_max: > 3 requires an explicit grid_per_dim")
-    cps = tuple(int(c) for c in checkpoints)
+    cps = _validated_checkpoints(checkpoints)
     if len(cps) < 3:
         raise ValueError("checkpoints: at least 3 required for a decay slope")
-    if any(b <= a for a, b in zip(cps, cps[1:])):
-        raise ValueError("checkpoints: must be strictly increasing")
 
     profiles = []
     for degree in range(1, d_max + 1):
@@ -278,7 +291,7 @@ def estimate_oscillation_profile(
             )
         window = max(3, (len(cps) + 1) // 2)
         tail = estimates[-window:]
-        slope = _loglog_slope([e.n for e in tail], [max(e.sup, 1e-300) for e in tail])
+        slope = growth_exponent([(e.n, max(e.sup, 1e-300)) for e in tail])
         final = estimates[-1].sup
         if final >= nondecay_level:
             verdict = "non-decaying"

@@ -10,16 +10,26 @@ For invertible a the reduction mod p^k is a permutation of Z/p^k, so
 every orbit is purely periodic there; a minimal map cycles through all
 p^k residues.  Weighted averages along polynomial times q(n) then only
 need q(n) positioned inside the orbit cycle, never q(n) literal
-iterations.
+iterations.  Those positions q(n) mod L, for a cycle of length L, are
+read off the package's one difference-table stream: ``phase_stream``
+of q / L gives (q(n) mod L) / L, exactly enough to round back to the
+integer.
 """
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .polyphase import ErgodicAverageSeries, _as_complex_values, checkpointed_average_series
+from .polyphase import (
+    MAX_DEGREE,
+    ErgodicAverageSeries,
+    PhasePolynomial,
+    _as_complex_values,
+    _validated_checkpoints,
+    checkpointed_average_series,
+    phase_stream,
+)
 
 DEFAULT_PRECISION = 24
 
@@ -30,7 +40,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin for n < 3.3e24."""
     if n < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for small in _MR_WITNESSES:
         if n % small == 0:
             return n == small
     d, r = n - 1, 0
@@ -199,39 +209,17 @@ def orbit_residue_census(
     return dict(counts)
 
 
-def _time_values_mod(q, count: int, modulus: int) -> np.ndarray:
-    """q(n) mod modulus for n = 0..count-1 via an integer difference table.
+def _cycle_positions(q, count: int, cycle_length: int) -> np.ndarray:
+    """q(n) mod cycle_length for n = 0..count-1, read off the phase stream of q / L.
 
-    Registers hold exact residues; blocked lanes keep the Python share
-    of the work at O(sqrt) scale.  Falls back to a plain loop when the
-    modulus is too large for int64 additions.
+    Exact: for degree <= 8, count <= 10^7 and L <= 2^26 the stream's
+    fixed-point drift stays below 2^-40 and each float rounding adds
+    about 2^-53, so |phase * L - k| <~ 2^-16 against the 1/2 that
+    rounding to the integer k tolerates.  The drift grows like
+    (count / 4096)^degree, so past that envelope the margin shrinks.
     """
-    if modulus <= 0:
-        raise ValueError("modulus: must be positive")
-    if modulus > (1 << 62):
-        raise ValueError("modulus: too large for vectorized residue streaming")
-    if modulus == 1:
-        return np.zeros(count, dtype=np.int64)
-    degree = q.degree
-    if count <= 64:
-        return np.array([q(n) % modulus for n in range(count)], dtype=np.int64)
-
-    lanes = min(4096, max(32, count // 32))
-    blocks = -(-count // lanes)
-    vals = [[q(i * lanes + r) for r in range(lanes)] for i in range(degree + 1)]
-    reg = np.empty((degree + 1, lanes), dtype=np.int64)
-    for j in range(degree + 1):
-        signs = [(-1) ** (j - i) * math.comb(j, i) for i in range(j + 1)]
-        for r in range(lanes):
-            reg[j, r] = sum(s * vals[i][r] for i, s in enumerate(signs)) % modulus
-    out = np.empty((blocks, lanes), dtype=np.int64)
-    out[0] = reg[0]
-    for step in range(1, blocks):
-        src = reg[1:].copy()
-        reg[:-1] += src
-        reg[:-1] %= modulus
-        out[step] = reg[0]
-    return out.reshape(-1)[:count]
+    scaled = PhasePolynomial([c / cycle_length for c in q.monomial_coefficients()])
+    return np.rint(phase_stream(scaled, count) * cycle_length).astype(np.int64) % cycle_length
 
 
 def padic_weighted_average(
@@ -255,14 +243,14 @@ def padic_weighted_average(
     if not qs:
         raise ValueError("time_polynomials: at least one required")
     values = _as_complex_values(seq)
-    cps = tuple(int(c) for c in checkpoints)
-    if not cps:
-        raise ValueError("checkpoints: at least one checkpoint required")
-    n_max = max(cps)
-    if n_max > len(values):
-        raise ValueError(f"checkpoints: {n_max} exceeds sequence length {len(values)}")
+    cps = _validated_checkpoints(checkpoints, len(values))
+    n_max = cps[-1]
 
     for j, q in enumerate(qs):
+        if q.degree > MAX_DEGREE:
+            raise ValueError(
+                f"time_polynomials[{j}]: degree {q.degree} exceeds the supported cap {MAX_DEGREE}"
+            )
         bad = q.first_negative_on_range(n_max)
         if bad is not None:
             raise ValueError(
@@ -285,8 +273,7 @@ def padic_weighted_average(
     residue_total = np.zeros(n_max, dtype=np.int64)
     for q in qs:
         if tlen == 0:
-            positions = _time_values_mod(q, n_max, clen)
-            residues = cycle_arr[positions]
+            residues = cycle_arr[_cycle_positions(q, n_max, clen)]
         else:
             # Pre-periodic orbits (non-invertible a) are evaluated term
             # by term; they are small side cases, never the minimal runs.

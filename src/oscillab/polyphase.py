@@ -34,8 +34,9 @@ import numpy as np
 
 MAX_DEGREE = 8
 
+# Phases in [0, 1) as 128-bit fixed-point integers: mod-1 addition is exact.
 _FIXED_BITS = 128
-_FIXED_ONE = 1 << _FIXED_BITS
+_FIXED_MASK = (1 << _FIXED_BITS) - 1
 _MASK64 = (1 << 64) - 1
 _INV_2_64 = 2.0 ** -64
 _INV_2_128 = 2.0 ** -128
@@ -141,6 +142,16 @@ def phase_at(poly: PhasePolynomial, n: int) -> float:
     return float(total % 1)
 
 
+def _to_fixed(value) -> int:
+    """Phase value mod 1 as a 128-bit fixed-point integer (exact for floats)."""
+    f = _reduced(value)
+    return (f.numerator << _FIXED_BITS) // f.denominator
+
+
+def _fixed_to_float(fx: int) -> float:
+    return fx * _INV_2_128
+
+
 def _fixed_phase(coeffs: tuple[Fraction, ...], n: int) -> int:
     """frac(P(n)) as a 128-bit fixed-point integer (truncated)."""
     n = operator.index(n)
@@ -150,13 +161,7 @@ def _fixed_phase(coeffs: tuple[Fraction, ...], n: int) -> int:
             den = c.denominator
             r = (c.numerator * pow(n, j, den)) % den
             acc += (r << _FIXED_BITS) // den
-    return acc & (_FIXED_ONE - 1)
-
-
-def _fixed_to_float(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    phases = hi.astype(np.float64) * _INV_2_64 + lo.astype(np.float64) * _INV_2_128
-    # hi = 2^64 - 1 can round up to 1.0 in float; fold it back.
-    return np.where(phases >= 1.0, phases - 1.0, phases)
+    return acc & _FIXED_MASK
 
 
 def phase_stream(poly: PhasePolynomial, count: int) -> np.ndarray:
@@ -178,12 +183,6 @@ def phase_stream(poly: PhasePolynomial, count: int) -> np.ndarray:
     if d == 0 or all(c == 0 for c in coeffs[1:]):
         return np.full(count, float(coeffs[0]), dtype=np.float64)
 
-    if count <= _MAX_LANES:
-        fixed = [_fixed_phase(coeffs, n) for n in range(count)]
-        hi = np.array([f >> 64 for f in fixed], dtype=np.uint64)
-        lo = np.array([f & _MASK64 for f in fixed], dtype=np.uint64)
-        return _fixed_to_float(hi, lo)
-
     lanes = min(_MAX_LANES, max(64, count // 64))
     blocks = -(-count // lanes)
 
@@ -191,30 +190,28 @@ def phase_stream(poly: PhasePolynomial, count: int) -> np.ndarray:
     vals = [[_fixed_phase(coeffs, i * lanes + r) for r in range(lanes)] for i in range(d + 1)]
 
     # Forward differences along i, computed exactly in the fixed-point ring.
-    mask = _FIXED_ONE - 1
     hi = np.empty((d + 1, lanes), dtype=np.uint64)
     lo = np.empty((d + 1, lanes), dtype=np.uint64)
     for j in range(d + 1):
         signs = [(-1) ** (j - i) * math.comb(j, i) for i in range(j + 1)]
         for r in range(lanes):
-            delta = sum(s * vals[i][r] for i, s in enumerate(signs)) & mask
+            delta = sum(s * vals[i][r] for i, s in enumerate(signs)) & _FIXED_MASK
             hi[j, r] = delta >> 64
             lo[j, r] = delta & _MASK64
 
-    out_hi = np.empty((blocks, lanes), dtype=np.uint64)
-    out_lo = np.empty((blocks, lanes), dtype=np.uint64)
-    out_hi[0] = hi[0]
-    out_lo[0] = lo[0]
+    out = np.empty((blocks, lanes), dtype=np.float64)
+    out[0] = hi[0] * _INV_2_64 + lo[0] * _INV_2_128
     for step in range(1, blocks):
         src_lo = lo[1:].copy()
         src_hi = hi[1:].copy()
         lo[:-1] += src_lo
         carry = (lo[:-1] < src_lo).astype(np.uint64)
         hi[:-1] += src_hi + carry
-        out_hi[step] = hi[0]
-        out_lo[step] = lo[0]
-
-    return _fixed_to_float(out_hi.reshape(-1)[:count], out_lo.reshape(-1)[:count])
+        out[step] = hi[0] * _INV_2_64 + lo[0] * _INV_2_128
+    phases = out.reshape(-1)[:count]
+    # hi = 2^64 - 1 can round up to 1.0 in float; fold it back.
+    phases[phases >= 1.0] -= 1.0
+    return phases
 
 
 def unit_values(phases: np.ndarray) -> np.ndarray:
@@ -228,7 +225,11 @@ def _as_complex_values(seq) -> np.ndarray:
     return np.asarray(values, dtype=np.complex128)
 
 
-def _validated_checkpoints(checkpoints, limit: int) -> tuple[int, ...]:
+def _validated_checkpoints(checkpoints, limit: int | None = None) -> tuple[int, ...]:
+    """Checkpoints as a nonempty, strictly increasing tuple of lengths >= 1.
+
+    With ``limit`` given, the last checkpoint may not exceed it.
+    """
     cps = tuple(int(c) for c in checkpoints)
     if not cps:
         raise ValueError("checkpoints: at least one checkpoint required")
@@ -236,7 +237,7 @@ def _validated_checkpoints(checkpoints, limit: int) -> tuple[int, ...]:
         raise ValueError("checkpoints: entries must be >= 1")
     if any(b <= a for a, b in zip(cps, cps[1:])):
         raise ValueError("checkpoints: must be strictly increasing")
-    if cps[-1] > limit:
+    if limit is not None and cps[-1] > limit:
         raise ValueError(
             f"checkpoints: {cps[-1]} exceeds available length {limit}"
         )
@@ -267,9 +268,7 @@ class ErgodicAverageSeries:
     weight_provenance: str = ""
 
     def __post_init__(self):
-        cps = tuple(int(c) for c in self.checkpoints)
-        if any(b <= a for a, b in zip(cps, cps[1:])):
-            raise ValueError("checkpoints: must be strictly increasing")
+        cps = _validated_checkpoints(self.checkpoints)
         object.__setattr__(self, "checkpoints", cps)
         avgs = np.asarray(self.averages, dtype=np.complex128)
         if avgs.shape != (len(cps),):

@@ -20,7 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .oscillation import grid_sup_average, refine_local
+# growth_exponent lives in oscillation, which fits decay slopes with it too;
+# it stays importable from here.
+from .oscillation import grid_sup_average, growth_exponent, refine_local
 from .sequences import ComplexSequence, rademacher_sequence, uniform_unit_sequence
 
 RADEMACHER = "rademacher"
@@ -140,19 +142,3 @@ def lsk_empirical_sup(
         )
         out.append((n, refined * n))
     return out
-
-
-def growth_exponent(series) -> float:
-    """Least-squares slope of log value against log N.
-
-    Needs at least three points with positive values.
-    """
-    points = [(int(n), float(v)) for n, v in series]
-    if len(points) < 3:
-        raise ValueError("series: at least 3 points required")
-    if any(v <= 0 for _, v in points):
-        raise ValueError("series: values must be positive")
-    xs = np.log([n for n, _ in points])
-    ys = np.log([v for _, v in points])
-    xs = xs - xs.mean()
-    return float((xs * (ys - ys.mean())).sum() / (xs * xs).sum())

@@ -25,29 +25,19 @@ from fractions import Fraction
 import numpy as np
 
 from .polyphase import (
+    _FIXED_MASK,
     ErgodicAverageSeries,
     PhasePolynomial,
+    _binomial_basis_monomials,
+    _fixed_to_float,
+    _to_fixed,
+    _validated_checkpoints,
     binomial_phase_polynomial,
     compose_time_polynomial,
     phase_stream,
     unit_values,
     weighted_exponential_average,
 )
-
-_FIX_BITS = 128
-_FIX_ONE = 1 << _FIX_BITS
-_FIX_MASK = _FIX_ONE - 1
-
-
-def _to_fixed(value) -> int:
-    """Phase in [0, 1) as a 128-bit fixed-point integer (exact for floats)."""
-    f = value if isinstance(value, Fraction) else Fraction(value)
-    f %= 1
-    return ((f.numerator << _FIX_BITS) // f.denominator) & _FIX_MASK
-
-
-def _fixed_to_float(fx: int) -> float:
-    return fx * 2.0**-_FIX_BITS
 
 
 @dataclass(frozen=True)
@@ -106,7 +96,7 @@ def orbit_point(system: SkewShiftSystem, point, n: int) -> tuple[float, ...]:
         acc = math.comb(n, j) * fa
         for i in range(1, j + 1):
             acc += math.comb(n, j - i) * fx[i - 1]
-        out.append(_fixed_to_float(acc & _FIX_MASK))
+        out.append(_fixed_to_float(acc & _FIXED_MASK))
     return tuple(out)
 
 
@@ -135,7 +125,7 @@ class CharacterObservable:
         for k, c in zip(self.frequencies, point):
             if k:
                 acc += k * _to_fixed(c)
-        return acc & _FIX_MASK
+        return acc & _FIXED_MASK
 
     def evaluate(self, point) -> complex:
         return complex(np.exp(2j * np.pi * _fixed_to_float(self.phase_fixed(point))))
@@ -321,13 +311,13 @@ def verify_factorization(tower: QuasiEigenTower, point, n_max: int) -> float:
                 coord = combs[j][n] * fa
                 for i in range(1, j + 1):
                     coord += combs[j - i][n] * fx[i - 1]
-                acc1 += kj * (coord & _FIX_MASK)
-        phases_orbit[n] = _fixed_to_float(acc1 & _FIX_MASK)
+                acc1 += kj * (coord & _FIXED_MASK)
+        phases_orbit[n] = _fixed_to_float(acc1 & _FIXED_MASK)
 
         acc2 = 0
         for j, th in enumerate(thetas_fx):
             acc2 += combs[chain - j][n] * th
-        phases_product[n] = _fixed_to_float(acc2 & _FIX_MASK)
+        phases_product[n] = _fixed_to_float(acc2 & _FIXED_MASK)
 
     q_poly = tower_phase_polynomial(tower, pt)
     phases_q = phase_stream(q_poly, count)
@@ -394,8 +384,6 @@ class TimePolynomial:
         )
 
     def monomial_coefficients(self) -> tuple[Fraction, ...]:
-        from .polyphase import _binomial_basis_monomials
-
         acc = [Fraction(0)] * (self.degree + 1)
         for j, a in enumerate(self.binomial_coefficients):
             if a:
@@ -447,10 +435,8 @@ def multiple_ergodic_average(
     if not chars or len(chars) != len(qs):
         raise ValueError("chars and time_polynomials: need equal nonzero counts")
     pt = system.validate_point(point)
-    cps = tuple(int(c) for c in checkpoints)
-    if not cps:
-        raise ValueError("checkpoints: at least one checkpoint required")
-    n_max = max(cps)
+    cps = _validated_checkpoints(checkpoints)
+    n_max = cps[-1]
 
     for j, q in enumerate(qs):
         bad = q.first_negative_on_range(n_max)

@@ -288,9 +288,12 @@ def test_config_round_trip():
         out_dir="/tmp/out",
         seed=9,
         checkpoints=(10, 100),
-        threads=2,
     )
     assert ExperimentConfig.parse(config.serialize()) == config
+    # Configs written while a "threads" field existed still parse.
+    old = json.loads(config.serialize())
+    old["threads"] = 2
+    assert ExperimentConfig.parse(json.dumps(old)) == config
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -314,7 +317,7 @@ def test_help_enumerates_all_flags():
     for command in COMMANDS:
         sub = sub_actions.choices[command]
         text = sub.format_help()
-        for flag in ("--config", "--out", "--seed", "--threads", "--checkpoints"):
+        for flag in ("--config", "--out", "--seed", "--checkpoints"):
             assert flag in text, (command, flag)
         for flag in _SUBCOMMAND_FLAGS[command]:
             assert flag in text, (command, flag)

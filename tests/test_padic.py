@@ -1,11 +1,18 @@
 """Digit-exact p-adic arithmetic, minimality, censuses, cylinder averages."""
 
+import cmath
+import math
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscillab.padic import (
     PadicAffineSystem,
     PadicNumber,
+    _cycle_positions,
     _orbit_cycle,
     affine_minimality_check,
     orbit_residue_census,
@@ -204,3 +211,65 @@ def test_weighted_average_level_validation():
     seq = rademacher_sequence(1, 10)
     with pytest.raises(ValueError):
         padic_weighted_average(system, 5, 0, [TimePolynomial.from_power(1)], seq, [10])
+
+
+def test_weighted_average_rejects_degree_above_cap():
+    system = PadicAffineSystem.from_ints(3, 4, 1)
+    seq = rademacher_sequence(1, 10)
+    qs = [TimePolynomial.from_power(1), TimePolynomial.from_power(9)]
+    with pytest.raises(ValueError, match=r"time_polynomials\[1\]: degree 9"):
+        padic_weighted_average(system, 2, 0, qs, seq, [10])
+
+
+def test_cycle_positions_exact_at_envelope_edge():
+    """Degree 8, L = 3^16, N = 10^7: every position equals q(n) mod L exactly."""
+    q = TimePolynomial((7, 3, 11, 2, 5, 1, 4, 9, 6))
+    assert q.degree == 8
+    count, cycle_length = 10**7, 3**16
+    positions = _cycle_positions(q, count, cycle_length)
+    indices = list(range(4096)) + list(range(count - 4096, count))
+    indices += random.Random(16).sample(range(count), 200)
+    for n in indices:
+        assert positions[n] == q(n) % cycle_length, n
+
+
+def _affine_power(a, b, t, mod):
+    """(A, B) with T^t x = A x + B mod ``mod`` for T x = a x + b."""
+    big_a, big_b = 1, 0
+    pa, pb = a % mod, b % mod
+    while t:
+        if t & 1:
+            big_a, big_b = (pa * big_a) % mod, (pa * big_b + pb) % mod
+        pa, pb = (pa * pa) % mod, (pa * pb + pb) % mod
+        t >>= 1
+    return big_a, big_b
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([3, 5, 7]),
+    level=st.integers(1, 3),
+    a=st.integers(0, 10**4),
+    b=st.integers(0, 10**4),
+    x0=st.integers(0, 10**4),
+    binomials=st.lists(
+        st.lists(st.integers(0, 6), min_size=1, max_size=5), min_size=1, max_size=2
+    ),
+    n=st.integers(1, 300),
+    seed=st.integers(0, 2**31),
+)
+def test_weighted_average_matches_term_by_term(p, level, a, b, x0, binomials, n, seed):
+    """Small levels, any a (pre-periodic orbits included) against orbit powers."""
+    system = PadicAffineSystem.from_ints(p, a, b)
+    qs = [TimePolynomial(tuple(c)) for c in binomials]
+    seq = rademacher_sequence(seed, n)
+    series = padic_weighted_average(system, level, x0, qs, seq, [n])
+    mod = p**level
+    total = 0j
+    for i in range(n):
+        residue = 0
+        for q in qs:
+            big_a, big_b = _affine_power(a, b, q(i), mod)
+            residue += big_a * x0 + big_b
+        total += int(seq.values[i]) * cmath.exp(2j * math.pi * ((residue % mod) / mod))
+    assert abs(total / n - series.averages[0]) <= 1e-12

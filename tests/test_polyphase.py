@@ -81,13 +81,18 @@ def test_phase_stream_matches_oracle_to_degree_four_at_scale():
 
 
 def test_phase_stream_lane_boundary_counts():
-    """Counts straddling the direct/blocked switchover agree with the oracle."""
-    poly = PhasePolynomial([0.3, 0.7, SQRT2M1, 0.05])
-    for count in (4095, 4096, 4097, 4160, 8193):
-        phases = phase_stream(poly, count)
-        for n in (0, 1, count // 2, count - 2, count - 1):
-            delta = abs(phases[n] - phase_at(poly, n))
-            assert min(delta, 1 - delta) <= 1e-12, (count, n)
+    """Counts around one block and around the lane-width steps agree with the oracle."""
+    polys = (
+        PhasePolynomial([0.3, 0.7, SQRT2M1, 0.05]),
+        PhasePolynomial([0.3, 0.7, SQRT2M1, 0.05, 0.9, 0.123, 0.77, 0.31, SQRT2M1 / 3]),
+    )
+    for poly in polys:
+        for count in (1, 2, 63, 64, 65, 1001, 4095, 4096, 4097, 4160, 8193):
+            phases = phase_stream(poly, count)
+            assert phases.shape == (count,)
+            for n in {0, 1, count // 2, count - 2, count - 1} & set(range(count)):
+                delta = abs(phases[n] - phase_at(poly, n))
+                assert min(delta, 1 - delta) <= 1e-12, (poly.degree, count, n)
 
 
 def test_phase_stream_random_polynomials_small_range():
