@@ -23,6 +23,7 @@ still carries the t_0 slot).
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -127,11 +128,9 @@ def grid_sup_average(
     return math.sqrt(max(best_sq, 0.0)), coeffs
 
 
-def _average_modulus(values: np.ndarray, coefficients) -> float:
-    poly = PhasePolynomial(coefficients)
-    phases = phase_stream(poly, len(values))
-    total = (values * unit_values(phases)).sum()
-    return abs(total) / len(values)
+def _weighted_terms(values: np.ndarray, coefficients) -> np.ndarray:
+    """Terms c_n * e(P(n)) for n < len(values), P given by its coefficients."""
+    return values * unit_values(phase_stream(PhasePolynomial(coefficients), len(values)))
 
 
 def refine_local(
@@ -148,8 +147,16 @@ def refine_local(
     Sweeps coordinates 1..degree with a shrinking step (halved after a
     sweep with no improvement, stopping below ``min_step``).  The t_0
     slot is left untouched since it cannot change the modulus.  Never
-    returns a value below the start value and performs at most
-    ``max_evals`` objective evaluations.
+    returns a value below the start value and scores at most
+    ``max_evals`` candidates, the start included.
+
+    The terms w_n = c_n e(P(n)) at the current point are kept.  Moving
+    t_i by the exact shift s multiplies them by f_n = e(s n^i), so both
+    moves of a step are scored from one factor: +step as |sum w f| / N
+    and -step as |sum w conj(f)| / N.  A winning score is confirmed by
+    re-streaming the terms at the candidate, and the move is taken only
+    if that exact value beats the best, so the returned sup is the exact
+    objective at the returned coefficients.
     """
     if degree < 1:
         raise ValueError("degree: must be >= 1")
@@ -158,24 +165,38 @@ def refine_local(
         raise ValueError("start: expected degree + 1 coefficients")
     values = _weights_prefix(seq, n_terms)
 
-    best = _average_modulus(values, coeffs)
+    base = _weighted_terms(values, coeffs)
+    best = abs(base.sum()) / n_terms
     evals = 1
     step = float(initial_step)
     while step >= min_step and evals < max_evals:
         improved = False
         for i in range(1, degree + 1):
-            for delta in (step, -step):
+            factor = None
+            for plus in (True, False):
                 if evals >= max_evals:
                     break
                 candidate = list(coeffs)
-                candidate[i] = (candidate[i] + delta) % 1.0
-                value = _average_modulus(values, candidate)
+                candidate[i] = (candidate[i] + (step if plus else -step)) % 1.0
+                if factor is None:
+                    shift = Fraction((coeffs[i] + step) % 1.0) - Fraction(coeffs[i])
+                    factor = unit_values(
+                        phase_stream(PhasePolynomial.monomial(shift, i), n_terms)
+                    )
+                total = np.dot(base, factor) if plus else np.vdot(factor, base)
                 evals += 1
+                if abs(total) / n_terms <= best:
+                    continue
+                # Hold one N-length array while re-streaming.
+                factor = base = None
+                base = _weighted_terms(values, candidate)
+                value = abs(base.sum()) / n_terms
                 if value > best:
                     best = value
                     coeffs = candidate
                     improved = True
                     break
+                base = _weighted_terms(values, coeffs)
         if not improved:
             step *= 0.5
     return best, tuple(coeffs)

@@ -26,8 +26,8 @@ from .polyphase import (
     ErgodicAverageSeries,
     PhasePolynomial,
     _as_complex_values,
+    _average_series,
     _validated_checkpoints,
-    checkpointed_average_series,
     phase_stream,
 )
 
@@ -259,7 +259,7 @@ def padic_weighted_average(
 
     provenance = getattr(seq, "provenance", "array")
     if level == 0:
-        return checkpointed_average_series(values[:n_max], cps, provenance)
+        return _average_series(values[:n_max], cps, provenance)
 
     mod = system.prime**level
     if mod > (1 << 26):
@@ -285,4 +285,4 @@ def padic_weighted_average(
     phase_index = residue_total % mod
     roots = np.exp((2j * np.pi / mod) * np.arange(mod))
     terms = values[:n_max] * roots[phase_index]
-    return checkpointed_average_series(terms, cps, provenance)
+    return _average_series(terms, cps, provenance)

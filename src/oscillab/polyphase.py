@@ -17,10 +17,15 @@ paths avoid this:
 * ``phase_at`` computes frac(P(n)) for a single n with exact integer
   arithmetic.  It is slow and serves as the reference oracle.
 * ``phase_stream`` emits frac(P(n)) for n = 0..N-1 using blocked
-  forward-difference tables held in 128-bit fixed point.  Addition mod 1
-  is exact in that representation, so the only error is the 2^-128 seed
-  quantization plus one float rounding on output; the documented bound
-  of 1e-9 at N = 10^6, d <= 4 is met with orders of magnitude to spare.
+  forward-difference tables held in 128-bit fixed point.  The seeds come
+  from one exact integer table: with den the lcm of the coefficient
+  denominators, den * P(n) mod den is an integer polynomial, stepped
+  exactly over the seeded indices and truncated once per seed to fixed
+  point.  Addition mod 1 is exact in that representation, so the only
+  error is that single 2^-128 truncation per seed (none when den divides
+  2^128, as for every float coefficient >= 2^-76) plus one float rounding
+  on output; the documented bound of 1e-9 at N = 10^6, d <= 4 is met
+  with orders of magnitude to spare.
 """
 
 import math
@@ -41,9 +46,10 @@ _MASK64 = (1 << 64) - 1
 _INV_2_64 = 2.0 ** -64
 _INV_2_128 = 2.0 ** -128
 
-# Lane width of the blocked difference table.  Seeding costs O(lanes * d^2)
-# exact evaluations and each lane only steps N/lanes times, which keeps the
-# binomial error cascade of the table far below float resolution.
+# Lane width of the blocked difference table.  Seeding steps one exact
+# integer table over at most lanes * (d + 1) indices, d additions mod den
+# per index and one truncation per seed; each lane then steps N/lanes
+# times in fixed point, where mod-1 addition is exact.
 _MAX_LANES = 4096
 
 
@@ -152,16 +158,28 @@ def _fixed_to_float(fx: int) -> float:
     return fx * _INV_2_128
 
 
-def _fixed_phase(coeffs: tuple[Fraction, ...], n: int) -> int:
-    """frac(P(n)) as a 128-bit fixed-point integer (truncated)."""
-    n = operator.index(n)
-    acc = 0
-    for j, c in enumerate(coeffs):
-        if c:
-            den = c.denominator
-            r = (c.numerator * pow(n, j, den)) % den
-            acc += (r << _FIXED_BITS) // den
-    return acc & _FIXED_MASK
+def _fixed_seed_table(coeffs: tuple[Fraction, ...], count: int) -> list[int]:
+    """frac(P(n)) for n = 0..count-1 as 128-bit fixed-point integers.
+
+    With den the lcm of the coefficient denominators, V(n) = den * P(n)
+    mod den is an integer polynomial.  V is stepped exactly with an
+    integer forward-difference table (d additions mod den per value) and
+    each value is truncated once, to floor(2^128 * V(n) / den).
+    """
+    den = math.lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    row = [sum(a * n**j for j, a in enumerate(ints)) % den for n in range(len(ints))]
+    diffs = []
+    while row:
+        diffs.append(row[0])
+        row = [(b - a) % den for a, b in zip(row, row[1:])]
+    d = len(diffs) - 1
+    seeds = []
+    for _ in range(count):
+        seeds.append((diffs[0] << _FIXED_BITS) // den)
+        for k in range(d):
+            diffs[k] = (diffs[k] + diffs[k + 1]) % den
+    return seeds
 
 
 def phase_stream(poly: PhasePolynomial, count: int) -> np.ndarray:
@@ -172,8 +190,9 @@ def phase_stream(poly: PhasePolynomial, count: int) -> np.ndarray:
     table of d+1 registers, each step one addition per register.  The
     registers live in 128-bit fixed point (a pair of uint64 arrays)
     where mod-1 addition is exact, so no rounding accumulates across
-    steps.  Agrees with ``phase_at`` to well below 1e-9 for N <= 10^7
-    and degree <= 8.
+    steps.  The registers are seeded from one exact integer table
+    (``_fixed_seed_table``) with one truncation per seed.  Agrees with
+    ``phase_at`` to well below 1e-9 for N <= 10^7 and degree <= 8.
     """
     if count < 1:
         raise ValueError("count: must be >= 1")
@@ -186,18 +205,19 @@ def phase_stream(poly: PhasePolynomial, count: int) -> np.ndarray:
     lanes = min(_MAX_LANES, max(64, count // 64))
     blocks = -(-count // lanes)
 
-    # Exact seed values P(i*lanes + r) for i = 0..d, one row per i.
-    vals = [[_fixed_phase(coeffs, i * lanes + r) for r in range(lanes)] for i in range(d + 1)]
+    # Row i seeds P(i*lanes + r); a row with i >= blocks never reaches
+    # row 0, so only the first min(d + 1, blocks) rows are seeded.
+    rows = min(d + 1, blocks)
+    seeds = _fixed_seed_table(coeffs, rows * lanes)
+    hi = np.array([v >> 64 for v in seeds], dtype=np.uint64).reshape(rows, lanes)
+    lo = np.array([v & _MASK64 for v in seeds], dtype=np.uint64).reshape(rows, lanes)
 
-    # Forward differences along i, computed exactly in the fixed-point ring.
-    hi = np.empty((d + 1, lanes), dtype=np.uint64)
-    lo = np.empty((d + 1, lanes), dtype=np.uint64)
-    for j in range(d + 1):
-        signs = [(-1) ** (j - i) * math.comb(j, i) for i in range(j + 1)]
-        for r in range(lanes):
-            delta = sum(s * vals[i][r] for i, s in enumerate(signs)) & _FIXED_MASK
-            hi[j, r] = delta >> 64
-            lo[j, r] = delta & _MASK64
+    # Forward differences along the rows, exact mod 2^128 (borrow from lo).
+    for j in range(1, rows):
+        for i in range(rows - 1, j - 1, -1):
+            borrow = (lo[i] < lo[i - 1]).astype(np.uint64)
+            lo[i] -= lo[i - 1]
+            hi[i] -= hi[i - 1] + borrow
 
     out = np.empty((blocks, lanes), dtype=np.float64)
     out[0] = hi[0] * _INV_2_64 + lo[0] * _INV_2_128
@@ -216,7 +236,8 @@ def phase_stream(poly: PhasePolynomial, count: int) -> np.ndarray:
 
 def unit_values(phases: np.ndarray) -> np.ndarray:
     """e(phase) for an array of phases in turns."""
-    return np.exp((2j * np.pi) * np.asarray(phases, dtype=np.float64))
+    z = (2j * np.pi) * np.asarray(phases, dtype=np.float64)
+    return np.exp(z, out=z)
 
 
 def _as_complex_values(seq) -> np.ndarray:
@@ -244,13 +265,17 @@ def _validated_checkpoints(checkpoints, limit: int | None = None) -> tuple[int, 
     return cps
 
 
-def checkpoint_sums(values: np.ndarray, checkpoints) -> np.ndarray:
-    """Prefix sums of ``values`` at each checkpoint (pairwise summation)."""
-    values = np.asarray(values)
-    cps = _validated_checkpoints(checkpoints, len(values))
+def _prefix_sums(values: np.ndarray, cps: tuple[int, ...]) -> np.ndarray:
+    """Prefix sums of ``values`` at validated checkpoints (pairwise summation)."""
     starts = np.concatenate(([0], cps[:-1])).astype(np.intp)
     segments = np.add.reduceat(values[: cps[-1]], starts)
     return np.cumsum(segments)
+
+
+def checkpoint_sums(values: np.ndarray, checkpoints) -> np.ndarray:
+    """Prefix sums of ``values`` at each checkpoint (pairwise summation)."""
+    values = np.asarray(values)
+    return _prefix_sums(values, _validated_checkpoints(checkpoints, len(values)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,14 +313,21 @@ class ErgodicAverageSeries:
         return "\n".join(lines) + "\n"
 
 
-def checkpointed_average_series(
-    values: np.ndarray, checkpoints, weight_provenance: str = ""
+def _average_series(
+    terms: np.ndarray, cps: tuple[int, ...], weight_provenance: str
 ) -> ErgodicAverageSeries:
-    """Partial averages (1/N) * sum_{n<N} values_n at each checkpoint."""
-    sums = checkpoint_sums(np.asarray(values, dtype=np.complex128), checkpoints)
-    cps = tuple(int(c) for c in checkpoints)
-    averages = sums / np.asarray(cps, dtype=np.float64)
-    return ErgodicAverageSeries(cps, averages, weight_provenance)
+    """Partial averages (1/N) * sum_{n<N} terms_n at each checkpoint.
+
+    ``terms`` is a complex128 array and ``cps`` the output of
+    ``_validated_checkpoints`` against it, so the series is built
+    without checking the checkpoints again.
+    """
+    averages = _prefix_sums(terms, cps) / np.asarray(cps, dtype=np.float64)
+    series = object.__new__(ErgodicAverageSeries)
+    object.__setattr__(series, "checkpoints", cps)
+    object.__setattr__(series, "averages", averages)
+    object.__setattr__(series, "weight_provenance", weight_provenance)
+    return series
 
 
 def weighted_exponential_average(
@@ -310,10 +342,9 @@ def weighted_exponential_average(
     values = _as_complex_values(seq)
     cps = _validated_checkpoints(checkpoints, len(values))
     n_max = cps[-1]
-    phases = phase_stream(poly, n_max)
-    terms = values[:n_max] * unit_values(phases)
+    terms = values[:n_max] * unit_values(phase_stream(poly, n_max))
     provenance = getattr(seq, "provenance", "array")
-    return checkpointed_average_series(terms, cps, provenance)
+    return _average_series(terms, cps, provenance)
 
 
 def binomial_coefficient(n: int, k: int) -> int:

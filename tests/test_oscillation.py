@@ -125,12 +125,72 @@ def test_refine_never_decreases():
         assert refined >= start_value - 1e-15
 
 
+def reference_refine(values, degree, start, initial_step, min_step=1e-5, max_evals=10_000):
+    """Coordinate descent that evaluates every candidate directly."""
+    coeffs = [float(c) % 1.0 for c in start]
+    best = direct_average_modulus(values, coeffs)
+    evals = 1
+    step = float(initial_step)
+    while step >= min_step and evals < max_evals:
+        improved = False
+        for i in range(1, degree + 1):
+            for delta in (step, -step):
+                if evals >= max_evals:
+                    break
+                candidate = list(coeffs)
+                candidate[i] = (candidate[i] + delta) % 1.0
+                value = direct_average_modulus(values, candidate)
+                evals += 1
+                if value > best:
+                    best = value
+                    coeffs = candidate
+                    improved = True
+                    break
+        if not improved:
+            step *= 0.5
+    return best, tuple(coeffs)
+
+
 def test_refine_respects_eval_budget():
     rng = np.random.default_rng(13)
     values = rng.normal(size=256) + 1j * rng.normal(size=256)
     seq = ComplexSequence(values, "random")
-    value, _ = refine_local(seq, 2, (0.0, 0.5, 0.5), 256, max_evals=25)
-    assert value >= 0.0  # terminates quickly; budget path exercised
+    start = (0.0, 0.5, 0.5)
+    for max_evals in (1, 2, 3, 25):
+        value, coeffs = refine_local(seq, 2, start, 256, max_evals=max_evals)
+        ref_value, ref_coeffs = reference_refine(values, 2, start, 1.0 / 16, max_evals=max_evals)
+        assert coeffs == ref_coeffs
+        assert abs(value - ref_value) <= 1e-12
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("count", [64, 1000, 4096])
+@pytest.mark.parametrize("grid", [16, 10])
+def test_refine_matches_direct_evaluation(degree, count, grid):
+    """Scoring from cached terms takes the same path as direct evaluation.
+
+    G = 16 starts give dyadic shifts; G = 10 starts give inexact float
+    shifts, whose +step and -step moves are not exact negatives.
+    """
+    rng = np.random.default_rng(1000 * degree + count + grid)
+    weights = {
+        "random": rng.normal(size=count) + 1j * rng.normal(size=count),
+        "zeros": np.zeros(count, dtype=np.complex128),
+        "polyphase": polynomial_phase_sequence(SQRT2M1, degree, count).values,
+    }
+    for name, values in weights.items():
+        seq = ComplexSequence(values, name)
+        _, start = grid_sup_average(seq, degree, grid, count)
+        for max_evals in (1, 2, 25, 10_000):
+            value, coeffs = refine_local(
+                seq, degree, start, count, initial_step=1.0 / grid, max_evals=max_evals
+            )
+            ref_value, ref_coeffs = reference_refine(
+                values, degree, start, 1.0 / grid, max_evals=max_evals
+            )
+            assert coeffs == ref_coeffs, (name, max_evals)
+            assert abs(value - ref_value) <= 1e-12, (name, max_evals)
+            assert value == direct_average_modulus(values, coeffs)
 
 
 def test_grid_monotone_in_degree_on_nested_grids():

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscillab.polyphase import (
     ErgodicAverageSeries,
@@ -106,6 +108,51 @@ def test_phase_stream_random_polynomials_small_range():
         for n in range(0, count, max(1, count // 17)):
             delta = abs(phases[n] - phase_at(poly, n))
             assert min(delta, 1 - delta) <= 1e-12
+
+
+# Counts where the lane width or the number of blocks changes.
+_LANE_BOUNDARY_COUNTS = (
+    63, 64, 65, 127, 128, 129, 4095, 4096, 4097, 4159, 4160, 4161,
+    262143, 262144, 262145,
+)
+
+_seed_coefficients = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    st.builds(
+        Fraction,
+        st.integers(0, 10**30),
+        st.integers(1, 30).map(lambda k: 3**k),
+    ),
+    st.builds(
+        Fraction,
+        st.integers(0, 10**30),
+        st.integers(1, 20).map(math.factorial),
+    ),
+    st.builds(
+        Fraction,
+        st.integers(0, 2**40),
+        st.integers(0, 2**39 - 1).map(lambda m: 2 * m + 1),
+    ),
+    st.just(Fraction(1, 2**140)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    coefficients=st.lists(_seed_coefficients, min_size=2, max_size=9),
+    count=st.one_of(st.integers(1, 5000), st.sampled_from(_LANE_BOUNDARY_COUNTS)),
+    data=st.data(),
+)
+def test_phase_stream_seed_table_matches_oracle(coefficients, count, data):
+    """Degrees 1-8 with float and rational coefficients, some denominators above 2^128."""
+    poly = PhasePolynomial(coefficients)
+    phases = phase_stream(poly, count)
+    assert phases.shape == (count,)
+    picks = data.draw(st.lists(st.integers(0, count - 1), max_size=8))
+    boundaries = [c for c in _LANE_BOUNDARY_COUNTS if c < count]
+    for n in {0, count // 2, count - 1, *boundaries, *picks}:
+        delta = abs(phases[n] - phase_at(poly, n))
+        assert min(delta, 1 - delta) <= 1e-12, (poly, count, n)
 
 
 def test_average_constant_weights_zero_phase():
