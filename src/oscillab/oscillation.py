@@ -133,6 +133,11 @@ def _weighted_terms(values: np.ndarray, coefficients) -> np.ndarray:
     return values * unit_values(phase_stream(PhasePolynomial(coefficients), len(values)))
 
 
+def _shift_factor(shift: Fraction, index: int, n_terms: int) -> np.ndarray:
+    """Factors e(shift * n^index) for n < n_terms."""
+    return unit_values(phase_stream(PhasePolynomial.monomial(shift, index), n_terms))
+
+
 def refine_local(
     seq,
     degree: int,
@@ -153,7 +158,9 @@ def refine_local(
     The terms w_n = c_n e(P(n)) at the current point are kept.  Moving
     t_i by the exact shift s multiplies them by f_n = e(s n^i), so both
     moves of a step are scored from one factor: +step as |sum w f| / N
-    and -step as |sum w conj(f)| / N.  A winning score is confirmed by
+    and -step as |sum w conj(f)| / N.  Where the float candidates are not
+    exact negatives of each other (a step that rounds, as on a G = 10
+    grid), -step gets a factor for its own exact shift.  A winning score is confirmed by
     re-streaming the terms at the candidate, and the move is taken only
     if that exact value beats the best, so the returned sup is the exact
     objective at the returned coefficients.
@@ -172,18 +179,23 @@ def refine_local(
     while step >= min_step and evals < max_evals:
         improved = False
         for i in range(1, degree + 1):
-            factor = None
+            factor = plus_shift = None
             for plus in (True, False):
                 if evals >= max_evals:
                     break
                 candidate = list(coeffs)
                 candidate[i] = (candidate[i] + (step if plus else -step)) % 1.0
-                if factor is None:
-                    shift = Fraction((coeffs[i] + step) % 1.0) - Fraction(coeffs[i])
-                    factor = unit_values(
-                        phase_stream(PhasePolynomial.monomial(shift, i), n_terms)
-                    )
-                total = np.dot(base, factor) if plus else np.vdot(factor, base)
+                # The exact shift to this candidate; c - step rounds apart
+                # from c + step, so -step reuses the factor only when the
+                # two shifts are exact negatives mod 1.
+                shift = Fraction(candidate[i]) - Fraction(coeffs[i])
+                if factor is not None and (shift + plus_shift) % 1 == 0:
+                    total = np.vdot(factor, base)
+                else:
+                    factor = None  # free the old factor before streaming
+                    factor = _shift_factor(shift, i, n_terms)
+                    plus_shift = shift
+                    total = np.dot(base, factor)
                 evals += 1
                 if abs(total) / n_terms <= best:
                     continue

@@ -318,16 +318,11 @@ def _average_series(
 ) -> ErgodicAverageSeries:
     """Partial averages (1/N) * sum_{n<N} terms_n at each checkpoint.
 
-    ``terms`` is a complex128 array and ``cps`` the output of
-    ``_validated_checkpoints`` against it, so the series is built
-    without checking the checkpoints again.
+    ``cps`` is the output of ``_validated_checkpoints`` against ``terms``,
+    so the prefix sums are taken without parsing the checkpoints again.
     """
     averages = _prefix_sums(terms, cps) / np.asarray(cps, dtype=np.float64)
-    series = object.__new__(ErgodicAverageSeries)
-    object.__setattr__(series, "checkpoints", cps)
-    object.__setattr__(series, "averages", averages)
-    object.__setattr__(series, "weight_provenance", weight_provenance)
-    return series
+    return ErgodicAverageSeries(cps, averages, weight_provenance)
 
 
 def weighted_exponential_average(

@@ -193,6 +193,30 @@ def test_refine_matches_direct_evaluation(degree, count, grid):
             assert value == direct_average_modulus(values, coeffs)
 
 
+def test_refine_scores_minus_step_at_its_own_candidate():
+    """-step is scored at the float c - step, not at c - (exact +step shift).
+
+    From t_3 = 0 with step 1/10, (0 + 0.1) % 1 and (0 - 0.1) % 1 round to
+    shifts that are not exact negatives: they miss by 2^-55.  At
+    N = 3 * 10^5 that moves the phase of n^3 by about 0.75 turn.  The
+    weights put modulus 0.5 at the start and 0.6 at the -step candidate,
+    so a -step score taken from the +step factor (about 0.3) would skip
+    the move that direct evaluation takes.
+    """
+    count = 300_000
+    start = (0.0, 0.0, 0.0, 0.0)
+    target = (0.0, 0.0, 0.0, (0.0 - 0.1) % 1.0)
+    target_terms = unit_values(phase_stream(PhasePolynomial(target), count))
+    values = 0.5 + 0.6 * np.conj(target_terms)
+    seq = ComplexSequence(values, "two resonances")
+    for max_evals in (7, 25):
+        value, coeffs = refine_local(seq, 3, start, count, initial_step=0.1, max_evals=max_evals)
+        ref_value, ref_coeffs = reference_refine(values, 3, start, 0.1, max_evals=max_evals)
+        assert coeffs == ref_coeffs
+        assert abs(value - ref_value) <= 1e-12
+    assert coeffs[3] == target[3]
+
+
 def test_grid_monotone_in_degree_on_nested_grids():
     rng = np.random.default_rng(19)
     for _ in range(5):
