@@ -394,26 +394,90 @@ class TimePolynomial:
     def first_negative_on_range(self, count: int) -> int | None:
         """Smallest integer n in [0, count) with q(n) < 0, if any.
 
-        The sign of a degree-D polynomial is constant between
-        consecutive real roots, so it suffices to evaluate exactly at
-        the endpoints and at integers adjacent to each real root.
+        If n > 0 is the first such integer then q(n - 1) >= 0 > q(n), so
+        a real root r lies in [n - 1, n) and n = floor(r) + 1.  A Sturm
+        chain with integer coefficients counts the distinct real roots
+        in (a, b] exactly; bisecting (-1, count - 1] down to the unit
+        intervals (k - 1, k] that hold a root leaves the candidates k and
+        k + 1, which are evaluated exactly together with n = 0.
         """
         if count < 1:
             raise ValueError("count: must be >= 1")
-        candidates = {0, count - 1}
-        mono = self.monomial_coefficients()
-        if len(mono) > 1:
-            float_coeffs = [float(c) for c in reversed(mono)]
-            roots = np.roots(float_coeffs)
-            for r in roots:
-                if abs(r.imag) < 1e-6:
-                    base = int(math.floor(r.real))
-                    for offset in range(-2, 4):
-                        n = base + offset
-                        if 0 <= n < count:
-                            candidates.add(n)
-        negatives = [n for n in sorted(candidates) if self(n) < 0]
+        candidates = {0}
+        if self.degree > 0:
+            chain = _sturm_chain(self.monomial_coefficients())
+            stack = [(-1, count - 1, _sign_changes(chain, -1), _sign_changes(chain, count - 1))]
+            while stack:
+                lo, hi, changes_lo, changes_hi = stack.pop()
+                if changes_lo == changes_hi:
+                    continue
+                if hi - lo == 1:
+                    candidates.update((hi, hi + 1))
+                    continue
+                mid = (lo + hi) // 2
+                changes_mid = _sign_changes(chain, mid)
+                stack.append((lo, mid, changes_lo, changes_mid))
+                stack.append((mid, hi, changes_mid, changes_hi))
+        negatives = [n for n in sorted(candidates) if n < count and self(n) < 0]
         return negatives[0] if negatives else None
+
+
+def _poly_divmod(num: list, den: list) -> tuple[list, list]:
+    """Quotient and remainder of exact polynomials, highest degree first."""
+    rem = list(num)
+    quot = []
+    while len(rem) >= len(den):
+        factor = rem[0] / den[0]
+        quot.append(factor)
+        for i, d in enumerate(den):
+            rem[i] -= factor * d
+        rem.pop(0)
+    while rem and rem[0] == 0:
+        rem.pop(0)
+    return quot, rem
+
+
+def _primitive(poly: list) -> tuple[int, ...]:
+    """Positive multiple of a rational polynomial with coprime integer coefficients."""
+    scale = math.lcm(*(Fraction(c).denominator for c in poly))
+    ints = [int(c * scale) for c in poly]
+    content = math.gcd(*ints)
+    return tuple(c // content for c in ints)
+
+
+def _derivative(poly: list) -> list:
+    degree = len(poly) - 1
+    return [c * (degree - i) for i, c in enumerate(poly[:-1])]
+
+
+def _sturm_chain(monomial_coeffs) -> list[tuple[int, ...]]:
+    """Sturm chain of the square-free part of a nonconstant polynomial.
+
+    Members are scaled by positive constants to integer coefficients
+    (highest degree first), which leaves every sign unchanged.  For a
+    square-free p the sign changes V(x) along the chain, zeros skipped,
+    satisfy V(a) - V(b) = #{distinct real roots in (a, b]} for a < b.
+    """
+    p = [Fraction(c) for c in reversed(monomial_coeffs)]
+    gcd, rest = p, _derivative(p)
+    while rest:
+        gcd, rest = rest, _poly_divmod(gcd, rest)[1]
+    chain = [_poly_divmod(p, gcd)[0]]
+    chain.append(_derivative(chain[0]))
+    while rem := _poly_divmod(chain[-2], chain[-1])[1]:
+        chain.append([-c for c in rem])
+    return [_primitive(member) for member in chain]
+
+
+def _sign_changes(chain: list[tuple[int, ...]], x: int) -> int:
+    signs = []
+    for member in chain:
+        value = 0
+        for c in member:
+            value = value * x + c
+        if value:
+            signs.append(value > 0)
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
 def multiple_ergodic_average(

@@ -1,10 +1,16 @@
 """Sequence generators: sieve correctness, determinism, file round-trips."""
 
 import math
+import tempfile
+from unittest import mock
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oscillab import sequences
 from oscillab.sequences import (
     ComplexSequence,
     SequenceParseError,
@@ -173,6 +179,135 @@ def test_io_round_trip_awkward_floats(tmp_path):
     assert np.array_equal(back.complex_values, values)
 
 
+def reference_write_sequence(path, seq):
+    """The per-line writer that ``write_sequence`` must match byte for byte."""
+    with Path(path).open("w", encoding="utf-8") as handle:
+        handle.write(f"# {seq.provenance}\n")
+        for v in seq.complex_values:
+            handle.write(f"{v.real:.17g} {v.imag:.17g}\n")
+
+
+def reference_read_sequence(path):
+    """The per-line parser that defines the file grammar (the pre-numpy reader)."""
+    path = Path(path)
+    values = []
+    with path.open("r", encoding="utf-8") as handle:
+        for line_number, raw in enumerate(handle, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise SequenceParseError(
+                    f"line {line_number}: expected 'RE IM', got {line!r}", line_number
+                )
+            try:
+                re_part, im_part = float(parts[0]), float(parts[1])
+            except ValueError as exc:
+                raise SequenceParseError(
+                    f"line {line_number}: not a decimal pair: {line!r}", line_number
+                ) from exc
+            values.append(complex(re_part, im_part))
+    if not values:
+        raise ValueError(f"{path}: no values (a sequence of length 0 is not allowed)")
+    return np.array(values, dtype=np.complex128)
+
+
+def _outcome(parse, path):
+    """("ok", dtype, bits) or ("error", type, line number, message)."""
+    try:
+        values = parse(path)
+    except ValueError as exc:
+        return ("error", type(exc), getattr(exc, "line_number", None), str(exc))
+    return ("ok", values.dtype.str, values.view(np.uint64).tolist())
+
+
+_TOKENS = st.one_of(
+    st.sampled_from([
+        "0", "1", "-1", "-0.0", "+0", "nan", "-nan", "NaN", "inf", "-inf", "Infinity",
+        "5e-324", "1.7976931348623157e308", "1e400", "1_0", "1__0", "٣", "0x10",
+        "1.", ".5", "abc", "1e", "--1",
+    ]),
+    st.floats(allow_nan=False).map(lambda x: f"{x:.17g}"),
+    st.integers(-(10**20), 10**20).map(str),
+)
+_BLANK = st.sampled_from(["", " ", "\t", "  \t ", "\x0c"])
+_COMMENT = st.sampled_from(["#", "# file(/a#b/seq.txt)", "   # indented", "\t#x # y", "## 1 0"])
+_DATA = st.builds(
+    lambda lead, tokens, sep, trail, inline: lead + sep.join(tokens) + trail + inline,
+    st.sampled_from(["", " ", "\t"]),
+    st.sampled_from([2] * 12 + [1, 3]).flatmap(lambda k: st.lists(_TOKENS, min_size=k, max_size=k)),
+    st.sampled_from([" ", "\t", "  ", " \t "]),
+    st.sampled_from(["", " ", "\t"]),
+    st.sampled_from([""] * 20 + [" # note", "#"]),
+)
+_LINE = st.one_of(_DATA, _DATA, _DATA, _BLANK, _COMMENT)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lines=st.lists(_LINE, max_size=12),
+    ending=st.sampled_from(["\n", "\r\n", "\r"]),
+    final_newline=st.booleans(),
+    scan_chars=st.integers(1, 8),
+)
+@example(lines=["# only comments", "   # indented"], ending="\n", final_newline=True, scan_chars=3)
+@example(lines=[], ending="\n", final_newline=False, scan_chars=3)
+@example(lines=["1 0 # inline", "2 0"], ending="\n", final_newline=True, scan_chars=3)
+@example(lines=["1_0 0", "2 0"], ending="\r\n", final_newline=True, scan_chars=3)
+@example(lines=["# header", "1 2 3", "4 5 6"], ending="\n", final_newline=True, scan_chars=3)
+@example(lines=["1", "2"], ending="\n", final_newline=True, scan_chars=3)
+@example(
+    lines=["nan -0.0", "inf -inf", "5e-324 1.7976931348623157e308"],
+    ending="\n",
+    final_newline=True,
+    scan_chars=3,
+)
+def test_read_sequence_matches_line_parser(lines, ending, final_newline, scan_chars):
+    """Fast and per-line parsers agree bit for bit, or raise at the same line."""
+    text = ending.join(lines) + (ending if final_newline and lines else "")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "seq.txt"
+        with path.open("w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        expected = _outcome(reference_read_sequence, path)
+        assert _outcome(lambda p: read_sequence(p).values, path) == expected
+        # Scan blocks of a few characters split lines at every position.
+        with mock.patch.object(sequences, "_SCAN_CHARS", scan_chars):
+            assert _outcome(lambda p: read_sequence(p).values, path) == expected
+
+
+@pytest.mark.parametrize(
+    "length",
+    [
+        1,
+        sequences._WRITE_CHUNK_LINES - 1,
+        sequences._WRITE_CHUNK_LINES,
+        sequences._WRITE_CHUNK_LINES + 1,
+    ],
+)
+def test_write_sequence_bytes_match_line_writer(tmp_path, length):
+    special = [-0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.7976931348623157e308, 0.1]
+    rng = np.random.default_rng(length)
+    flat = rng.normal(size=2 * length) * 10.0 ** rng.integers(-320, 300, size=2 * length)
+    flat[::5] = np.resize(special, flat[::5].size)
+    values = flat.view(np.complex128)
+    seq = ComplexSequence(values, f"awkward(n={length})")
+    write_sequence(tmp_path / "fast.txt", seq)
+    reference_write_sequence(tmp_path / "ref.txt", seq)
+    assert (tmp_path / "fast.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
+    back = read_sequence(tmp_path / "fast.txt")
+    assert np.array_equal(back.values.view(np.uint64), values.view(np.uint64))
+
+
+def test_write_sequence_strided_and_integer_values(tmp_path):
+    values = mobius_sequence(50).values[::3]
+    seq = ComplexSequence(values, "strided")
+    write_sequence(tmp_path / "fast.txt", seq)
+    reference_write_sequence(tmp_path / "ref.txt", seq)
+    assert (tmp_path / "fast.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
+
+
 def test_io_parse_error_names_line(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1 0\n2 0\nabc\n", encoding="utf-8")
@@ -180,6 +315,15 @@ def test_io_parse_error_names_line(tmp_path):
         read_sequence(path)
     assert err.value.line_number == 3
     assert "line 3" in str(err.value)
+
+
+def test_io_inline_comment_names_line(tmp_path):
+    """'#' after data on its line is an error, not a trailing comment."""
+    path = tmp_path / "bad.txt"
+    path.write_text("# header\n1 0\n1 0 # trailing\n", encoding="utf-8")
+    with pytest.raises(SequenceParseError) as err:
+        read_sequence(path)
+    assert err.value.line_number == 3
 
 
 def test_io_empty_file_rejected(tmp_path):

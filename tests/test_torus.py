@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oscillab.polyphase import PhasePolynomial, phase_at, phase_stream, unit_values
 from oscillab.sequences import ComplexSequence, rademacher_sequence
@@ -231,6 +233,67 @@ def test_time_polynomial_negativity_detection():
     shifted = TimePolynomial((24, -9, 2))  # expands to n^2 - 10n + 24 = (n-4)(n-6)
     assert [shifted(n) for n in range(8)] == [24, 15, 8, 3, 0, -1, 0, 3]
     assert shifted.first_negative_on_range(100) == 5
+
+
+def first_negative_by_scan(q, count):
+    return next((n for n in range(count) if q(n) < 0), None)
+
+
+def binomial_coefficients_of(values):
+    """a_j = (forward difference)^j q(0) from q(0), ..., q(d)."""
+    coeffs = []
+    row = list(values)
+    while row:
+        coeffs.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    return tuple(coeffs)
+
+
+# q(198) = 0, q(199) = -1024, q(200) = 0: three roots within one unit,
+# where a floating-point root finder reports no real root near 199.
+NEAR_MISS = (
+    255644319744000000, -7605530195891200, 189498201516032,
+    -3796164550656, 57323347968, -579993600, 2949120,
+)
+
+
+def test_first_negative_near_miss_example():
+    q = TimePolynomial(NEAR_MISS)
+    assert [q(n) for n in (198, 199, 200)] == [0, -1024, 0]
+    assert q.first_negative_on_range(400) == 199
+    assert q.first_negative_on_range(199) is None
+    assert q.first_negative_on_range(200) == 199
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    center=st.integers(0, 300),
+    den=st.integers(1, 4),
+    offsets=st.lists(st.integers(-4, 4), min_size=2, max_size=6),
+    lead=st.sampled_from([-2, -1, 1, 2, 3]),
+    shift=st.integers(-3, 3),
+    count=st.integers(1, 400),
+)
+def test_first_negative_clustered_roots_match_scan(center, den, offsets, lead, shift, count):
+    """q(n) = lead * prod(den n - den center - s) + shift, roots clustered near center."""
+
+    def direct(n):
+        return lead * math.prod(den * n - den * center - s for s in offsets) + shift
+
+    q = TimePolynomial(binomial_coefficients_of([direct(n) for n in range(len(offsets) + 1)]))
+    assert all(q(n) == direct(n) for n in range(0, 400, 37))
+    assert q.first_negative_on_range(count) == first_negative_by_scan(direct, count)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    coeffs=st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=7),
+    count=st.integers(1, 300),
+)
+@example(coeffs=list(NEAR_MISS), count=400)
+def test_first_negative_random_coefficients_match_scan(coeffs, count):
+    q = TimePolynomial(tuple(coeffs))
+    assert q.first_negative_on_range(count) == first_negative_by_scan(q, count)
 
 
 def test_multiple_average_trivial_tensor():
