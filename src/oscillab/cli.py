@@ -65,21 +65,6 @@ from .torus import (
     verify_factorization,
 )
 
-COMMANDS = (
-    "generate",
-    "average",
-    "scan-spectrum",
-    "estimate-order",
-    "simulate-torus",
-    "verify-tower",
-    "multi-average",
-    "simulate-padic",
-    "census",
-    "lsk-check",
-    "subnormal-check",
-)
-
-
 class ConfigError(ValueError):
     """Invalid configuration; message names the offending field."""
 
@@ -182,12 +167,6 @@ def emit_report(value, fmt: str, path) -> Path:
     if isinstance(value, ErgodicAverageSeries):
         if fmt == "csv":
             path.write_text(value.to_csv(), encoding="utf-8")
-        elif fmt == "json":
-            payload = [
-                {"n": n, "re": a.real, "im": a.imag, "modulus": abs(a)}
-                for n, a in zip(value.checkpoints, value.averages)
-            ]
-            path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
         elif fmt == "svg":
             curve = ("average", list(value.checkpoints), [max(m, 1e-300) for m in value.moduli])
             path.write_text(_svg_plot([curve], "n", "modulus"), encoding="utf-8")
@@ -213,6 +192,11 @@ def emit_report(value, fmt: str, path) -> Path:
     raise ValueError(f"format: no emitter for {type(value).__name__}")
 
 
+def _write_json(path: Path, payload) -> Path:
+    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    return path
+
+
 def _write_csv(path: Path, header: str, rows) -> Path:
     lines = [header]
     for row in rows:
@@ -231,27 +215,38 @@ def _csv_cell(cell) -> str:
 # parameter handling
 
 
-def _require(params: dict, name: str, kind, default=None):
-    if name not in params or params[name] is None:
-        if default is not None:
-            return default
-        raise ConfigError(f"{name}: required parameter missing")
+_MISSING = object()
+
+
+def _parse(name: str, value, kind):
+    """``kind(value)``, with a failure reported as a ConfigError naming ``name``."""
     try:
-        return kind(params[name])
+        return kind(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name}: {exc}") from exc
 
 
-def _parse_int_list(text) -> tuple[int, ...]:
-    if isinstance(text, (list, tuple)):
-        return tuple(int(v) for v in text)
-    return tuple(int(part) for part in str(text).split(",") if part.strip())
+def _require(params: dict, name: str, kind, default=_MISSING):
+    if params.get(name) is None:
+        if default is _MISSING:
+            raise ConfigError(f"{name}: required parameter missing")
+        return default
+    return _parse(name, params[name], kind)
 
 
-def _parse_float_list(text) -> tuple[float, ...]:
-    if isinstance(text, (list, tuple)):
-        return tuple(float(v) for v in text)
-    return tuple(float(part) for part in str(text).split(",") if part.strip())
+def _items(value) -> list:
+    """A list/tuple as is, or the nonblank parts of comma-separated text."""
+    if isinstance(value, (list, tuple)):
+        return list(value)
+    return [part for part in str(value).split(",") if part.strip()]
+
+
+def _int_list(value) -> tuple[int, ...]:
+    return tuple(int(v) for v in _items(value))
+
+
+def _float_list(value) -> tuple[float, ...]:
+    return tuple(float(v) for v in _items(value))
 
 
 def _load_weights(params: dict, length: int, seed: int | None) -> ComplexSequence:
@@ -264,7 +259,7 @@ def _load_weights(params: dict, length: int, seed: int | None) -> ComplexSequenc
         actual_seed = params.get("seed", seed)
         if actual_seed is None:
             raise ConfigError("seed: required for rademacher weights")
-        return rademacher_sequence(int(actual_seed), length)
+        return rademacher_sequence(_parse("seed", actual_seed, int), length)
     if generator == "polyphase":
         alpha = _require(params, "alpha", float)
         power = _require(params, "power", int)
@@ -282,7 +277,7 @@ def _load_weights(params: dict, length: int, seed: int | None) -> ComplexSequenc
 
 def _checkpoints_or_default(config: ExperimentConfig, n: int) -> tuple[int, ...]:
     if config.checkpoints:
-        return _validated_checkpoints(config.checkpoints, n)
+        return _validated_checkpoints(_parse("checkpoints", config.checkpoints, _int_list), n)
     return geometric_checkpoints(max(1, n // 16), n)
 
 
@@ -301,7 +296,7 @@ def _run_generate(config: ExperimentConfig, out: Path) -> list[Path]:
 
 def _run_average(config: ExperimentConfig, out: Path) -> list[Path]:
     n = _require(config.params, "n", int)
-    coeffs = _parse_float_list(_require(config.params, "coeffs", lambda v: v))
+    coeffs = _require(config.params, "coeffs", _float_list)
     if not coeffs:
         raise ConfigError("coeffs: at least one coefficient required")
     try:
@@ -339,9 +334,7 @@ def _run_scan_spectrum(config: ExperimentConfig, out: Path) -> list[Path]:
             "refined_frequency": coeffs[1],
             "refined_modulus": refined,
         }
-        p = out / "spectrum_refined.json"
-        p.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        paths.append(p)
+        paths.append(_write_json(out / "spectrum_refined.json", payload))
     return paths
 
 
@@ -350,25 +343,19 @@ def _run_estimate_order(config: ExperimentConfig, out: Path) -> list[Path]:
     d_max = _require(config.params, "d-max", int, default=2)
     if d_max < 1:
         raise ConfigError("d-max: must be >= 1")
-    grid = config.params.get("grid")
+    grid = _require(config.params, "grid", int, default=None)
+    if grid is not None and grid < 2:
+        raise ConfigError("grid: must be >= 2")
     cps = _checkpoints_or_default(config, n)
     if len(cps) < 3:
         raise ConfigError("checkpoints: at least 3 required")
     seq = _load_weights(config.params, n, config.seed)
-    report = estimate_oscillation_profile(
-        seq, d_max, cps, grid_per_dim=int(grid) if grid else None
-    )
-    order = classify_exact_order(report)
-    paths = [
+    report = estimate_oscillation_profile(seq, d_max, cps, grid_per_dim=grid)
+    return [
         emit_report(report, "json", out / "oscillation.json"),
         emit_report(report, "svg", out / "oscillation.svg"),
+        _write_json(out / "order.json", {"classification": classify_exact_order(report)}),
     ]
-    verdict_path = out / "order.json"
-    verdict_path.write_text(
-        json.dumps({"classification": order}, indent=2) + "\n", encoding="utf-8"
-    )
-    paths.append(verdict_path)
-    return paths
 
 
 def _torus_system(params: dict) -> SkewShiftSystem:
@@ -380,7 +367,7 @@ def _torus_system(params: dict) -> SkewShiftSystem:
 
 
 def _torus_point(params: dict, system: SkewShiftSystem) -> tuple[float, ...]:
-    x = _parse_float_list(_require(params, "x", lambda v: v))
+    x = _require(params, "x", _float_list)
     if len(x) != system.dimension:
         raise ConfigError(f"x: expected {system.dimension} coordinates")
     return x
@@ -404,7 +391,7 @@ def _run_simulate_torus(config: ExperimentConfig, out: Path) -> list[Path]:
 def _run_verify_tower(config: ExperimentConfig, out: Path) -> list[Path]:
     system = _torus_system(config.params)
     x = _torus_point(config.params, system)
-    freqs = _parse_int_list(_require(config.params, "freqs", lambda v: v))
+    freqs = _require(config.params, "freqs", _int_list)
     if len(freqs) != system.dimension:
         raise ConfigError(f"freqs: expected {system.dimension} entries")
     if not any(freqs):
@@ -421,9 +408,7 @@ def _run_verify_tower(config: ExperimentConfig, out: Path) -> list[Path]:
             for lvl in tower.levels
         ],
     }
-    path = out / "tower.json"
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    return [path]
+    return [_write_json(out / "tower.json", payload)]
 
 
 def _run_multi_average(config: ExperimentConfig, out: Path) -> list[Path]:
@@ -436,11 +421,11 @@ def _run_multi_average(config: ExperimentConfig, out: Path) -> list[Path]:
         raise ConfigError("chars: required parameter missing")
     if not qs_spec:
         raise ConfigError("qs: required parameter missing")
-    chars = [CharacterObservable(_parse_int_list(c)) for c in chars_spec]
-    qs = [TimePolynomial(_parse_int_list(q)) for q in qs_spec]
+    chars = [CharacterObservable(_parse("chars", c, _int_list)) for c in chars_spec]
+    qs = [TimePolynomial(_parse("qs", q, _int_list)) for q in qs_spec]
     if len(chars) != len(qs):
         raise ConfigError("qs: needs one time polynomial per character")
-    if "ell" in params and int(params["ell"]) != len(chars):
+    if "ell" in params and _parse("ell", params["ell"], int) != len(chars):
         raise ConfigError(f"ell: {params['ell']} does not match {len(chars)} characters")
     for char in chars:
         if len(char.frequencies) != system.dimension:
@@ -486,24 +471,17 @@ def _run_simulate_padic(config: ExperimentConfig, out: Path) -> list[Path]:
         minimal = affine_minimality_check(system.a.value, system.b.value, system.prime)
     except ValueError:
         minimal = None
-    paths = [_write_csv(out / "padic_orbit.csv", "n,value", rows)]
-    info = out / "padic_system.json"
-    info.write_text(
-        json.dumps(
-            {
-                "p": system.prime,
-                "precision": system.precision,
-                "a": system.a.value,
-                "b": system.b.value,
-                "minimal": minimal,
-            },
-            indent=2,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
-    paths.append(info)
-    return paths
+    info = {
+        "p": system.prime,
+        "precision": system.precision,
+        "a": system.a.value,
+        "b": system.b.value,
+        "minimal": minimal,
+    }
+    return [
+        _write_csv(out / "padic_orbit.csv", "n,value", rows),
+        _write_json(out / "padic_system.json", info),
+    ]
 
 
 def _run_census(config: ExperimentConfig, out: Path) -> list[Path]:
@@ -522,16 +500,22 @@ def _run_census(config: ExperimentConfig, out: Path) -> list[Path]:
 
 def _run_lsk_check(config: ExperimentConfig, out: Path) -> list[Path]:
     params = config.params
-    seeds = _parse_int_list(params.get("seeds", config.seed if config.seed is not None else ""))
+    default_seeds = config.seed if config.seed is not None else ""
+    seeds = _parse("seeds", params.get("seeds", default_seeds), _int_list)
     if not seeds:
         raise ConfigError("seeds: at least one seed required")
     degree = _require(params, "d", int)
     if degree < 1:
         raise ConfigError("d: must be >= 1")
-    n_list = _parse_int_list(_require(params, "n-list", lambda v: v))
+    n_list = _require(params, "n-list", _int_list)
     if not n_list:
         raise ConfigError("n-list: at least one length required")
+    if min(n_list) < 2:
+        # sqrt(N log N) vanishes at N = 1, so the ratio column needs N >= 2.
+        raise ConfigError("n-list: entries must be >= 2")
     grid = _require(params, "grid", int, default=16)
+    if grid < 2:
+        raise ConfigError("grid: must be >= 2")
     rows = []
     slopes = {}
     for seed in seeds:
@@ -541,21 +525,17 @@ def _run_lsk_check(config: ExperimentConfig, out: Path) -> list[Path]:
             ratio = sup / math.sqrt(n * math.log(n))
             rows.append((seed, degree, n, sup, ratio))
         slopes[seed] = growth_exponent(sups) if len(sups) >= 3 else None
-    paths = [_write_csv(out / "lsk.csv", "seed,d,n,sup,ratio", rows)]
-    slopes_path = out / "lsk_slopes.json"
-    slopes_path.write_text(
-        json.dumps({str(k): v for k, v in slopes.items()}, indent=2) + "\n",
-        encoding="utf-8",
-    )
-    paths.append(slopes_path)
-    return paths
+    return [
+        _write_csv(out / "lsk.csv", "seed,d,n,sup,ratio", rows),
+        _write_json(out / "lsk_slopes.json", {str(k): v for k, v in slopes.items()}),
+    ]
 
 
 def _run_subnormal_check(config: ExperimentConfig, out: Path) -> list[Path]:
     params = config.params
     kind = _require(params, "distribution", str)
-    scale = float(params.get("scale", 1.0))
-    lambdas = _parse_float_list(params.get("lambdas", "0.25,0.5,1,2,4"))
+    scale = _require(params, "scale", float, default=1.0)
+    lambdas = _require(params, "lambdas", _float_list, default=(0.25, 0.5, 1.0, 2.0, 4.0))
     if not lambdas:
         raise ConfigError("lambdas: at least one value required")
     try:
@@ -563,15 +543,11 @@ def _run_subnormal_check(config: ExperimentConfig, out: Path) -> list[Path]:
     except ValueError as exc:
         raise ConfigError(f"distribution: {exc}") from exc
     margins = subnormality_margin(dist, lambdas)
-    rows = [(lam, margin) for lam, margin in margins]
-    paths = [_write_csv(out / "subnormal.csv", "lambda,margin", rows)]
     verdict = all(margin >= 0 for _, margin in margins)
-    vp = out / "subnormal.json"
-    vp.write_text(
-        json.dumps({"subnormal_on_grid": verdict}, indent=2) + "\n", encoding="utf-8"
-    )
-    paths.append(vp)
-    return paths
+    return [
+        _write_csv(out / "subnormal.csv", "lambda,margin", margins),
+        _write_json(out / "subnormal.json", {"subnormal_on_grid": verdict}),
+    ]
 
 
 _RUNNERS = {
@@ -587,6 +563,7 @@ _RUNNERS = {
     "lsk-check": _run_lsk_check,
     "subnormal-check": _run_subnormal_check,
 }
+COMMANDS = tuple(_RUNNERS)
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[int, list[Path]]:
@@ -610,9 +587,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[int, list[Path]]:
         "wall_time_seconds": elapsed,
         "outputs": [str(p) for p in outputs],
     }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_json(out / "manifest.json", manifest)
     return 0, outputs
 
 
@@ -676,11 +651,11 @@ def _config_from_args(args) -> ExperimentConfig:
     if args.seed is not None:
         config.seed = args.seed
     if args.checkpoints:
-        config.checkpoints = _parse_int_list(args.checkpoints)
+        config.checkpoints = _parse("checkpoints", args.checkpoints, _int_list)
     if args.command == "multi-average" and "weights" in config.params:
         weights = config.params["weights"]
         if isinstance(weights, str):
-            config.params["weights"] = json.loads(weights)
+            config.params["weights"] = _parse("weights", weights, json.loads)
     return config
 
 

@@ -5,10 +5,10 @@ averages (1/N) sum c_n e(P(n)) vanish for every real polynomial P of
 degree <= d.  At a desk scale the sup over all of R_d[z] is approximated
 by a finite grid on the coefficient torus plus a derivative-free local
 polish, and the decay of the resulting estimates across checkpoints is
-classified with documented (configurable) thresholds.  The verdicts are
-heuristics, not certificates: finite data cannot prove decay, and an
-off-grid resonance narrower than the grid pitch is invisible to any
-value-based search.
+classified with the fixed thresholds ``DECAY_SLOPE``, ``DECAY_LEVEL``
+and ``NONDECAY_LEVEL``.  The verdicts are heuristics, not certificates:
+finite data cannot prove decay, and an off-grid resonance narrower than
+the grid pitch is invisible to any value-based search.
 
 The grid stage is exact and cheap: on the grid {0, 1/G, ..., (G-1)/G}
 the phase of index n depends only on n mod G, so the sequence folds
@@ -30,6 +30,7 @@ import numpy as np
 from .polyphase import (
     PhasePolynomial,
     _as_complex_values,
+    _residue_buckets,
     _validated_checkpoints,
     phase_stream,
     unit_values,
@@ -47,6 +48,9 @@ DEFAULT_GRID = {1: 16, 2: 16, 3: 8}
 DECAY_SLOPE = -0.2
 DECAY_LEVEL = 0.1
 NONDECAY_LEVEL = 0.5
+
+#: Refinement stops once its step falls below this pitch.
+MIN_STEP = 1e-5
 
 
 class GridBudgetError(RuntimeError):
@@ -83,12 +87,8 @@ def grid_sup_average(
         )
     values = _weights_prefix(seq, n_terms)
 
-    # Fold the sequence into residue buckets mod G: the grid phase of
-    # index n is determined by n mod G.
-    padded_len = -(-n_terms // g) * g
-    padded = np.zeros(padded_len, dtype=np.complex128)
-    padded[:n_terms] = values
-    buckets = padded.reshape(-1, g).sum(axis=0) / n_terms
+    # The grid phase of index n is determined by n mod G.
+    buckets = _residue_buckets(values, n_terms, g) / n_terms
 
     # rho^j mod G for j = 1..degree.
     rho = np.arange(g, dtype=np.int64)
@@ -98,19 +98,15 @@ def grid_sup_average(
         powers[j] = (powers[j - 1] * rho) % g
     roots = np.exp((2j * np.pi / g) * np.arange(g))
 
+    # Grid points in lexicographic order, g_1 the most significant digit.
+    shape = (g,) * degree
     n_points = g**degree
     chunk = max(1, _GRID_CHUNK_ELEMENTS // g)
     best_sq = -1.0
     best_index = -1
     for start in range(0, n_points, chunk):
-        stop = min(start + chunk, n_points)
-        flat = np.arange(start, stop, dtype=np.int64)
-        # Lexicographic digits (g_1 most significant).
-        digits = np.empty((stop - start, degree), dtype=np.int64)
-        rem = flat
-        for j in range(degree - 1, -1, -1):
-            digits[:, j] = rem % g
-            rem = rem // g
+        flat = np.arange(start, min(start + chunk, n_points), dtype=np.int64)
+        digits = np.stack(np.unravel_index(flat, shape), axis=1)
         table = (digits @ powers) % g
         averages = roots[table] @ buckets
         sq = averages.real**2 + averages.imag**2
@@ -118,13 +114,7 @@ def grid_sup_average(
         if sq[local] > best_sq:
             best_sq = float(sq[local])
             best_index = start + local
-    digits = []
-    rem = best_index
-    for _ in range(degree):
-        digits.append(rem % g)
-        rem //= g
-    digits.reverse()
-    coeffs = (0.0,) + tuple(dig / g for dig in digits)
+    coeffs = (0.0,) + tuple(int(dig) / g for dig in np.unravel_index(best_index, shape))
     return math.sqrt(max(best_sq, 0.0)), coeffs
 
 
@@ -144,13 +134,12 @@ def refine_local(
     start,
     n_terms: int,
     initial_step: float = 1.0 / 16,
-    min_step: float = 1e-5,
     max_evals: int = 10_000,
 ) -> tuple[float, tuple[float, ...]]:
     """Coordinate descent polish of a coefficient vector, wrapped mod 1.
 
     Sweeps coordinates 1..degree with a shrinking step (halved after a
-    sweep with no improvement, stopping below ``min_step``).  The t_0
+    sweep with no improvement, stopping below ``MIN_STEP``).  The t_0
     slot is left untouched since it cannot change the modulus.  Never
     returns a value below the start value and scores at most
     ``max_evals`` candidates, the start included.
@@ -176,7 +165,7 @@ def refine_local(
     best = abs(base.sum()) / n_terms
     evals = 1
     step = float(initial_step)
-    while step >= min_step and evals < max_evals:
+    while step >= MIN_STEP and evals < max_evals:
         improved = False
         for i in range(1, degree + 1):
             factor = plus_shift = None
@@ -236,7 +225,6 @@ class OscillationReport:
     """Per-degree sup estimates with decay slopes and verdicts."""
 
     degrees: tuple[DegreeProfile, ...]
-    weight_provenance: str = ""
 
     def profile(self, degree: int) -> DegreeProfile:
         for item in self.degrees:
@@ -282,20 +270,17 @@ def estimate_oscillation_profile(
     seq,
     d_max: int,
     checkpoints,
-    budget: int = GRID_BUDGET,
     grid_per_dim: int | None = None,
-    slope_threshold: float = DECAY_SLOPE,
-    decay_level: float = DECAY_LEVEL,
-    nondecay_level: float = NONDECAY_LEVEL,
 ) -> OscillationReport:
     """Grid + refine sup estimates for every degree d <= d_max.
 
     The decay slope is the least-squares slope of log sup vs log N over
     the trailing half of the checkpoints (at least 3).  Verdict policy:
-    decaying when slope <= slope_threshold and the final sup is at most
-    decay_level; non-decaying when the final sup is at least
-    nondecay_level; inconclusive otherwise.  Thresholds are heuristics
-    and are exposed as parameters.
+    decaying when slope <= ``DECAY_SLOPE`` and the final sup is at most
+    ``DECAY_LEVEL``; non-decaying when the final sup is at least
+    ``NONDECAY_LEVEL``; inconclusive otherwise.  The thresholds are
+    heuristics.  The pitch (``grid_per_dim``, else ``DEFAULT_GRID``) is
+    halved while G^(d+1) exceeds ``GRID_BUDGET``.
     """
     if d_max < 1:
         raise ValueError("d_max: must be >= 1")
@@ -311,7 +296,7 @@ def estimate_oscillation_profile(
             g = int(grid_per_dim)
         else:
             g = DEFAULT_GRID.get(degree, 8)
-        while g ** (degree + 1) > budget and g > 2:
+        while g ** (degree + 1) > GRID_BUDGET and g > 2:
             g //= 2
         estimates = []
         for n in cps:
@@ -326,17 +311,16 @@ def estimate_oscillation_profile(
         tail = estimates[-window:]
         slope = growth_exponent([(e.n, max(e.sup, 1e-300)) for e in tail])
         final = estimates[-1].sup
-        if final >= nondecay_level:
+        if final >= NONDECAY_LEVEL:
             verdict = "non-decaying"
-        elif slope <= slope_threshold and final <= decay_level:
+        elif slope <= DECAY_SLOPE and final <= DECAY_LEVEL:
             verdict = "decaying"
         else:
             verdict = "inconclusive"
         profiles.append(
             DegreeProfile(degree, tuple(estimates), slope, verdict, g)
         )
-    provenance = getattr(seq, "provenance", "array")
-    return OscillationReport(tuple(profiles), provenance)
+    return OscillationReport(tuple(profiles))
 
 
 def classify_exact_order(report: OscillationReport):

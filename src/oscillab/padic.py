@@ -30,6 +30,7 @@ from .polyphase import (
     _validated_checkpoints,
     phase_stream,
 )
+from .torus import _check_nonnegative_times
 
 DEFAULT_PRECISION = 24
 
@@ -81,10 +82,6 @@ class PadicNumber:
             raise ValueError("precision: must be >= 1")
         object.__setattr__(self, "prime", p)
         object.__setattr__(self, "value", int(self.value) % p**self.precision)
-
-    @property
-    def modulus(self) -> int:
-        return self.prime**self.precision
 
     @property
     def digits(self) -> tuple[int, ...]:
@@ -251,15 +248,10 @@ def padic_weighted_average(
             raise ValueError(
                 f"time_polynomials[{j}]: degree {q.degree} exceeds the supported cap {MAX_DEGREE}"
             )
-        bad = q.first_negative_on_range(n_max)
-        if bad is not None:
-            raise ValueError(
-                f"time_polynomials[{j}]: q(n) = {q(bad)} < 0 at n = {bad}"
-            )
+    _check_nonnegative_times(qs, n_max)
 
-    provenance = getattr(seq, "provenance", "array")
     if level == 0:
-        return _average_series(values[:n_max], cps, provenance)
+        return _average_series(values[:n_max], cps)
 
     mod = system.prime**level
     if mod > (1 << 26):
@@ -285,4 +277,4 @@ def padic_weighted_average(
     phase_index = residue_total % mod
     roots = np.exp((2j * np.pi / mod) * np.arange(mod))
     terms = values[:n_max] * roots[phase_index]
-    return _average_series(terms, cps, provenance)
+    return _average_series(terms, cps)

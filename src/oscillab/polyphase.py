@@ -285,12 +285,10 @@ class ErgodicAverageSeries:
     Attributes:
         checkpoints: strictly increasing lengths N
         averages: complex partial average at each checkpoint
-        weight_provenance: tag describing the generating weights
     """
 
     checkpoints: tuple[int, ...]
     averages: np.ndarray
-    weight_provenance: str = ""
 
     def __post_init__(self):
         cps = _validated_checkpoints(self.checkpoints)
@@ -313,16 +311,14 @@ class ErgodicAverageSeries:
         return "\n".join(lines) + "\n"
 
 
-def _average_series(
-    terms: np.ndarray, cps: tuple[int, ...], weight_provenance: str
-) -> ErgodicAverageSeries:
+def _average_series(terms: np.ndarray, cps: tuple[int, ...]) -> ErgodicAverageSeries:
     """Partial averages (1/N) * sum_{n<N} terms_n at each checkpoint.
 
     ``cps`` is the output of ``_validated_checkpoints`` against ``terms``,
     so the prefix sums are taken without parsing the checkpoints again.
     """
     averages = _prefix_sums(terms, cps) / np.asarray(cps, dtype=np.float64)
-    return ErgodicAverageSeries(cps, averages, weight_provenance)
+    return ErgodicAverageSeries(cps, averages)
 
 
 def weighted_exponential_average(
@@ -338,8 +334,7 @@ def weighted_exponential_average(
     cps = _validated_checkpoints(checkpoints, len(values))
     n_max = cps[-1]
     terms = values[:n_max] * unit_values(phase_stream(poly, n_max))
-    provenance = getattr(seq, "provenance", "array")
-    return _average_series(terms, cps, provenance)
+    return _average_series(terms, cps)
 
 
 def binomial_coefficient(n: int, k: int) -> int:
@@ -362,25 +357,26 @@ def _binomial_basis_monomials(m: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(c, fact) for c in poly)
 
 
+def _binomial_to_monomial(coefficients) -> list[Fraction]:
+    """Monomial coefficients of sum_j a_j C(z, j), exact a_j listed by j."""
+    acc = [Fraction(0)] * len(coefficients)
+    for j, a in enumerate(coefficients):
+        if a:
+            for s, b in enumerate(_binomial_basis_monomials(j)):
+                acc[s] += a * b
+    return acc
+
+
 def binomial_phase_polynomial(thetas) -> PhasePolynomial:
     """Expand Q(z) = sum_j theta_j * C(z, k-j) into monomial coefficients mod 1.
 
     ``thetas`` is ordered so that thetas[0] multiplies the top binomial
     C(z, k) and thetas[k] the constant C(z, 0).
     """
-    thetas = tuple(thetas)
-    if not thetas:
+    exact = [t if isinstance(t, Rational) else Fraction(t) for t in thetas]
+    if not exact:
         raise ValueError("thetas: at least one entry required")
-    k = len(thetas) - 1
-    acc = [Fraction(0)] * (k + 1)
-    for j, theta in enumerate(thetas):
-        t = theta if isinstance(theta, Rational) else Fraction(theta)
-        if not t:
-            continue
-        for s, b in enumerate(_binomial_basis_monomials(k - j)):
-            if b:
-                acc[s] += t * b
-    return PhasePolynomial(acc)
+    return PhasePolynomial(_binomial_to_monomial(exact[::-1]))
 
 
 def _poly_mul(a: list[Fraction], b: tuple[Fraction, ...]) -> list[Fraction]:
@@ -422,6 +418,13 @@ def compose_time_polynomial(q_outer: PhasePolynomial, q_inner) -> PhasePolynomia
     return PhasePolynomial(result)
 
 
+def _residue_buckets(values: np.ndarray, length: int, modulus: int) -> np.ndarray:
+    """Sums of values[n] over n < length in each residue class n mod modulus."""
+    padded = np.zeros(-(-length // modulus) * modulus, dtype=np.complex128)
+    padded[:length] = values[:length]
+    return padded.reshape(-1, modulus).sum(axis=0)
+
+
 def fourier_bohr_scan(seq, grid_frequencies: int, length: int) -> list[tuple[float, float]]:
     """Moduli |(1/N) sum c_n e(n * j/M)| for j = 0..M-1, sorted descending.
 
@@ -435,11 +438,7 @@ def fourier_bohr_scan(seq, grid_frequencies: int, length: int) -> list[tuple[flo
     if length < 1 or length > len(values):
         raise ValueError("length: must be in [1, sequence length]")
     m = int(grid_frequencies)
-    padded_len = -(-length // m) * m
-    padded = np.zeros(padded_len, dtype=np.complex128)
-    padded[:length] = values[:length]
-    buckets = padded.reshape(-1, m).sum(axis=0)
-    averages = np.fft.ifft(buckets) * (m / length)
+    averages = np.fft.ifft(_residue_buckets(values, length, m)) * (m / length)
     moduli = np.abs(averages)
     order = np.lexsort((np.arange(m), -moduli))
     return [(j / m, float(moduli[j])) for j in order]

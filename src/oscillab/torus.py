@@ -28,7 +28,7 @@ from .polyphase import (
     _FIXED_MASK,
     ErgodicAverageSeries,
     PhasePolynomial,
-    _binomial_basis_monomials,
+    _binomial_to_monomial,
     _fixed_to_float,
     _to_fixed,
     _validated_checkpoints,
@@ -44,23 +44,17 @@ from .polyphase import (
 class SkewShiftSystem:
     """Skew shift on the m-torus with rotation number alpha.
 
-    Floats are rational, so true minimality is a statement about the
-    user's intended alpha; ``declared_irrational`` records that intent
-    and is advisory only.
+    Floats are rational, so minimality (alpha irrational) is a statement
+    about the alpha the caller intends, not about the stored float.
     """
 
     dimension: int
     alpha: float
-    declared_irrational: bool = True
 
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension: must be >= 1")
         object.__setattr__(self, "alpha", float(self.alpha) % 1.0)
-
-    @property
-    def minimal(self) -> bool:
-        return self.declared_irrational
 
     def validate_point(self, point) -> tuple[float, ...]:
         pt = tuple(float(c) % 1.0 for c in point)
@@ -144,9 +138,6 @@ class TowerLevel:
             if k:
                 acc += k * Fraction(c)
         return acc % 1
-
-    def is_trivial(self) -> bool:
-        return self.constant_phase == 0 and not any(self.frequencies)
 
 
 def _shift_down(freqs: tuple[int, ...]) -> tuple[int, ...]:
@@ -384,12 +375,7 @@ class TimePolynomial:
         )
 
     def monomial_coefficients(self) -> tuple[Fraction, ...]:
-        acc = [Fraction(0)] * (self.degree + 1)
-        for j, a in enumerate(self.binomial_coefficients):
-            if a:
-                for s, b in enumerate(_binomial_basis_monomials(j)):
-                    acc[s] += a * b
-        return tuple(acc)
+        return tuple(_binomial_to_monomial(self.binomial_coefficients[: self.degree + 1]))
 
     def first_negative_on_range(self, count: int) -> int | None:
         """Smallest integer n in [0, count) with q(n) < 0, if any.
@@ -480,6 +466,14 @@ def _sign_changes(chain: list[tuple[int, ...]], x: int) -> int:
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
+def _check_nonnegative_times(time_polynomials, count: int) -> None:
+    """Raise a ValueError naming the first q_j with q_j(n) < 0 for some n < count."""
+    for j, q in enumerate(time_polynomials):
+        bad = q.first_negative_on_range(count)
+        if bad is not None:
+            raise ValueError(f"time_polynomials[{j}]: q(n) = {q(bad)} < 0 at n = {bad}")
+
+
 def multiple_ergodic_average(
     system: SkewShiftSystem,
     chars,
@@ -500,14 +494,7 @@ def multiple_ergodic_average(
         raise ValueError("chars and time_polynomials: need equal nonzero counts")
     pt = system.validate_point(point)
     cps = _validated_checkpoints(checkpoints)
-    n_max = cps[-1]
-
-    for j, q in enumerate(qs):
-        bad = q.first_negative_on_range(n_max)
-        if bad is not None:
-            raise ValueError(
-                f"time_polynomials[{j}]: q(n) = {q(bad)} < 0 at n = {bad}"
-            )
+    _check_nonnegative_times(qs, cps[-1])
 
     total = PhasePolynomial.zero()
     for char, q in zip(chars, qs):

@@ -1,8 +1,10 @@
 """CLI contracts: validation, determinism, formats, help text, config round-trip."""
 
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -126,7 +128,7 @@ def test_smoke_estimate_order(tmp_path):
 
 
 def test_series_csv_header(tmp_path):
-    series = ErgodicAverageSeries((2, 4), np.array([0.5 + 0j, 0.25j]), "w")
+    series = ErgodicAverageSeries((2, 4), np.array([0.5 + 0j, 0.25j]))
     path = emit_report(series, "csv", tmp_path / "s.csv")
     assert path.read_text().splitlines()[0] == "n,re,im,modulus"
 
@@ -148,7 +150,7 @@ def test_svg_polyline_per_degree(tmp_path):
 
 
 def test_emit_rejects_unsupported_pairing(tmp_path):
-    series = ErgodicAverageSeries((2,), np.array([0.5 + 0j]), "w")
+    series = ErgodicAverageSeries((2,), np.array([0.5 + 0j]))
     with pytest.raises(ValueError):
         emit_report(series, "yaml", tmp_path / "x.yaml")
     seq = mobius_sequence(1000)
@@ -367,3 +369,88 @@ def test_module_entrypoint_subprocess(tmp_path):
     )
     assert bad.returncode == 1
     assert "generator" in bad.stderr
+
+
+def test_estimate_order_rejects_grid_below_two(tmp_path, capsys):
+    base = ["estimate-order", "--generator", "mobius", "--n", "1000",
+            "--checkpoints", "250,500,1000"]
+    assert run(base + ["--grid", "1", "--out", str(tmp_path / "g1")]) == 1
+    assert capsys.readouterr().err.startswith("error: grid:")
+    # A config grid of 0 is an invalid pitch, not "use the default".
+    config = ExperimentConfig(
+        command="estimate-order",
+        params={"generator": "mobius", "n": 1000, "grid": 0},
+        out_dir=str(tmp_path / "g0"),
+        checkpoints=(250, 500, 1000),
+    )
+    cfg = tmp_path / "grid0.json"
+    cfg.write_text(config.serialize())
+    assert run(["estimate-order", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error: grid:")
+
+
+def test_lsk_check_rejects_grid_below_two(tmp_path, capsys):
+    status = run(["lsk-check", "--seeds", "1", "--d", "1", "--n-list", "256,512",
+                  "--grid", "1", "--out", str(tmp_path / "l")])
+    assert status == 1
+    assert capsys.readouterr().err.startswith("error: grid:")
+
+
+def test_lsk_check_rejects_length_one(tmp_path, capsys):
+    out = tmp_path / "l"
+    status = run(["lsk-check", "--seeds", "1", "--d", "1", "--n-list", "1,4,8",
+                  "--out", str(out)])
+    assert status == 1
+    assert capsys.readouterr().err.startswith("error: n-list:")
+    assert not (out / "lsk.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "field, argv",
+    [
+        ("coeffs", ["average", "--generator", "mobius", "--n", "100", "--coeffs", "0,a"]),
+        ("scale", ["subnormal-check", "--distribution", "rademacher", "--scale", "x"]),
+        ("seeds", ["lsk-check", "--seeds", "1,x", "--d", "1", "--n-list", "256"]),
+        ("checkpoints", ["average", "--generator", "mobius", "--n", "100",
+                         "--coeffs", "0,0.5", "--checkpoints", "10,x"]),
+        ("grid", ["estimate-order", "--generator", "mobius", "--n", "1000", "--grid", "x"]),
+        ("qs", ["multi-average", "--m", "2", "--alpha", "0.3", "--x", "0.25,0.5",
+                "--chars", "0,1", "--qs", "0,x", "--n", "100",
+                "--weights", '{"generator":"mobius"}']),
+        ("weights", ["multi-average", "--m", "2", "--alpha", "0.3", "--x", "0.25,0.5",
+                     "--chars", "0,1", "--qs", "0,1", "--n", "100",
+                     "--weights", '{"generator":']),
+    ],
+)
+def test_parse_errors_name_their_field(tmp_path, capsys, field, argv):
+    assert run(argv + ["--out", str(tmp_path / "e")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field}:")
+
+
+def test_config_checkpoint_error_names_field(tmp_path, capsys):
+    config = ExperimentConfig(
+        command="average",
+        params={"generator": "mobius", "n": 100, "coeffs": "0,0.5"},
+        out_dir=str(tmp_path / "out"),
+        checkpoints=(10, "x"),
+    )
+    cfg = tmp_path / "cps.json"
+    cfg.write_text(config.serialize())
+    assert run(["average", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error: checkpoints:")
+
+
+def readme_commands() -> list[list[str]]:
+    """Every ``oscillab ...`` line of the README "Command line" block, split into argv."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    joined = block.replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in joined.splitlines() if line.startswith("oscillab ")]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert len(commands) == 9
+    parser = build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv).command == argv[0]

@@ -280,7 +280,7 @@ def synthetic_report(verdicts):
             for n in (100, 200, 400)
         )
         profiles.append(DegreeProfile(degree, est, -0.5, verdict, 16))
-    return OscillationReport(tuple(profiles), "synthetic")
+    return OscillationReport(tuple(profiles))
 
 
 def test_classify_exact_order_paths():

@@ -221,6 +221,22 @@ def test_weighted_average_rejects_degree_above_cap():
         padic_weighted_average(system, 2, 0, qs, seq, [10])
 
 
+def test_weighted_average_rejects_negative_time_polynomial():
+    system = PadicAffineSystem.from_ints(3, 4, 1)
+    seq = rademacher_sequence(1, 10)
+    with pytest.raises(ValueError) as excinfo:
+        padic_weighted_average(system, 2, 0, [TimePolynomial((-3, 1))], seq, [10])
+    assert str(excinfo.value) == "time_polynomials[0]: q(n) = -3 < 0 at n = 0"
+
+
+def test_weighted_average_rejects_classes_above_envelope():
+    # 3^17 = 129,140,163 > 2^26 observable classes; 3^16 is the largest allowed.
+    system = PadicAffineSystem.from_ints(3, 4, 1)
+    seq = rademacher_sequence(1, 10)
+    with pytest.raises(ValueError, match="level: p\\^level observable classes exceed"):
+        padic_weighted_average(system, 17, 0, [TimePolynomial.from_power(1)], seq, [10])
+
+
 def test_cycle_positions_exact_at_envelope_edge():
     """Degree 8, L = 3^16, N = 10^7: every position equals q(n) mod L exactly."""
     q = TimePolynomial((7, 3, 11, 2, 5, 1, 4, 9, 6))

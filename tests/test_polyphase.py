@@ -189,7 +189,7 @@ def test_average_checkpoint_validation():
 def test_series_invariants():
     with pytest.raises(ValueError):
         ErgodicAverageSeries((10, 5), np.zeros(2, dtype=np.complex128))
-    series = ErgodicAverageSeries((2, 4), np.array([0.5, 0.25 + 0.1j]), "w")
+    series = ErgodicAverageSeries((2, 4), np.array([0.5, 0.25 + 0.1j]))
     assert series.moduli[0] == 0.5
 
 
@@ -335,7 +335,7 @@ def test_geometric_checkpoints():
 
 
 def test_series_csv_format():
-    series = ErgodicAverageSeries((2, 4), np.array([0.5 + 0j, 0.25j]), "w")
+    series = ErgodicAverageSeries((2, 4), np.array([0.5 + 0j, 0.25j]))
     lines = series.to_csv().strip().splitlines()
     assert lines[0] == "n,re,im,modulus"
     assert lines[1].startswith("2,0.5,0,")
