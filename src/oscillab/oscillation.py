@@ -29,9 +29,9 @@ import numpy as np
 
 from .polyphase import (
     PhasePolynomial,
-    _as_complex_values,
     _residue_buckets,
     _validated_checkpoints,
+    _weights,
     phase_stream,
     unit_values,
 )
@@ -58,10 +58,10 @@ class GridBudgetError(RuntimeError):
 
 
 def _weights_prefix(seq, n_terms: int) -> np.ndarray:
-    values = _as_complex_values(seq)
+    values = _weights(seq)
     if n_terms < 1 or n_terms > len(values):
         raise ValueError("n_terms: must be in [1, sequence length]")
-    return values[:n_terms]
+    return np.asarray(values[:n_terms], dtype=np.complex128)
 
 
 def grid_sup_average(

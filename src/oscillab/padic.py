@@ -11,9 +11,10 @@ every orbit is purely periodic there; a minimal map cycles through all
 p^k residues.  Weighted averages along polynomial times q(n) then only
 need q(n) positioned inside the orbit cycle, never q(n) literal
 iterations.  Those positions q(n) mod L, for a cycle of length L, are
-read off the package's one difference-table stream: ``phase_stream``
+read off the package's one difference-table stream: ``phase_blocks``
 of q / L gives (q(n) mod L) / L, exactly enough to round back to the
-integer.
+integer.  A non-invertible a adds a pre-periodic tail of at most
+``level`` points, met only at the few n with q(n) below its length.
 """
 
 from collections import Counter
@@ -22,15 +23,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polyphase import (
+    _STREAM_TERMS,
     MAX_DEGREE,
     ErgodicAverageSeries,
     PhasePolynomial,
-    _as_complex_values,
     _average_series,
+    _drift_bound,
     _validated_checkpoints,
-    phase_stream,
+    _weights,
+    phase_blocks,
 )
-from .torus import _check_nonnegative_times
+from .torus import TimePolynomial, _check_nonnegative_times
 
 DEFAULT_PRECISION = 24
 
@@ -167,20 +170,60 @@ def affine_minimality_check(a: int, b: int, p: int) -> bool:
     return a % p == 1 and b % p != 0
 
 
+def _affine_power(a: int, b: int, t: int, mod: int) -> tuple[int, int]:
+    """(A, C) with T^t x = A x + C mod ``mod`` for T x = a x + b, by repeated squaring."""
+    big_a, big_c = 1, 0
+    pa, pc = a % mod, b % mod
+    while t:
+        if t & 1:
+            big_a, big_c = (pa * big_a) % mod, (pa * big_c + pc) % mod
+        pa, pc = (pa * pa) % mod, (pa * pc + pc) % mod
+        t >>= 1
+    return big_a, big_c
+
+
+def _cycle_from(system: PadicAffineSystem, y: int, level: int) -> np.ndarray:
+    """The cycle y, Ty, ... mod p^level through a periodic point y, as int64.
+
+    One point grows to a block of ``_STREAM_TERMS`` by doubling, then
+    each block is the image of the one before under T^B, with T^B's
+    coefficients (A x + C) mod p^level exact in int64 for p^level <=
+    2^26.  The cycle is cut at the first return to y.
+    """
+    mod = system.prime**level
+    a, b = system.a.value, system.b.value
+    block = np.array([y], dtype=np.int64)
+    while block.size < _STREAM_TERMS:
+        big_a, big_c = _affine_power(a, b, block.size, mod)
+        block = np.concatenate((block, (big_a * block + big_c) % mod))
+    big_a, big_c = _affine_power(a, b, block.size, mod)
+    parts, skip = [], 1
+    while True:
+        returns = np.flatnonzero(block[skip:] == y)
+        if returns.size:
+            parts.append(block[: skip + returns[0]])
+            return np.concatenate(parts)
+        parts.append(block)
+        block = (big_a * block + big_c) % mod
+        skip = 0
+
+
 def _orbit_cycle(
     system: PadicAffineSystem, x0: int, level: int
-) -> tuple[list[int], list[int]]:
-    """Orbit of x0 mod p^level split as (pre-periodic tail, cycle)."""
-    mod = system.prime**level
-    x = x0 % mod
-    seen: dict[int, int] = {}
-    trail: list[int] = []
-    while x not in seen:
-        seen[x] = len(trail)
-        trail.append(x)
-        x = system.step_int(x, level)
-    start = seen[x]
-    return trail[:start], trail[start:]
+) -> tuple[list[int], np.ndarray]:
+    """Orbit of x0 mod p^level split as (pre-periodic tail, cycle).
+
+    A tail is at most ``level`` long: for p | a, a^level = 0 mod p^level
+    and T^level is constant; otherwise T is a bijection and there is no
+    tail.  So ``level`` steps land on the cycle, and x_t is on it exactly
+    when it sits level - t places before x_level there.
+    """
+    trail = [x0 % system.prime**level]
+    for _ in range(level):
+        trail.append(system.step_int(trail[-1], level))
+    cycle = _cycle_from(system, trail[-1], level)
+    tlen = next(t for t, x in enumerate(trail) if x == cycle[(t - level) % cycle.size])
+    return trail[:tlen], np.roll(cycle, level - tlen)
 
 
 def orbit_residue_census(
@@ -206,17 +249,52 @@ def orbit_residue_census(
     return dict(counts)
 
 
-def _cycle_positions(q, count: int, cycle_length: int) -> np.ndarray:
-    """q(n) mod cycle_length for n = 0..count-1, read off the phase stream of q / L.
+def _cycle_positions(q, count: int, cycle_length: int):
+    """Blocks ``(start, q(n) mod L)``, n < count, read off the phase blocks of q / L.
 
-    Exact: for degree <= 8, count <= 10^7 and L <= 2^26 the stream's
-    fixed-point drift stays below 2^-40 and each float rounding adds
-    about 2^-53, so |phase * L - k| <~ 2^-16 against the 1/2 that
-    rounding to the integer k tolerates.  The drift grows like
-    (count / 4096)^degree, so past that envelope the margin shrinks.
+    Exact while the proven margin holds: every phase carries less than
+    ``_drift_bound`` units of 2^-128 of fixed-point error, and float
+    conversion and scaling by L add less than 2^-51 L, so
+    L * (drift + 2^77) <= 2^127 keeps |phase * L - k| below the 1/2
+    that rounding to the integer k tolerates.  Past that envelope (at
+    degree 8 and L = 3^16, beyond about 5 * 10^7 terms) a ValueError is
+    raised before anything is streamed.
     """
+    if cycle_length * (_drift_bound(q.degree, count) + (1 << 77)) > 1 << 127:
+        raise ValueError(
+            f"count: {count} terms of a degree-{q.degree} time polynomial on a cycle of "
+            f"length {cycle_length} exceed the exact rounding envelope "
+            "L * (drift bound + 2^77) <= 2^127"
+        )
     scaled = PhasePolynomial([c / cycle_length for c in q.monomial_coefficients()])
-    return np.rint(phase_stream(scaled, count) * cycle_length).astype(np.int64) % cycle_length
+    return (
+        (start, np.rint(phases * cycle_length).astype(np.int64) % cycle_length)
+        for start, phases in phase_blocks(scaled, count)
+    )
+
+
+def _orbit_indices(q, count: int, tail_length: int, cycle_length: int):
+    """Blocks ``(start, i(q(n)))`` with orbit[i(t)] = T^t x0 for orbit = tail + cycle.
+
+    i(t) = tail_length + (t - tail_length) mod L, read off
+    ``_cycle_positions`` of q - tail_length, except on the runs where
+    q(n) < tail_length, found exactly by Sturm isolation, where i(t) = t.
+    Those runs hold at most degree * tail_length points unless q is
+    constant.
+    """
+    a = q.binomial_coefficients
+    shifted = TimePolynomial((a[0] - tail_length,) + a[1:])
+    low_runs = shifted.negative_runs(count)
+    for start, positions in _cycle_positions(shifted, count, cycle_length):
+        indices = positions + tail_length
+        stop = start + indices.size
+        for lo, hi in low_runs:
+            lo, hi = max(lo, start), min(hi, stop)
+            if lo < hi:
+                indices[lo - start : hi - start] = (
+                    [q(n) for n in range(lo, hi)] if q.degree else q(0)
+                )
+        yield start, indices
 
 
 def padic_weighted_average(
@@ -239,7 +317,7 @@ def padic_weighted_average(
     qs = list(time_polynomials)
     if not qs:
         raise ValueError("time_polynomials: at least one required")
-    values = _as_complex_values(seq)
+    values = _weights(seq)
     cps = _validated_checkpoints(checkpoints, len(values))
     n_max = cps[-1]
 
@@ -251,30 +329,22 @@ def padic_weighted_average(
     _check_nonnegative_times(qs, n_max)
 
     if level == 0:
-        return _average_series(values[:n_max], cps)
+        return _average_series([(0, np.asarray(values[:n_max], dtype=np.complex128))], cps)
 
     mod = system.prime**level
     if mod > (1 << 26):
         raise ValueError("level: p^level observable classes exceed the supported size")
     x_start = int(getattr(x0, "value", x0)) % mod
     tail, cycle = _orbit_cycle(system, x_start, level)
-    cycle_arr = np.asarray(cycle, dtype=np.int64)
-    clen = len(cycle)
-    tlen = len(tail)
-
-    residue_total = np.zeros(n_max, dtype=np.int64)
-    for q in qs:
-        if tlen == 0:
-            residues = cycle_arr[_cycle_positions(q, n_max, clen)]
-        else:
-            # Pre-periodic orbits (non-invertible a) are evaluated term
-            # by term; they are small side cases, never the minimal runs.
-            residues = np.empty(n_max, dtype=np.int64)
-            for n in range(n_max):
-                t = q(n)
-                residues[n] = tail[t] if t < tlen else cycle[(t - tlen) % clen]
-        residue_total += residues
-    phase_index = residue_total % mod
+    orbit = np.concatenate((np.asarray(tail, dtype=np.int64), cycle))
+    streams = [_orbit_indices(q, n_max, len(tail), cycle.size) for q in qs]
     roots = np.exp((2j * np.pi / mod) * np.arange(mod))
-    terms = values[:n_max] * roots[phase_index]
-    return _average_series(terms, cps)
+
+    def terms():
+        for blocks in zip(*streams):
+            start = blocks[0][0]
+            residue_total = sum(orbit[indices] for _, indices in blocks)
+            phase_index = residue_total % mod
+            yield start, values[start : start + phase_index.size] * roots[phase_index]
+
+    return _average_series(terms(), cps)

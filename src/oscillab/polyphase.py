@@ -16,16 +16,25 @@ paths avoid this:
 
 * ``phase_at`` computes frac(P(n)) for a single n with exact integer
   arithmetic.  It is slow and serves as the reference oracle.
-* ``phase_stream`` emits frac(P(n)) for n = 0..N-1 using blocked
-  forward-difference tables held in 128-bit fixed point.  The seeds come
-  from one exact integer table: with den the lcm of the coefficient
-  denominators, den * P(n) mod den is an integer polynomial, stepped
-  exactly over the seeded indices and truncated once per seed to fixed
-  point.  Addition mod 1 is exact in that representation, so the only
-  error is that single 2^-128 truncation per seed (none when den divides
-  2^128, as for every float coefficient >= 2^-76) plus one float rounding
-  on output; the documented bound of 1e-9 at N = 10^6, d <= 4 is met
-  with orders of magnitude to spare.
+* ``phase_blocks`` emits frac(P(n)) for n = 0..N-1 in blocks of about
+  ``_STREAM_TERMS`` terms using blocked forward-difference tables held
+  in 128-bit fixed point.  The seeds come from one exact integer table:
+  with den the lcm of the coefficient denominators, den * P(n) mod den
+  is an integer polynomial, stepped exactly over the seeded indices and
+  truncated once per seed to fixed point.  Addition mod 1 is exact in
+  that representation, so the only error is that single 2^-128
+  truncation per seed (none when den divides 2^128, as for every float
+  coefficient >= 2^-76) plus one float rounding on output; the
+  documented bound of 1e-9 at N = 10^6, d <= 4 is met with orders of
+  magnitude to spare.  ``phase_stream`` collects the blocks into one
+  array.
+
+Every long consumer (weighted and multiple ergodic averages, p-adic
+averages, the residue fold of the spectrum scan) works block by block:
+weights become complex one block at a time and each block's terms are
+cut at the checkpoints and summed (``np.add.reduceat``, pairwise within
+a piece), the pieces added in index order.  Memory beyond the weights
+themselves is constant in N.
 """
 
 import math
@@ -51,6 +60,10 @@ _INV_2_128 = 2.0 ** -128
 # per index and one truncation per seed; each lane then steps N/lanes
 # times in fixed point, where mod-1 addition is exact.
 _MAX_LANES = 4096
+
+# Terms per block of every streamed consumer: a block's phases, unit
+# values and terms are about 2.5 MB together, whatever N is.
+_STREAM_TERMS = 1 << 16
 
 
 def _reduced(value) -> Fraction:
@@ -182,8 +195,13 @@ def _fixed_seed_table(coeffs: tuple[Fraction, ...], count: int) -> list[int]:
     return seeds
 
 
-def phase_stream(poly: PhasePolynomial, count: int) -> np.ndarray:
-    """frac(P(n)) for n = 0..count-1 via fixed-point difference tables.
+def _lanes(count: int) -> int:
+    """Lane width of the difference table for a stream of ``count`` terms."""
+    return min(_MAX_LANES, max(64, count // 64))
+
+
+def phase_blocks(poly: PhasePolynomial, count: int):
+    """frac(P(n)) for n = 0..count-1 as ``(start, phases)`` blocks in index order.
 
     The stream is split into lanes of stride B: for each residue r the
     polynomial P(m*B + r) in m is advanced with a forward-difference
@@ -193,21 +211,31 @@ def phase_stream(poly: PhasePolynomial, count: int) -> np.ndarray:
     steps.  The registers are seeded from one exact integer table
     (``_fixed_seed_table``) with one truncation per seed.  Agrees with
     ``phase_at`` to well below 1e-9 for N <= 10^7 and degree <= 8.
+
+    Each block holds a whole number of rows of B terms, about
+    ``_STREAM_TERMS`` terms, so only the registers and one block are
+    alive at a time.  The blocks are fresh arrays the caller may keep.
     """
     if count < 1:
         raise ValueError("count: must be >= 1")
     coeffs = poly.coefficients
-    d = poly.degree
+    if all(c == 0 for c in coeffs[1:]):
+        value = float(coeffs[0])
+        return (
+            (start, np.full(min(_STREAM_TERMS, count - start), value))
+            for start in range(0, count, _STREAM_TERMS)
+        )
+    return _stepped_blocks(coeffs, count)
 
-    if d == 0 or all(c == 0 for c in coeffs[1:]):
-        return np.full(count, float(coeffs[0]), dtype=np.float64)
 
-    lanes = min(_MAX_LANES, max(64, count // 64))
-    blocks = -(-count // lanes)
+def _stepped_blocks(coeffs: tuple[Fraction, ...], count: int):
+    d = len(coeffs) - 1
+    lanes = _lanes(count)
+    steps = -(-count // lanes)
 
-    # Row i seeds P(i*lanes + r); a row with i >= blocks never reaches
-    # row 0, so only the first min(d + 1, blocks) rows are seeded.
-    rows = min(d + 1, blocks)
+    # Row i seeds P(i*lanes + r); a row with i >= steps never reaches
+    # row 0, so only the first min(d + 1, steps) rows are seeded.
+    rows = min(d + 1, steps)
     seeds = _fixed_seed_table(coeffs, rows * lanes)
     hi = np.array([v >> 64 for v in seeds], dtype=np.uint64).reshape(rows, lanes)
     lo = np.array([v & _MASK64 for v in seeds], dtype=np.uint64).reshape(rows, lanes)
@@ -219,19 +247,43 @@ def phase_stream(poly: PhasePolynomial, count: int) -> np.ndarray:
             lo[i] -= lo[i - 1]
             hi[i] -= hi[i - 1] + borrow
 
-    out = np.empty((blocks, lanes), dtype=np.float64)
-    out[0] = hi[0] * _INV_2_64 + lo[0] * _INV_2_128
-    for step in range(1, blocks):
-        src_lo = lo[1:].copy()
-        src_hi = hi[1:].copy()
-        lo[:-1] += src_lo
-        carry = (lo[:-1] < src_lo).astype(np.uint64)
-        hi[:-1] += src_hi + carry
-        out[step] = hi[0] * _INV_2_64 + lo[0] * _INV_2_128
-    phases = out.reshape(-1)[:count]
-    # hi = 2^64 - 1 can round up to 1.0 in float; fold it back.
-    phases[phases >= 1.0] -= 1.0
-    return phases
+    block_rows = max(1, _STREAM_TERMS // lanes)
+    for first in range(0, steps, block_rows):
+        out = np.empty((min(block_rows, steps - first), lanes), dtype=np.float64)
+        for k in range(len(out)):
+            if first + k:
+                src_lo = lo[1:].copy()
+                src_hi = hi[1:].copy()
+                lo[:-1] += src_lo
+                carry = (lo[:-1] < src_lo).astype(np.uint64)
+                hi[:-1] += src_hi + carry
+            out[k] = hi[0] * _INV_2_64 + lo[0] * _INV_2_128
+        start = first * lanes
+        phases = out.reshape(-1)[: count - start]
+        # hi = 2^64 - 1 can round up to 1.0 in float; fold it back.
+        phases[phases >= 1.0] -= 1.0
+        yield start, phases
+
+
+def _drift_bound(degree: int, count: int) -> int:
+    """Bound, in units of 2^-128, on the fixed-point error of a stream entry.
+
+    Each seed is truncated by less than one unit, so the j-th difference
+    of a lane's seeds is off by less than 2^j.  Stepping is exact and
+    row m of a lane is sum_j C(m, j) * (j-th difference), so its error
+    is below sum_j C(m, j) 2^j, largest at the last row.
+    """
+    last_row = -(-count // _lanes(count)) - 1
+    return sum(math.comb(last_row, j) << j for j in range(degree + 1))
+
+
+def phase_stream(poly: PhasePolynomial, count: int) -> np.ndarray:
+    """frac(P(n)) for n = 0..count-1 as one array, filled from ``phase_blocks``."""
+    blocks = phase_blocks(poly, count)
+    out = np.empty(count, dtype=np.float64)
+    for start, phases in blocks:
+        out[start : start + phases.size] = phases
+    return out
 
 
 def unit_values(phases: np.ndarray) -> np.ndarray:
@@ -240,10 +292,17 @@ def unit_values(phases: np.ndarray) -> np.ndarray:
     return np.exp(z, out=z)
 
 
-def _as_complex_values(seq) -> np.ndarray:
-    """Accept a ComplexSequence-like object or a bare array of weights."""
-    values = getattr(seq, "values", seq)
-    return np.asarray(values, dtype=np.complex128)
+def _weights(seq) -> np.ndarray:
+    """Weights of a ComplexSequence-like object or a bare array, in their own dtype.
+
+    Numeric weights (int8 sequences among them) keep their dtype, so
+    consumers convert to complex one block at a time; anything else is
+    converted to complex128 here.
+    """
+    values = np.asarray(getattr(seq, "values", seq))
+    if values.dtype.kind not in "biufc":
+        values = values.astype(np.complex128)
+    return values
 
 
 def _validated_checkpoints(checkpoints, limit: int | None = None) -> tuple[int, ...]:
@@ -263,19 +322,6 @@ def _validated_checkpoints(checkpoints, limit: int | None = None) -> tuple[int, 
             f"checkpoints: {cps[-1]} exceeds available length {limit}"
         )
     return cps
-
-
-def _prefix_sums(values: np.ndarray, cps: tuple[int, ...]) -> np.ndarray:
-    """Prefix sums of ``values`` at validated checkpoints (pairwise summation)."""
-    starts = np.concatenate(([0], cps[:-1])).astype(np.intp)
-    segments = np.add.reduceat(values[: cps[-1]], starts)
-    return np.cumsum(segments)
-
-
-def checkpoint_sums(values: np.ndarray, checkpoints) -> np.ndarray:
-    """Prefix sums of ``values`` at each checkpoint (pairwise summation)."""
-    values = np.asarray(values)
-    return _prefix_sums(values, _validated_checkpoints(checkpoints, len(values)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,14 +357,32 @@ class ErgodicAverageSeries:
         return "\n".join(lines) + "\n"
 
 
-def _average_series(terms: np.ndarray, cps: tuple[int, ...]) -> ErgodicAverageSeries:
-    """Partial averages (1/N) * sum_{n<N} terms_n at each checkpoint.
+def _average_series(blocks, cps: tuple[int, ...]) -> ErgodicAverageSeries:
+    """Partial averages (1/N) * sum_{n<N} terms_n at validated checkpoints ``cps``.
 
-    ``cps`` is the output of ``_validated_checkpoints`` against ``terms``,
-    so the prefix sums are taken without parsing the checkpoints again.
+    ``blocks`` yields ``(start, terms)`` in index order, contiguous from
+    0 and reaching ``cps[-1]``; a full array is one block.  Each block is
+    cut at the checkpoints inside it, every piece is summed with
+    ``np.add.reduceat`` (pairwise within the piece), and the pieces are
+    added to a running total in index order, so results are
+    deterministic.  Terms past ``cps[-1]`` are ignored.
     """
-    averages = _prefix_sums(terms, cps) / np.asarray(cps, dtype=np.float64)
-    return ErgodicAverageSeries(cps, averages)
+    sums = []
+    running = 0
+    for start, terms in blocks:
+        terms = terms[: cps[-1] - start]
+        stop = start + terms.size
+        inside = [c - start for c in cps[len(sums):] if c < stop]
+        pieces = np.add.reduceat(terms, [0] + inside)
+        for piece in pieces[:-1]:
+            running = running + piece
+            sums.append(running)
+        running = running + pieces[-1]
+        if stop in cps:
+            sums.append(running)
+        if stop == cps[-1]:
+            break
+    return ErgodicAverageSeries(cps, np.asarray(sums) / np.asarray(cps, dtype=np.float64))
 
 
 def weighted_exponential_average(
@@ -326,14 +390,16 @@ def weighted_exponential_average(
 ) -> ErgodicAverageSeries:
     """Partial averages (1/N) sum c_n e(P(n)) at the given checkpoints.
 
-    Single pass: phases come from ``phase_stream`` and the per-checkpoint
-    sums are formed with pairwise segment summation in fixed index order,
-    so results are deterministic.
+    Single pass over the blocks of ``phase_blocks``: each block's terms
+    are its weights times e(phase), summed as ``_average_series``
+    describes, so results are deterministic.
     """
-    values = _as_complex_values(seq)
+    values = _weights(seq)
     cps = _validated_checkpoints(checkpoints, len(values))
-    n_max = cps[-1]
-    terms = values[:n_max] * unit_values(phase_stream(poly, n_max))
+    terms = (
+        (start, values[start : start + phases.size] * unit_values(phases))
+        for start, phases in phase_blocks(poly, cps[-1])
+    )
     return _average_series(terms, cps)
 
 
@@ -419,10 +485,22 @@ def compose_time_polynomial(q_outer: PhasePolynomial, q_inner) -> PhasePolynomia
 
 
 def _residue_buckets(values: np.ndarray, length: int, modulus: int) -> np.ndarray:
-    """Sums of values[n] over n < length in each residue class n mod modulus."""
-    padded = np.zeros(-(-length // modulus) * modulus, dtype=np.complex128)
-    padded[:length] = values[:length]
-    return padded.reshape(-1, modulus).sum(axis=0)
+    """Sums of values[n] over n < length in each residue class n mod modulus.
+
+    The values are folded in blocks of whole rows of ``modulus`` entries,
+    each block made complex on its own.  Row 0 of a block carries the
+    sums so far, so every class adds its entries in index order, as one
+    fold of all N / modulus rows would.
+    """
+    rows = max(1, _STREAM_TERMS // modulus)
+    buckets = np.zeros(modulus, dtype=np.complex128)
+    for start in range(0, length, rows * modulus):
+        part = values[start : min(length, start + rows * modulus)]
+        block = np.zeros((1 + -(-part.size // modulus), modulus), dtype=np.complex128)
+        block[0] = buckets
+        block.reshape(-1)[modulus : modulus + part.size] = part
+        buckets = block.sum(axis=0)
+    return buckets
 
 
 def fourier_bohr_scan(seq, grid_frequencies: int, length: int) -> list[tuple[float, float]]:
@@ -434,7 +512,7 @@ def fourier_bohr_scan(seq, grid_frequencies: int, length: int) -> list[tuple[flo
     """
     if grid_frequencies < 2:
         raise ValueError("grid_frequencies: must be >= 2")
-    values = _as_complex_values(seq)
+    values = _weights(seq)
     if length < 1 or length > len(values):
         raise ValueError("length: must be in [1, sequence length]")
     m = int(grid_frequencies)

@@ -17,10 +17,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .polyphase import MAX_DEGREE, PhasePolynomial, checkpoint_sums, phase_stream, unit_values
+from .polyphase import (
+    _STREAM_TERMS,
+    MAX_DEGREE,
+    PhasePolynomial,
+    _average_series,
+    _validated_checkpoints,
+    phase_blocks,
+    unit_values,
+)
 
-# The sieves build transient int64 helper arrays (9 bytes per entry), so
-# lengths of 10^7 need on the order of 100 MB and finish in seconds.
+# The sieves hold one int8 table and one helper of the smallest unsigned
+# dtype that holds the limit (4 bytes per entry at 10^7), and finish in
+# well under a second at that length.
 SIEVE_TESTED_LIMIT = 10_000_000
 
 _SEED_LIMIT = 1 << 64
@@ -40,7 +49,8 @@ class ComplexSequence:
 
     ``values`` keeps the natural dtype of the generator (int8 for the
     +-1/0 arithmetic and random sequences, complex128 otherwise);
-    ``complex_values`` is the uniform view consumed by averaging code.
+    averaging code reads it in that dtype and makes one block complex at
+    a time.  ``complex_values`` is a full complex128 view or copy.
     """
 
     values: np.ndarray
@@ -77,22 +87,32 @@ def _primes_up_to(limit: int) -> np.ndarray:
     return np.nonzero(flags)[0].astype(np.int64)
 
 
+def _flip_leftover(table: np.ndarray, smooth: np.ndarray) -> None:
+    """Flip the sign of every k whose small-prime part smooth[k] is not k itself.
+
+    Such k carry exactly one prime factor above sqrt(limit).  The
+    comparison with k runs in blocks, so no full-length arange is built.
+    """
+    for start in range(0, smooth.size, _STREAM_TERMS):
+        stop = min(smooth.size, start + _STREAM_TERMS)
+        leftover = smooth[start:stop] != np.arange(start, stop, dtype=smooth.dtype)
+        table[start:stop][leftover] *= -1
+
+
 def _mobius_table(limit: int) -> np.ndarray:
     """mu(k) for k = 0..limit as int8 (mu(0) stored as 0)."""
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
     if limit < 2:
         return mu
-    smooth = np.ones(limit + 1, dtype=np.int64)
+    # smooth[k] divides k, so it fits the smallest dtype that holds limit.
+    smooth = np.ones(limit + 1, dtype=np.min_scalar_type(limit))
     for p in _primes_up_to(int(limit**0.5)):
         p = int(p)
         mu[p::p] *= -1
         smooth[p::p] *= p
         mu[p * p :: p * p] = 0
-    # Entries whose small-prime part does not exhaust them carry exactly
-    # one prime factor above sqrt(limit): one more sign flip.
-    leftover = smooth != np.arange(limit + 1, dtype=np.int64)
-    mu[leftover] *= -1
+    _flip_leftover(mu, smooth)
     mu[0] = 0
     return mu
 
@@ -103,7 +123,7 @@ def _liouville_table(limit: int) -> np.ndarray:
     lam[0] = 0
     if limit < 2:
         return lam
-    smooth = np.ones(limit + 1, dtype=np.int64)
+    smooth = np.ones(limit + 1, dtype=np.min_scalar_type(limit))
     for p in _primes_up_to(int(limit**0.5)):
         p = int(p)
         pk = p
@@ -111,8 +131,7 @@ def _liouville_table(limit: int) -> np.ndarray:
             lam[pk::pk] *= -1
             smooth[pk::pk] *= p
             pk *= p
-    leftover = smooth != np.arange(limit + 1, dtype=np.int64)
-    lam[leftover] *= -1
+    _flip_leftover(lam, smooth)
     lam[0] = 0
     return lam
 
@@ -153,8 +172,11 @@ def rademacher_sequence(seed: int, n: int) -> ComplexSequence:
         raise ValueError("seed: must fit in 64 bits")
     if n < 1:
         raise ValueError("n: must be >= 1")
-    bits = _splitmix64(seed, np.arange(n, dtype=np.uint64)) >> np.uint64(63)
-    values = (1 - 2 * bits.astype(np.int8)).astype(np.int8)
+    values = np.empty(n, dtype=np.int8)
+    for start in range(0, n, _STREAM_TERMS):
+        stop = min(n, start + _STREAM_TERMS)
+        bits = _splitmix64(seed, np.arange(start, stop, dtype=np.uint64)) >> np.uint64(63)
+        values[start:stop] = 1 - 2 * bits.astype(np.int8)
     return ComplexSequence(values, f"rademacher(seed={seed}, n={n})")
 
 
@@ -178,8 +200,9 @@ def polynomial_phase_sequence(alpha, power: int, n: int) -> ComplexSequence:
         raise ValueError(f"power: exceeds the supported cap {MAX_DEGREE}")
     if n < 1:
         raise ValueError("n: must be >= 1")
-    poly = PhasePolynomial.monomial(alpha, power)
-    values = unit_values(phase_stream(poly, n))
+    values = np.empty(n, dtype=np.complex128)
+    for start, phases in phase_blocks(PhasePolynomial.monomial(alpha, power), n):
+        values[start : start + phases.size] = unit_values(phases)
     return ComplexSequence(values, f"polyphase(alpha={alpha!r}, power={power}, n={n})")
 
 
@@ -308,5 +331,5 @@ def _parse_lines(lines, path: Path) -> np.ndarray:
 def cesaro_l1_norm(seq: ComplexSequence, checkpoints) -> np.ndarray:
     """(1/N) sum_{n<N} |c_n| at each checkpoint."""
     moduli = np.abs(seq.complex_values)
-    sums = checkpoint_sums(moduli, checkpoints)
-    return (sums / np.asarray([int(c) for c in checkpoints], dtype=np.float64)).real
+    cps = _validated_checkpoints(checkpoints, len(moduli))
+    return _average_series([(0, moduli)], cps).averages.real

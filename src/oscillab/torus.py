@@ -378,18 +378,24 @@ class TimePolynomial:
         return tuple(_binomial_to_monomial(self.binomial_coefficients[: self.degree + 1]))
 
     def first_negative_on_range(self, count: int) -> int | None:
-        """Smallest integer n in [0, count) with q(n) < 0, if any.
+        """Smallest integer n in [0, count) with q(n) < 0, if any."""
+        runs = self.negative_runs(count)
+        return runs[0][0] if runs else None
 
-        If n > 0 is the first such integer then q(n - 1) >= 0 > q(n), so
-        a real root r lies in [n - 1, n) and n = floor(r) + 1.  A Sturm
-        chain with integer coefficients counts the distinct real roots
-        in (a, b] exactly; bisecting (-1, count - 1] down to the unit
-        intervals (k - 1, k] that hold a root leaves the candidates k and
-        k + 1, which are evaluated exactly together with n = 0.
+    def negative_runs(self, count: int) -> list[tuple[int, int]]:
+        """Maximal runs [start, stop) of the integers n in [0, count) with q(n) < 0.
+
+        A Sturm chain with integer coefficients counts the distinct real
+        roots in (a, b] exactly; bisecting (-1, count - 1] down to the
+        unit intervals (k - 1, k] that hold a root yields the markers k.
+        No root lies between consecutive markers, so the integers strictly
+        between them share one sign and are read at one point, and each
+        marker is evaluated on its own.  Exact, with about degree *
+        log2(count) chain evaluations.
         """
         if count < 1:
             raise ValueError("count: must be >= 1")
-        candidates = {0}
+        markers = []
         if self.degree > 0:
             chain = _sturm_chain(self.monomial_coefficients())
             stack = [(-1, count - 1, _sign_changes(chain, -1), _sign_changes(chain, count - 1))]
@@ -398,14 +404,27 @@ class TimePolynomial:
                 if changes_lo == changes_hi:
                     continue
                 if hi - lo == 1:
-                    candidates.update((hi, hi + 1))
+                    markers.append(hi)
                     continue
                 mid = (lo + hi) // 2
                 changes_mid = _sign_changes(chain, mid)
                 stack.append((lo, mid, changes_lo, changes_mid))
                 stack.append((mid, hi, changes_mid, changes_hi))
-        negatives = [n for n in sorted(candidates) if n < count and self(n) < 0]
-        return negatives[0] if negatives else None
+        runs: list[tuple[int, int]] = []
+
+        def negative(start: int, stop: int) -> None:
+            if runs and runs[-1][1] == start:
+                start = runs.pop()[0]
+            runs.append((start, stop))
+
+        gap_start = 0
+        for k in sorted(markers) + [count]:
+            if gap_start < k and self(gap_start) < 0:
+                negative(gap_start, k)
+            if k < count and self(k) < 0:
+                negative(k, k + 1)
+            gap_start = k + 1
+        return runs
 
 
 def _poly_divmod(num: list, den: list) -> tuple[list, list]:

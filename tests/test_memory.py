@@ -1,0 +1,33 @@
+"""Long averages stream in blocks: transient memory does not grow with N."""
+
+from oscillab.padic import PadicAffineSystem, padic_weighted_average
+from oscillab.polyphase import PhasePolynomial, fourier_bohr_scan, weighted_exponential_average
+from oscillab.sequences import mobius_sequence, rademacher_sequence
+from oscillab.torus import TimePolynomial
+
+N = 4_000_000
+MB = 1 << 20
+
+
+def test_weighted_average_transient_peak(traced_peak):
+    weights = rademacher_sequence(3, N)
+    poly = PhasePolynomial([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
+    assert traced_peak(weighted_exponential_average, weights, poly, [10**5, 10**6, N]) < 16 * MB
+
+
+def test_spectrum_scan_transient_peak(traced_peak):
+    weights = mobius_sequence(N)
+    assert traced_peak(fourier_bohr_scan, weights, 4096, N) < 16 * MB
+
+
+def test_rademacher_generation_peak(traced_peak):
+    # The int8 result itself is 4 MB of this.
+    assert traced_peak(rademacher_sequence, 3, N) < 16 * MB
+
+
+def test_padic_average_transient_peak(traced_peak):
+    weights = rademacher_sequence(3, N)
+    system = PadicAffineSystem.from_ints(3, 4, 1)
+    qs = [TimePolynomial.from_power(3), TimePolynomial.from_power(1)]
+    peak = traced_peak(padic_weighted_average, system, 12, 12345, qs, weights, [10**5, N])
+    assert peak < 32 * MB

@@ -19,6 +19,7 @@ from oscillab.padic import (
     padic_eval_map,
     padic_weighted_average,
 )
+from oscillab.polyphase import _STREAM_TERMS, PhasePolynomial, _drift_bound, phase_blocks
 from oscillab.sequences import rademacher_sequence
 from oscillab.torus import TimePolynomial
 
@@ -242,11 +243,78 @@ def test_cycle_positions_exact_at_envelope_edge():
     q = TimePolynomial((7, 3, 11, 2, 5, 1, 4, 9, 6))
     assert q.degree == 8
     count, cycle_length = 10**7, 3**16
-    positions = _cycle_positions(q, count, cycle_length)
+    positions = np.concatenate([block for _, block in _cycle_positions(q, count, cycle_length)])
     indices = list(range(4096)) + list(range(count - 4096, count))
     indices += random.Random(16).sample(range(count), 200)
     for n in indices:
         assert positions[n] == q(n) % cycle_length, n
+
+
+def test_cycle_positions_refuse_past_rounding_envelope():
+    """Degree 8, L = 3^16: the guard admits counts up to its boundary, refuses one more.
+
+    The boundary is found through the guard itself, which raises before
+    any term is streamed, so no 10^8-term stream runs.
+    """
+    q = TimePolynomial((7, 3, 11, 2, 5, 1, 4, 9, 6))
+    cycle_length = 3**16
+
+    def admitted(count):
+        try:
+            _cycle_positions(q, count, cycle_length)
+        except ValueError as exc:
+            assert "exact rounding envelope" in str(exc)
+            return False
+        return True
+
+    lo, hi = 10**7, 10**9
+    assert admitted(lo) and not admitted(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if admitted(mid) else (lo, mid)
+    # 12,572 full rows of 4096 lanes; one more term starts a row past the margin.
+    assert lo == 12_572 * 4096
+    # A degree-3 stream, as the p-adic benchmark runs, is far inside it.
+    assert _cycle_positions(TimePolynomial.from_power(3), 10**9, cycle_length) is not None
+
+
+def test_drift_bound_covers_observed_error():
+    """The phase error of q / L stays below the bound the guard relies on."""
+    q = TimePolynomial((7, 3, 11, 2, 5, 1, 4, 9, 6))
+    count, cycle_length = 10**6, 3**16
+    scaled = PhasePolynomial([c / cycle_length for c in q.monomial_coefficients()])
+    limit = cycle_length * (_drift_bound(q.degree, count) * 2.0**-128 + 2.0**-51)
+    picks = random.Random(8).sample(range(count), 300) + [count - 1]
+    worst = 0.0
+    for start, phases in phase_blocks(scaled, count):
+        for n in picks:
+            if start <= n < start + phases.size:
+                k = q(n) % cycle_length
+                err = abs(phases[n - start] * cycle_length - k)
+                worst = max(worst, min(err, cycle_length - err))
+    assert worst <= limit < 0.5
+
+
+def test_weighted_average_streams_across_blocks():
+    """Checkpoints at block edges, against positions q(n) mod L computed exactly."""
+    system = PadicAffineSystem.from_ints(3, 4, 1)
+    level, x0 = 5, 17
+    mod = 3**level
+    qs = [TimePolynomial.from_power(3), TimePolynomial.from_power(1)]
+    n = 3 * _STREAM_TERMS + 5
+    cps = [1, _STREAM_TERMS - 1, _STREAM_TERMS, _STREAM_TERMS + 1, 2 * _STREAM_TERMS, n]
+    seq = rademacher_sequence(4, n)
+    series = padic_weighted_average(system, level, x0, qs, seq, cps)
+
+    cycle = [x0]
+    while len(cycle) < mod:
+        cycle.append(system.step_int(cycle[-1], level))
+    cycle = np.asarray(cycle)
+    ns = np.arange(n, dtype=np.int64)
+    residues = cycle[(ns**3) % mod] + cycle[ns % mod]
+    terms = seq.values * np.exp(2j * np.pi * (residues % mod) / mod)
+    reference = np.cumsum(np.add.reduceat(terms, [0] + cps[:-1])) / np.asarray(cps)
+    assert np.abs(series.averages - reference).max() <= 1e-12
 
 
 def _affine_power(a, b, t, mod):
@@ -289,3 +357,43 @@ def test_weighted_average_matches_term_by_term(p, level, a, b, x0, binomials, n,
             residue += big_a * x0 + big_b
         total += int(seq.values[i]) * cmath.exp(2j * math.pi * ((residue % mod) / mod))
     assert abs(total / n - series.averages[0]) <= 1e-12
+
+
+def _squared_distance(lead, center, shift):
+    """q(n) = lead * (n - center)^2 + shift in the binomial basis: q(0), dq(0), d^2 q(0)."""
+    values = [lead * (n - center) ** 2 + shift for n in range(3)]
+    return TimePolynomial((values[0], values[1] - values[0], values[2] - 2 * values[1] + values[0]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    p=st.sampled_from([3, 5]),
+    level=st.integers(1, 4),
+    k=st.integers(1, 50),
+    b=st.integers(0, 10**4),
+    x0=st.integers(0, 10**4),
+    q=st.one_of(
+        st.lists(st.integers(0, 4), min_size=1, max_size=4).map(lambda c: TimePolynomial(tuple(c))),
+        st.builds(_squared_distance, st.integers(1, 2), st.integers(0, 150), st.integers(0, 3)),
+    ),
+    n=st.integers(1, 300),
+    seed=st.integers(0, 2**31),
+)
+def test_preperiodic_average_matches_term_by_term(p, level, k, b, x0, q, n, seed):
+    """a = k * p: tails up to ``level`` long, met wherever q(n) dips below the tail length."""
+    a = k * p
+    system = PadicAffineSystem.from_ints(p, a, b)
+    seq = rademacher_sequence(seed, n)
+    cps = sorted({1, (n + 1) // 2, n})
+    series = padic_weighted_average(system, level, x0, [q, TimePolynomial.from_power(1)], seq, cps)
+    mod = p**level
+    total, expected = 0j, []
+    for i in range(n):
+        residue = 0
+        for t in (q(i), i):
+            big_a, big_b = _affine_power(a, b, t, mod)
+            residue += big_a * x0 + big_b
+        total += int(seq.values[i]) * cmath.exp(2j * math.pi * ((residue % mod) / mod))
+        if i + 1 in cps:
+            expected.append(total / (i + 1))
+    assert np.abs(series.averages - np.asarray(expected)).max() <= 1e-12

@@ -9,8 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscillab.polyphase import (
+    _STREAM_TERMS,
     ErgodicAverageSeries,
     PhasePolynomial,
+    _lanes,
+    _residue_buckets,
     binomial_coefficient,
     binomial_phase_polynomial,
     compose_time_polynomial,
@@ -21,7 +24,7 @@ from oscillab.polyphase import (
     unit_values,
     weighted_exponential_average,
 )
-from oscillab.sequences import ComplexSequence, polynomial_phase_sequence
+from oscillab.sequences import ComplexSequence, polynomial_phase_sequence, rademacher_sequence
 
 SQRT2M1 = math.sqrt(2) - 1
 
@@ -153,6 +156,80 @@ def test_phase_stream_seed_table_matches_oracle(coefficients, count, data):
     for n in {0, count // 2, count - 1, *boundaries, *picks}:
         delta = abs(phases[n] - phase_at(poly, n))
         assert min(delta, 1 - delta) <= 1e-12, (poly, count, n)
+
+
+def block_edges(count):
+    """Starts after 0 of the blocks ``phase_blocks`` cuts a ``count``-term stream into."""
+    lanes = _lanes(count)
+    size = max(1, _STREAM_TERMS // lanes) * lanes
+    return list(range(size, count, size))
+
+
+# Counts at lane-row and block boundaries +-1 (lanes reach 4096 at 2^18
+# terms, where a block is 16 rows) and counts that are no multiple of the
+# lane count.
+_STREAM_COUNTS = (
+    1, 2, 63, 64, 65, 4095, 4096, 4097, 65535, 65536, 65537, 100_003,
+    131071, 131072, 131073, 262143, 262144, 262145, 266239, 266241,
+    327679, 327680, 327681,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    count=st.one_of(st.sampled_from(_STREAM_COUNTS), st.integers(1, 400_000)),
+    kind=st.sampled_from(["int8", "complex", "list"]),
+    degree=st.integers(0, 8),
+    constant=st.booleans(),
+    data=st.data(),
+)
+def test_streamed_average_matches_full_array_reference(count, kind, degree, constant, data):
+    """Block-by-block sums against one np.add.reduceat over the full terms.
+
+    Checkpoints include the block edges and their neighbours.  The
+    tolerance is 1e-12 of the mean |c_n|, the scale that bounds every
+    partial average and its summation error.
+    """
+    rng = np.random.default_rng(count)
+    coeffs = rng.random(degree + 1)
+    if constant:
+        coeffs[1:] = 0.0
+    poly = PhasePolynomial([float(c) for c in coeffs])
+    if kind == "int8":
+        seq = rademacher_sequence(count, count)
+        values = seq.values.astype(np.complex128)
+    elif kind == "complex":
+        values = rng.normal(size=count) + 1j * rng.normal(size=count)
+        seq = ComplexSequence(values, "normal")
+    else:
+        seq = rng.integers(-3, 4, size=count).tolist()
+        values = np.asarray(seq, dtype=np.complex128)
+    near_edges = {e + k for e in block_edges(count)[:3] for k in (-1, 0, 1)}
+    drawn = data.draw(st.sets(st.integers(1, count), max_size=3))
+    cps = sorted(near_edges | drawn | {count})
+
+    series = weighted_exponential_average(seq, poly, cps)
+
+    terms = values * unit_values(phase_stream(poly, count))
+    sums = np.cumsum(np.add.reduceat(terms, [0] + cps[:-1]))
+    reference = sums / np.asarray(cps, dtype=np.float64)
+    scale = max(np.abs(values).mean(), 1.0)
+    assert np.abs(series.averages - reference).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize(
+    "modulus, length",
+    [(2, 1), (7, 65535), (16, 200_003), (1024, 65536 + 1), (4096, 300_000), (65536, 131_073),
+     (65537, 200_000), (100_000, 99_999)],
+)
+def test_residue_fold_in_blocks_equals_one_fold(modulus, length):
+    """Blocked folding adds each class in index order, so it is bit-identical."""
+    rng = np.random.default_rng(modulus)
+    values = rng.normal(size=length + 5) + 1j * rng.normal(size=length + 5)
+    padded = np.zeros(-(-length // modulus) * modulus, dtype=np.complex128)
+    padded[:length] = values[:length]
+    whole = padded.reshape(-1, modulus).sum(axis=0)
+    assert np.array_equal(_residue_buckets(values, length, modulus), whole)
 
 
 def test_average_constant_weights_zero_phase():

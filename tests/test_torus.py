@@ -239,6 +239,17 @@ def first_negative_by_scan(q, count):
     return next((n for n in range(count) if q(n) < 0), None)
 
 
+def negative_runs_by_scan(q, count):
+    runs = []
+    for n in range(count):
+        if q(n) < 0:
+            if runs and runs[-1][1] == n:
+                runs[-1] = (runs[-1][0], n + 1)
+            else:
+                runs.append((n, n + 1))
+    return runs
+
+
 def binomial_coefficients_of(values):
     """a_j = (forward difference)^j q(0) from q(0), ..., q(d)."""
     coeffs = []
@@ -283,6 +294,7 @@ def test_first_negative_clustered_roots_match_scan(center, den, offsets, lead, s
     q = TimePolynomial(binomial_coefficients_of([direct(n) for n in range(len(offsets) + 1)]))
     assert all(q(n) == direct(n) for n in range(0, 400, 37))
     assert q.first_negative_on_range(count) == first_negative_by_scan(direct, count)
+    assert q.negative_runs(count) == negative_runs_by_scan(direct, count)
 
 
 @settings(max_examples=200, deadline=None)
@@ -294,6 +306,7 @@ def test_first_negative_clustered_roots_match_scan(center, den, offsets, lead, s
 def test_first_negative_random_coefficients_match_scan(coeffs, count):
     q = TimePolynomial(tuple(coeffs))
     assert q.first_negative_on_range(count) == first_negative_by_scan(q, count)
+    assert q.negative_runs(count) == negative_runs_by_scan(q, count)
 
 
 def test_multiple_average_trivial_tensor():
