@@ -34,6 +34,7 @@ from .polyphase import (
     fourier_bohr_scan,
     geometric_checkpoints,
     phase_at,
+    phase_blocks,
     phase_stream,
     weighted_exponential_average,
 )

@@ -26,8 +26,8 @@ paths avoid this:
   truncation per seed (none when den divides 2^128, as for every float
   coefficient >= 2^-76) plus one float rounding on output; the
   documented bound of 1e-9 at N = 10^6, d <= 4 is met with orders of
-  magnitude to spare.  ``phase_stream`` collects the blocks into one
-  array.
+  magnitude to spare.  ``phase_stream`` is the same stream taken as a
+  single block, for callers that keep the whole array.
 
 Every long consumer (weighted and multiple ergodic averages, p-adic
 averages, the residue fold of the spectrum scan) works block by block:
@@ -216,19 +216,34 @@ def phase_blocks(poly: PhasePolynomial, count: int):
     ``_STREAM_TERMS`` terms, so only the registers and one block are
     alive at a time.  The blocks are fresh arrays the caller may keep.
     """
+    return _phase_blocks(poly, count, _STREAM_TERMS)
+
+
+def phase_stream(poly: PhasePolynomial, count: int) -> np.ndarray:
+    """frac(P(n)) for n = 0..count-1 as one array: ``phase_blocks`` with one block.
+
+    The block spans the whole stream, so the rows are stepped straight
+    into the returned array, with no second buffer and no copy.
+    """
+    [(_, phases)] = _phase_blocks(poly, count, count)
+    return phases
+
+
+def _phase_blocks(poly: PhasePolynomial, count: int, block_terms: int):
+    """Blocks of whole lane rows, about ``block_terms`` terms each; ``count`` is checked now."""
     if count < 1:
         raise ValueError("count: must be >= 1")
     coeffs = poly.coefficients
     if all(c == 0 for c in coeffs[1:]):
         value = float(coeffs[0])
         return (
-            (start, np.full(min(_STREAM_TERMS, count - start), value))
-            for start in range(0, count, _STREAM_TERMS)
+            (start, np.full(min(block_terms, count - start), value))
+            for start in range(0, count, block_terms)
         )
-    return _stepped_blocks(coeffs, count)
+    return _stepped_blocks(coeffs, count, block_terms)
 
 
-def _stepped_blocks(coeffs: tuple[Fraction, ...], count: int):
+def _stepped_blocks(coeffs: tuple[Fraction, ...], count: int, block_terms: int):
     d = len(coeffs) - 1
     lanes = _lanes(count)
     steps = -(-count // lanes)
@@ -247,7 +262,7 @@ def _stepped_blocks(coeffs: tuple[Fraction, ...], count: int):
             lo[i] -= lo[i - 1]
             hi[i] -= hi[i - 1] + borrow
 
-    block_rows = max(1, _STREAM_TERMS // lanes)
+    block_rows = -(-block_terms // lanes)
     for first in range(0, steps, block_rows):
         out = np.empty((min(block_rows, steps - first), lanes), dtype=np.float64)
         for k in range(len(out)):
@@ -275,15 +290,6 @@ def _drift_bound(degree: int, count: int) -> int:
     """
     last_row = -(-count // _lanes(count)) - 1
     return sum(math.comb(last_row, j) << j for j in range(degree + 1))
-
-
-def phase_stream(poly: PhasePolynomial, count: int) -> np.ndarray:
-    """frac(P(n)) for n = 0..count-1 as one array, filled from ``phase_blocks``."""
-    blocks = phase_blocks(poly, count)
-    out = np.empty(count, dtype=np.float64)
-    for start, phases in blocks:
-        out[start : start + phases.size] = phases
-    return out
 
 
 def unit_values(phases: np.ndarray) -> np.ndarray:
