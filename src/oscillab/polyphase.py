@@ -37,6 +37,7 @@ a piece), the pieces added in index order.  Memory beyond the weights
 themselves is constant in N.
 """
 
+import bisect
 import math
 import operator
 from dataclasses import dataclass
@@ -230,22 +231,29 @@ def phase_stream(poly: PhasePolynomial, count: int) -> np.ndarray:
 
 
 def _phase_blocks(poly: PhasePolynomial, count: int, block_terms: int):
-    """Blocks of whole lane rows, about ``block_terms`` terms each; ``count`` is checked now."""
+    """Blocks of whole lane rows, about ``block_terms`` terms each; ``count`` is checked now.
+
+    Every block but the last holds the same number of terms, whether the
+    polynomial is stepped or constant, so streams of different
+    polynomials over one count can be zipped block by block.
+    """
     if count < 1:
         raise ValueError("count: must be >= 1")
+    lanes = _lanes(count)
+    block_rows = -(-block_terms // lanes)
     coeffs = poly.coefficients
     if all(c == 0 for c in coeffs[1:]):
         value = float(coeffs[0])
+        size = block_rows * lanes
         return (
-            (start, np.full(min(block_terms, count - start), value))
-            for start in range(0, count, block_terms)
+            (start, np.full(min(size, count - start), value))
+            for start in range(0, count, size)
         )
-    return _stepped_blocks(coeffs, count, block_terms)
+    return _stepped_blocks(coeffs, count, lanes, block_rows)
 
 
-def _stepped_blocks(coeffs: tuple[Fraction, ...], count: int, block_terms: int):
+def _stepped_blocks(coeffs: tuple[Fraction, ...], count: int, lanes: int, block_rows: int):
     d = len(coeffs) - 1
-    lanes = _lanes(count)
     steps = -(-count // lanes)
 
     # Row i seeds P(i*lanes + r); a row with i >= steps never reaches
@@ -262,7 +270,6 @@ def _stepped_blocks(coeffs: tuple[Fraction, ...], count: int, block_terms: int):
             lo[i] -= lo[i - 1]
             hi[i] -= hi[i - 1] + borrow
 
-    block_rows = -(-block_terms // lanes)
     for first in range(0, steps, block_rows):
         out = np.empty((min(block_rows, steps - first), lanes), dtype=np.float64)
         for k in range(len(out)):
@@ -378,13 +385,15 @@ def _average_series(blocks, cps: tuple[int, ...]) -> ErgodicAverageSeries:
     for start, terms in blocks:
         terms = terms[: cps[-1] - start]
         stop = start + terms.size
-        inside = [c - start for c in cps[len(sums):] if c < stop]
-        pieces = np.add.reduceat(terms, [0] + inside)
+        # Checkpoints up to start were reached by earlier blocks.
+        first = len(sums)
+        last = bisect.bisect_left(cps, stop, lo=first)
+        pieces = np.add.reduceat(terms, [0] + [c - start for c in cps[first:last]])
         for piece in pieces[:-1]:
             running = running + piece
             sums.append(running)
         running = running + pieces[-1]
-        if stop in cps:
+        if last < len(cps) and cps[last] == stop:
             sums.append(running)
         if stop == cps[-1]:
             break

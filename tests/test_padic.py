@@ -317,6 +317,32 @@ def test_weighted_average_streams_across_blocks():
     assert np.abs(series.averages - reference).max() <= 1e-12
 
 
+def test_weighted_average_zips_constant_and_stepped_streams():
+    """Constant scaled phases next to stepped ones, where lanes do not divide 2^16.
+
+    At 100,000 terms a lane row is 1,562 terms, so a block of whole rows
+    holds 65,604 terms; q = 5 and q = 3^5 n + 2 scale to constant phases
+    mod 1 and must be cut into the same blocks as q = n.
+    """
+    system = PadicAffineSystem.from_ints(3, 4, 1)
+    level, x0 = 5, 17
+    mod = 3**level
+    qs = [TimePolynomial((5,)), TimePolynomial.from_power(1), TimePolynomial((2, mod))]
+    n = 100_000
+    cps = [1, _STREAM_TERMS, 65_603, 65_604, 65_605, n]
+    seq = rademacher_sequence(4, n)
+    series = padic_weighted_average(system, level, x0, qs, seq, cps)
+
+    cycle = [x0]
+    while len(cycle) < mod:
+        cycle.append(system.step_int(cycle[-1], level))
+    cycle = np.asarray(cycle)
+    residues = sum(cycle[np.asarray([q(k) for k in range(n)]) % mod] for q in qs)
+    terms = seq.values * np.exp(2j * np.pi * (residues % mod) / mod)
+    reference = np.cumsum(np.add.reduceat(terms, [0] + cps[:-1])) / np.asarray(cps)
+    assert np.abs(series.averages - reference).max() <= 1e-12
+
+
 def _affine_power(a, b, t, mod):
     """(A, B) with T^t x = A x + B mod ``mod`` for T x = a x + b."""
     big_a, big_b = 1, 0

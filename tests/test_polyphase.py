@@ -20,6 +20,7 @@ from oscillab.polyphase import (
     fourier_bohr_scan,
     geometric_checkpoints,
     phase_at,
+    phase_blocks,
     phase_stream,
     unit_values,
     weighted_exponential_average,
@@ -214,6 +215,16 @@ def test_streamed_average_matches_full_array_reference(count, kind, degree, cons
     sums = np.cumsum(np.add.reduceat(terms, [0] + cps[:-1]))
     reference = sums / np.asarray(cps, dtype=np.float64)
     assert np.abs(series.averages - reference).max() <= 1e-12 * np.abs(values).mean()
+
+
+@pytest.mark.parametrize("count", _STREAM_COUNTS)
+def test_constant_and_stepped_streams_share_block_edges(count):
+    """Streams over one count zip block by block, the constant one included."""
+    stepped = [(s, p.size) for s, p in phase_blocks(PhasePolynomial([0.25, 0.5]), count)]
+    constant = [(s, p.size) for s, p in phase_blocks(PhasePolynomial([0.25]), count)]
+    assert stepped == constant
+    assert [s for s, _ in stepped[1:]] == block_edges(count)
+    assert sum(size for _, size in stepped) == count
 
 
 @pytest.mark.parametrize(
