@@ -12,6 +12,7 @@ minimal log-log SVG decay plot.
 """
 
 import argparse
+import ctypes
 import json
 import math
 import sys
@@ -659,7 +660,35 @@ def _config_from_args(args) -> ExperimentConfig:
     return config
 
 
+# glibc raises its mmap threshold to the size of each mapped block freed
+# (up to 32 MiB).  Arrays of a few MB then land in the heap or in their
+# own mapping depending on what the process freed before, and a heap
+# array that grows moves whenever a later allocation sits above it, so
+# a command's peak memory would depend on that history.  A fixed
+# threshold keeps it steady: whole-sequence arrays get their own mapping
+# and are returned when freed, while streamed blocks (about 1 MB) and
+# other small buffers reuse heap space, kept up to the trim threshold.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 4 << 20
+
+
+def _fix_malloc_thresholds() -> None:
+    """Pin the C allocator's mmap and trim thresholds (glibc only; a no-op elsewhere)."""
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_BYTES)
+
+
 def main(argv=None) -> int:
+    _fix_malloc_thresholds()
     parser = build_parser()
     args = parser.parse_args(argv)
     if not args.command:

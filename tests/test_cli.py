@@ -1,6 +1,7 @@
 """CLI contracts: validation, determinism, formats, help text, config round-trip."""
 
 import json
+import platform
 import shlex
 import subprocess
 import sys
@@ -454,3 +455,48 @@ def test_readme_commands_parse():
     parser = build_parser()
     for argv in commands:
         assert parser.parse_args(argv).command == argv[0]
+
+
+_RETAINED_AFTER_FREE = """
+import sys
+
+import numpy as np
+
+from oscillab import cli
+
+
+def rss_mb():
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1]) / 1024
+
+
+if sys.argv[1] == "pinned":
+    cli._fix_malloc_thresholds()
+# Freeing a 24 MB mapping lets glibc raise its mmap threshold past 16 MB.
+big = np.ones(3 << 20)
+del big
+before = rss_mb()
+middle = np.ones(2 << 20)
+del middle
+print(rss_mb() - before)
+"""
+
+
+@pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc" or not Path("/proc/self/status").exists(),
+    reason="the thresholds are glibc's; RSS is read from /proc",
+)
+def test_cli_pins_malloc_thresholds():
+    """A 16 MB array freed after a larger one is returned once main pins the thresholds."""
+
+    def retained_mb(mode):
+        result = subprocess.run(
+            [sys.executable, "-c", _RETAINED_AFTER_FREE, mode],
+            capture_output=True, text=True, check=True,
+        )
+        return float(result.stdout)
+
+    assert retained_mb("dynamic") > 12
+    assert retained_mb("pinned") < 4
