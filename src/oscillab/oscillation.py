@@ -64,6 +64,18 @@ def _weights_prefix(seq, n_terms: int) -> np.ndarray:
     return np.asarray(values[:n_terms], dtype=np.complex128)
 
 
+def _checked_grid(degree: int, grid_per_dim: int) -> int:
+    """The pitch as an int, once degree >= 1, G >= 2 and G^(d+1) <= ``GRID_BUDGET`` hold."""
+    if degree < 1:
+        raise ValueError("degree: must be >= 1")
+    if grid_per_dim < 2:
+        raise ValueError("grid_per_dim: must be >= 2")
+    cost = int(grid_per_dim) ** (degree + 1)
+    if cost > GRID_BUDGET:
+        raise GridBudgetError(f"grid budget exceeded: G^(d+1) = {cost} > {GRID_BUDGET}")
+    return int(grid_per_dim)
+
+
 def grid_sup_average(
     seq, degree: int, grid_per_dim: int, n_terms: int
 ) -> tuple[float, tuple[float, ...]]:
@@ -75,16 +87,7 @@ def grid_sup_average(
     smallest grid index; evaluation order is fixed, so the result is
     deterministic.
     """
-    if degree < 1:
-        raise ValueError("degree: must be >= 1")
-    if grid_per_dim < 2:
-        raise ValueError("grid_per_dim: must be >= 2")
-    g = int(grid_per_dim)
-    cost = g ** (degree + 1)
-    if cost > GRID_BUDGET:
-        raise GridBudgetError(
-            f"grid budget exceeded: G^(d+1) = {cost} > {GRID_BUDGET}"
-        )
+    g = _checked_grid(degree, grid_per_dim)
     values = _weights_prefix(seq, n_terms)
 
     # The grid phase of index n is determined by n mod G.
@@ -211,6 +214,18 @@ class CheckpointEstimate:
     grid_sup: float
 
 
+def sup_search(seq, degree: int, n: int, grid: int) -> CheckpointEstimate:
+    """The one estimate of sup |(1/n) sum_{k<n} c_k e(P(k))| over P of degree <= ``degree``.
+
+    The weight prefix is made complex once; ``grid_sup_average`` scans the
+    pitch-1/grid grid and ``refine_local`` polishes its argmax from a step of 1/grid.
+    """
+    values = _weights_prefix(seq, n)
+    grid_value, start = grid_sup_average(values, degree, grid, n)
+    sup, coeffs = refine_local(values, degree, start, n, initial_step=1.0 / grid)
+    return CheckpointEstimate(n, sup, coeffs, grid_value)
+
+
 @dataclass(frozen=True)
 class DegreeProfile:
     degree: int
@@ -267,46 +282,35 @@ def growth_exponent(series) -> float:
 
 
 def estimate_oscillation_profile(
-    seq,
-    d_max: int,
-    checkpoints,
-    grid_per_dim: int | None = None,
+    seq, d_max: int, checkpoints, grid_per_dim: int | None = None
 ) -> OscillationReport:
-    """Grid + refine sup estimates for every degree d <= d_max.
+    """``sup_search`` estimates at every checkpoint for every degree d <= d_max.
 
+    The pitch is ``grid_per_dim``, else ``DEFAULT_GRID[d]``, at every
+    degree; checkpoints past the sequence and a pitch with G^(d+1) above
+    ``GRID_BUDGET`` (``GridBudgetError``) are refused before any search.
     The decay slope is the least-squares slope of log sup vs log N over
     the trailing half of the checkpoints (at least 3).  Verdict policy:
     decaying when slope <= ``DECAY_SLOPE`` and the final sup is at most
     ``DECAY_LEVEL``; non-decaying when the final sup is at least
     ``NONDECAY_LEVEL``; inconclusive otherwise.  The thresholds are
-    heuristics.  The pitch (``grid_per_dim``, else ``DEFAULT_GRID``) is
-    halved while G^(d+1) exceeds ``GRID_BUDGET``.
+    heuristics.
     """
     if d_max < 1:
         raise ValueError("d_max: must be >= 1")
     if grid_per_dim is None and d_max > 3:
         raise ValueError("d_max: > 3 requires an explicit grid_per_dim")
-    cps = _validated_checkpoints(checkpoints)
+    cps = _validated_checkpoints(checkpoints, len(_weights(seq)))
     if len(cps) < 3:
         raise ValueError("checkpoints: at least 3 required for a decay slope")
+    grids = {
+        d: _checked_grid(d, DEFAULT_GRID[d] if grid_per_dim is None else grid_per_dim)
+        for d in range(1, d_max + 1)
+    }
 
     profiles = []
-    for degree in range(1, d_max + 1):
-        if grid_per_dim is not None:
-            g = int(grid_per_dim)
-        else:
-            g = DEFAULT_GRID.get(degree, 8)
-        while g ** (degree + 1) > GRID_BUDGET and g > 2:
-            g //= 2
-        estimates = []
-        for n in cps:
-            grid_value, grid_coeffs = grid_sup_average(seq, degree, g, n)
-            refined, coeffs = refine_local(
-                seq, degree, grid_coeffs, n, initial_step=1.0 / g
-            )
-            estimates.append(
-                CheckpointEstimate(n, refined, coeffs, grid_value)
-            )
+    for degree, g in grids.items():
+        estimates = [sup_search(seq, degree, n, g) for n in cps]
         window = max(3, (len(cps) + 1) // 2)
         tail = estimates[-window:]
         slope = growth_exponent([(e.n, max(e.sup, 1e-300)) for e in tail])
@@ -317,9 +321,7 @@ def estimate_oscillation_profile(
             verdict = "decaying"
         else:
             verdict = "inconclusive"
-        profiles.append(
-            DegreeProfile(degree, tuple(estimates), slope, verdict, g)
-        )
+        profiles.append(DegreeProfile(degree, tuple(estimates), slope, verdict, g))
     return OscillationReport(tuple(profiles))
 
 

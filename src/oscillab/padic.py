@@ -208,22 +208,22 @@ def _cycle_from(system: PadicAffineSystem, y: int, level: int) -> np.ndarray:
         skip = 0
 
 
-def _orbit_cycle(
-    system: PadicAffineSystem, x0: int, level: int
-) -> tuple[list[int], np.ndarray]:
+def _orbit_cycle(system: PadicAffineSystem, x0: int, level: int) -> tuple[list[int], np.ndarray]:
     """Orbit of x0 mod p^level split as (pre-periodic tail, cycle).
 
-    A tail is at most ``level`` long: for p | a, a^level = 0 mod p^level
-    and T^level is constant; otherwise T is a bijection and there is no
-    tail.  So ``level`` steps land on the cycle, and x_t is on it exactly
-    when it sits level - t places before x_level there.
+    For p not dividing a, T permutes Z/p^level, so there is no tail and
+    the cycle starts at x0.  For p | a, a^level = 0 mod p^level, so
+    T^level is constant; its value is a fixed point, reached within
+    ``level`` steps, and the cycle is that one point.
     """
-    trail = [x0 % system.prime**level]
-    for _ in range(level):
-        trail.append(system.step_int(trail[-1], level))
-    cycle = _cycle_from(system, trail[-1], level)
-    tlen = next(t for t, x in enumerate(trail) if x == cycle[(t - level) % cycle.size])
-    return trail[:tlen], np.roll(cycle, level - tlen)
+    x = x0 % system.prime**level
+    if system.a.value % system.prime:
+        return [], _cycle_from(system, x, level)
+    tail = []
+    while (following := system.step_int(x, level)) != x:
+        tail.append(x)
+        x = following
+    return tail, np.array([x], dtype=np.int64)
 
 
 def orbit_residue_census(
@@ -336,7 +336,7 @@ def padic_weighted_average(
         raise ValueError("level: p^level observable classes exceed the supported size")
     x_start = int(getattr(x0, "value", x0)) % mod
     tail, cycle = _orbit_cycle(system, x_start, level)
-    orbit = np.concatenate((np.asarray(tail, dtype=np.int64), cycle))
+    orbit = np.concatenate((np.asarray(tail, dtype=np.int64), cycle)) if tail else cycle
     streams = [_orbit_indices(q, n_max, len(tail), cycle.size) for q in qs]
     roots = np.exp((2j * np.pi / mod) * np.arange(mod))
 

@@ -8,11 +8,11 @@ unnormalized sum |sum xi_n e(P(n))| grows like sqrt(N log N) almost
 surely, so on a log-log plot the empirical sup should run with slope
 just above 1/2 and stay below a fixed multiple of sqrt(N log N).
 
-``lsk_empirical_sup`` reuses the oscillation module's grid + refine
-kernel on identical grids (times N), which keeps the two modules'
-estimates consistent to the bit and makes the cross-module oracle a
-strict identity check.  The absolute constant in the growth law is not
-pinned down; tests use the documented headroom factor 5.
+``lsk_empirical_sup`` is N times the oscillation module's one sup
+search, ``sup_search``, at the pitch asked for, which keeps the two
+modules' estimates consistent to the bit and makes the cross-module
+oracle a strict identity check.  The absolute constant in the growth
+law is not pinned down; tests use the documented headroom factor 5.
 """
 
 from dataclasses import dataclass
@@ -22,7 +22,8 @@ from scipy.special import ndtri
 
 # growth_exponent lives in oscillation, which fits decay slopes with it too;
 # it stays importable from here.
-from .oscillation import grid_sup_average, growth_exponent, refine_local
+from .oscillation import growth_exponent, sup_search
+from .polyphase import _weights
 from .sequences import ComplexSequence, rademacher_sequence, uniform_unit_sequence
 
 RADEMACHER = "rademacher"
@@ -119,26 +120,19 @@ def lsk_empirical_sup(
     n_list,
     grid_per_dim: int,
 ) -> list[tuple[int, float]]:
-    """Grid + refined max of |sum_{n<N} xi_n e(P(n))| for each N.
+    """``sup_search`` max of |sum_{n<N} xi_n e(P(n))| for each N.
 
     Note the quantity is the unnormalized sum: it is N times the
     oscillation module's sup estimate on the same grid and weights.
-    ``spec`` may be a RandomSequenceSpec or any sequence-like object.
+    ``spec`` may be a RandomSequenceSpec or any sequence-like object;
+    an N past its length is refused before any search.
     """
     ns = sorted(int(n) for n in n_list)
     if not ns or ns[0] < 1:
         raise ValueError("n_list: nonempty, entries >= 1")
-    if isinstance(spec, RandomSequenceSpec):
-        if spec.length < ns[-1]:
-            raise ValueError("n_list: exceeds spec.length")
-        seq = sample(spec)
-    else:
-        seq = spec
-    out = []
-    for n in ns:
-        grid_value, grid_coeffs = grid_sup_average(seq, degree, grid_per_dim, n)
-        refined, _ = refine_local(
-            seq, degree, grid_coeffs, n, initial_step=1.0 / grid_per_dim
-        )
-        out.append((n, refined * n))
-    return out
+    sampled = isinstance(spec, RandomSequenceSpec)
+    length = spec.length if sampled else len(_weights(spec))
+    if length < ns[-1]:
+        raise ValueError(f"n_list: {ns[-1]} exceeds sequence length {length}")
+    seq = sample(spec) if sampled else spec
+    return [(n, sup_search(seq, degree, n, grid_per_dim).sup * n) for n in ns]

@@ -215,19 +215,19 @@ def write_sequence(path, seq: ComplexSequence) -> None:
     """Write one "RE IM" decimal pair per line after a '# provenance' line.
 
     Values are emitted with 17 significant digits, which round-trips
-    float64 exactly.  Formatting line by line in the interpreter costs
-    about 1.3 us a line, so each chunk of lines is one ``%``-format call
-    over the interleaved real and imaginary parts.  The bytes equal those
-    of writing every line as ``f"{re:.17g} {im:.17g}\\n"``; that line
-    loop is kept in the tests as the reference.
+    float64 exactly.  Formatting line by line costs about 1.3 us a line,
+    so each chunk of lines is made complex on its own and written by one
+    ``%``-format call over the interleaved real and imaginary parts.  The
+    bytes equal those of writing every line as ``f"{re:.17g} {im:.17g}\\n"``,
+    the reference the tests keep.
     """
     path = Path(path)
-    flat = np.ascontiguousarray(seq.complex_values).view(np.float64)
     with path.open("w", encoding="utf-8") as handle:
         handle.write(f"# {seq.provenance}\n")
-        for start in range(0, flat.size, 2 * _WRITE_CHUNK_LINES):
-            part = flat[start : start + 2 * _WRITE_CHUNK_LINES].tolist()
-            handle.write(("%.17g %.17g\n" * (len(part) // 2)) % tuple(part))
+        for start in range(0, seq.length, _WRITE_CHUNK_LINES):
+            chunk = seq.values[start : start + _WRITE_CHUNK_LINES]
+            part = np.ascontiguousarray(chunk, dtype=np.complex128).view(np.float64).tolist()
+            handle.write(("%.17g %.17g\n" * chunk.size) % tuple(part))
 
 
 def read_sequence(path) -> ComplexSequence:
@@ -329,7 +329,11 @@ def _parse_lines(lines, path: Path) -> np.ndarray:
 
 
 def cesaro_l1_norm(seq: ComplexSequence, checkpoints) -> np.ndarray:
-    """(1/N) sum_{n<N} |c_n| at each checkpoint."""
-    moduli = np.abs(seq.complex_values)
-    cps = _validated_checkpoints(checkpoints, len(moduli))
-    return _average_series([(0, moduli)], cps).averages.real
+    """(1/N) sum_{n<N} |c_n| at each checkpoint, over float blocks so int8 sums cannot overflow."""
+    cps = _validated_checkpoints(checkpoints, seq.length)
+    as_float = np.result_type(seq.values.dtype, np.float64)
+    moduli = (
+        (start, np.abs(seq.values[start : start + _STREAM_TERMS].astype(as_float, copy=False)))
+        for start in range(0, cps[-1], _STREAM_TERMS)
+    )
+    return _average_series(moduli, cps).averages.real

@@ -257,6 +257,20 @@ def test_runtime_error_exits_two(tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_estimate_order_over_budget_pitch_exits_two(tmp_path, capsys):
+    # 300^3 points at degree 2 exceed the grid budget; no smaller pitch is tried
+    status = run(
+        [
+            "estimate-order",
+            "--generator", "mobius", "--n", "1000", "--d-max", "2",
+            "--grid", "300", "--checkpoints", "250,500,1000",
+            "--out", str(tmp_path / "boom"),
+        ]
+    )
+    assert status == 2
+    assert "budget" in capsys.readouterr().err
+
+
 def test_multi_average_descriptor_config(tmp_path):
     descriptor = {
         "command": "multi-average",

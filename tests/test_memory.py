@@ -1,8 +1,8 @@
-"""Long averages stream in blocks: transient memory does not grow with N."""
+"""Long averages, norms and writes stream in blocks: transient memory does not grow with N."""
 
 from oscillab.padic import PadicAffineSystem, padic_weighted_average
 from oscillab.polyphase import PhasePolynomial, fourier_bohr_scan, weighted_exponential_average
-from oscillab.sequences import mobius_sequence, rademacher_sequence
+from oscillab.sequences import cesaro_l1_norm, mobius_sequence, rademacher_sequence, write_sequence
 from oscillab.torus import TimePolynomial
 
 N = 4_000_000
@@ -18,6 +18,17 @@ def test_weighted_average_transient_peak(traced_peak):
 def test_spectrum_scan_transient_peak(traced_peak):
     weights = mobius_sequence(N)
     assert traced_peak(fourier_bohr_scan, weights, 4096, N) < 16 * MB
+
+
+def test_cesaro_norm_transient_peak(traced_peak):
+    weights = mobius_sequence(N)
+    assert traced_peak(cesaro_l1_norm, weights, [10**5, N]) < 16 * MB
+
+
+def test_write_sequence_transient_peak(traced_peak, tmp_path):
+    # Half a million lines keep the traced formatting quick; a complex copy alone is 8 MB.
+    weights = mobius_sequence(N // 8)
+    assert traced_peak(write_sequence, tmp_path / "mobius.txt", weights) < 4 * MB
 
 
 def test_rademacher_generation_peak(traced_peak):

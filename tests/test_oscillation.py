@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from oscillab import oscillation
 from oscillab.oscillation import (
+    DEFAULT_GRID,
     CheckpointEstimate,
     DegreeProfile,
     GridBudgetError,
@@ -15,6 +17,7 @@ from oscillab.oscillation import (
     grid_sup_average,
     refine_local,
     report_to_json,
+    sup_search,
 )
 from oscillab.polyphase import PhasePolynomial, phase_stream, unit_values
 from oscillab.sequences import ComplexSequence, polynomial_phase_sequence
@@ -215,6 +218,51 @@ def test_refine_scores_minus_step_at_its_own_candidate():
         assert coeffs == ref_coeffs
         assert abs(value - ref_value) <= 1e-12
     assert coeffs[3] == target[3]
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("grid", [16, 10])
+def test_sup_search_is_grid_then_refine(degree, grid):
+    """The one search equals the grid stage plus refinement from its argmax, to the bit."""
+    rng = np.random.default_rng(10 * degree + grid)
+    count = 700
+    weights = {
+        "int8": rng.integers(-1, 2, size=count).astype(np.int8),
+        "complex": rng.normal(size=count) + 1j * rng.normal(size=count),
+    }
+    for name, values in weights.items():
+        seq = ComplexSequence(values, name)
+        for n in (count // 3, count):
+            grid_value, start = grid_sup_average(seq, degree, grid, n)
+            sup, coeffs = refine_local(seq, degree, start, n, initial_step=1.0 / grid)
+            assert sup_search(seq, degree, n, grid) == CheckpointEstimate(n, sup, coeffs, grid_value)
+
+
+def _no_search(*args, **kwargs):
+    raise AssertionError("a search ran before the inputs were checked")
+
+
+def test_profile_refuses_over_budget_pitch_before_any_search(monkeypatch):
+    """The pitch asked for is the pitch used: G^(d+1) over budget is an error, not a halving."""
+    monkeypatch.setattr(oscillation, "grid_sup_average", _no_search)
+    ones = ComplexSequence(np.ones(1000), "ones")
+    with pytest.raises(GridBudgetError, match="budget"):
+        estimate_oscillation_profile(ones, 2, [250, 500, 1000], grid_per_dim=300)
+
+
+def test_profile_refuses_checkpoints_past_sequence_before_any_search(monkeypatch):
+    monkeypatch.setattr(oscillation, "grid_sup_average", _no_search)
+    ones = ComplexSequence(np.ones(1000), "ones")
+    with pytest.raises(ValueError, match="checkpoints: 2000 exceeds available length 1000"):
+        estimate_oscillation_profile(ones, 1, [250, 500, 2000])
+
+
+def test_profile_uses_the_pitch_asked_for():
+    seq = polynomial_phase_sequence(SQRT2M1, 2, 400)
+    default = estimate_oscillation_profile(seq, 3, [100, 200, 400])
+    assert [p.grid_per_dim for p in default.degrees] == [DEFAULT_GRID[d] for d in (1, 2, 3)]
+    chosen = estimate_oscillation_profile(seq, 3, [100, 200, 400], grid_per_dim=10)
+    assert [p.grid_per_dim for p in chosen.degrees] == [10, 10, 10]
 
 
 def test_grid_monotone_in_degree_on_nested_grids():

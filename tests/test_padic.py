@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oscillab.padic import (
@@ -101,6 +101,38 @@ def test_minimal_orbits_have_exact_period():
             assert tail == []
             assert len(cycle) == p**k
             assert sorted(cycle) == list(range(p**k))
+
+
+def _dict_walk(system, x0, level):
+    """Reference (tail, cycle) of the orbit mod p^level: walk until a point repeats."""
+    first_seen, orbit, x = {}, [], x0 % system.prime**level
+    while x not in first_seen:
+        first_seen[x] = len(orbit)
+        orbit.append(x)
+        x = system.step_int(x, level)
+    return orbit[: first_seen[x]], orbit[first_seen[x] :]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    a=st.integers(0, 60),
+    b=st.integers(0, 60),
+    level=st.integers(1, 8),
+    x0=st.integers(0, 10**4),
+)
+@example(p=3, a=3, b=1, level=6, x0=12345)
+@example(p=2, a=4, b=1, level=8, x0=255)
+@example(p=5, a=6, b=0, level=5, x0=7)
+def test_orbit_cycle_matches_dict_walk(p, a, b, level, x0):
+    """p | a: a tail onto a fixed point; otherwise a cycle from x0 and no tail."""
+    assume(p**level <= 5000)
+    system = PadicAffineSystem.from_ints(p, a, b)
+    tail, cycle = _orbit_cycle(system, x0, level)
+    ref_tail, ref_cycle = _dict_walk(system, x0, level)
+    assert tail == ref_tail
+    assert cycle.dtype == np.int64
+    assert cycle.tolist() == ref_cycle
 
 
 def test_non_minimal_census_misses_residues():

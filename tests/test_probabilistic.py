@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oscillab import oscillation
 from oscillab.oscillation import grid_sup_average, refine_local
 from oscillab.probabilistic import (
     Distribution,
@@ -71,6 +72,16 @@ def test_lsk_constant_one_degenerate():
     sups = lsk_empirical_sup(ones, 1, [128, 512], 8)
     for n, sup in sups:
         assert sup == pytest.approx(n, rel=1e-12)
+
+
+def test_lsk_refuses_lengths_past_a_direct_sequence(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("a search ran before n_list was checked")
+
+    monkeypatch.setattr(oscillation, "grid_sup_average", no_search)
+    ones = ComplexSequence(np.ones(500), "ones")
+    with pytest.raises(ValueError, match="n_list: 1000 exceeds sequence length 500"):
+        lsk_empirical_sup(ones, 1, [250, 1000], 8)
 
 
 def test_lsk_growth_bound_single_seed():

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oscillab import sequences
+from oscillab.polyphase import _STREAM_TERMS
 from oscillab.sequences import (
     ComplexSequence,
     SequenceParseError,
@@ -364,6 +365,24 @@ def test_cesaro_mobius_squarefree_density():
     for d in range(2, int(n**0.5) + 1):
         squarefree[d * d :: d * d] = False
     assert norm * n == squarefree.sum()
+
+
+def test_cesaro_streamed_matches_full_array_reference():
+    """Blocked sums of |c_n| agree with one sum over the whole prefix, across block edges."""
+    rng = np.random.default_rng(12)
+    n = 3 * _STREAM_TERMS + 123
+    values = rng.normal(size=n) + 1j * rng.normal(size=n)
+    cps = [1, _STREAM_TERMS - 1, _STREAM_TERMS, _STREAM_TERMS + 1, 2 * _STREAM_TERMS + 7, n]
+    norms = cesaro_l1_norm(ComplexSequence(values, "random"), cps)
+    moduli = np.abs(values)
+    expected = np.array([moduli[:c].sum() / c for c in cps])
+    assert np.abs(norms - expected).max() <= 1e-12
+
+
+def test_cesaro_int8_weights_do_not_overflow():
+    # |-128| and every partial sum lie outside the int8 range
+    values = np.full(1000, -128, dtype=np.int8)
+    assert cesaro_l1_norm(ComplexSequence(values, "int8"), [1, 1000]).tolist() == [128.0, 128.0]
 
 
 def test_cesaro_monotone_and_bounded():
