@@ -35,6 +35,7 @@ from .padic import PadicAffineSystem, affine_minimality_check, orbit_residue_cen
 from .polyphase import (
     ErgodicAverageSeries,
     PhasePolynomial,
+    _integer,
     _validated_checkpoints,
     fourier_bohr_scan,
     geometric_checkpoints,
@@ -242,8 +243,13 @@ def _items(value) -> list:
     return [part for part in str(value).split(",") if part.strip()]
 
 
+def _int(value) -> int:
+    """Decimal text (a flag) or an integral number (a JSON value); 1000.9 is refused."""
+    return int(value) if isinstance(value, str) else _integer(value)
+
+
 def _int_list(value) -> tuple[int, ...]:
-    return tuple(int(v) for v in _items(value))
+    return tuple(_int(v) for v in _items(value))
 
 
 def _float_list(value) -> tuple[float, ...]:
@@ -260,10 +266,10 @@ def _load_weights(params: dict, length: int, seed: int | None) -> ComplexSequenc
         actual_seed = params.get("seed", seed)
         if actual_seed is None:
             raise ConfigError("seed: required for rademacher weights")
-        return rademacher_sequence(_parse("seed", actual_seed, int), length)
+        return rademacher_sequence(_parse("seed", actual_seed, _int), length)
     if generator == "polyphase":
         alpha = _require(params, "alpha", float)
-        power = _require(params, "power", int)
+        power = _require(params, "power", _int)
         return polynomial_phase_sequence(alpha, power, length)
     if generator == "file":
         path = _require(params, "path", str)
@@ -287,7 +293,7 @@ def _checkpoints_or_default(config: ExperimentConfig, n: int) -> tuple[int, ...]
 
 
 def _run_generate(config: ExperimentConfig, out: Path) -> list[Path]:
-    n = _require(config.params, "n", int)
+    n = _require(config.params, "n", _int)
     if n < 1:
         raise ConfigError("n: must be >= 1")
     seq = _load_weights(config.params, n, config.seed)
@@ -296,7 +302,7 @@ def _run_generate(config: ExperimentConfig, out: Path) -> list[Path]:
     return [path]
 
 def _run_average(config: ExperimentConfig, out: Path) -> list[Path]:
-    n = _require(config.params, "n", int)
+    n = _require(config.params, "n", _int)
     coeffs = _require(config.params, "coeffs", _float_list)
     if not coeffs:
         raise ConfigError("coeffs: at least one coefficient required")
@@ -315,8 +321,8 @@ def _run_average(config: ExperimentConfig, out: Path) -> list[Path]:
 
 
 def _run_scan_spectrum(config: ExperimentConfig, out: Path) -> list[Path]:
-    n = _require(config.params, "n", int)
-    m = _require(config.params, "grid-size", int, default=1024)
+    n = _require(config.params, "n", _int)
+    m = _require(config.params, "grid-size", _int, default=1024)
     if m < 2:
         raise ConfigError("grid-size: must be >= 2")
     refine = bool(config.params.get("refine", False))
@@ -340,11 +346,11 @@ def _run_scan_spectrum(config: ExperimentConfig, out: Path) -> list[Path]:
 
 
 def _run_estimate_order(config: ExperimentConfig, out: Path) -> list[Path]:
-    n = _require(config.params, "n", int)
-    d_max = _require(config.params, "d-max", int, default=2)
+    n = _require(config.params, "n", _int)
+    d_max = _require(config.params, "d-max", _int, default=2)
     if d_max < 1:
         raise ConfigError("d-max: must be >= 1")
-    grid = _require(config.params, "grid", int, default=None)
+    grid = _require(config.params, "grid", _int, default=None)
     if grid is not None and grid < 2:
         raise ConfigError("grid: must be >= 2")
     cps = _checkpoints_or_default(config, n)
@@ -360,7 +366,7 @@ def _run_estimate_order(config: ExperimentConfig, out: Path) -> list[Path]:
 
 
 def _torus_system(params: dict) -> SkewShiftSystem:
-    m = _require(params, "m", int)
+    m = _require(params, "m", _int)
     alpha = _require(params, "alpha", float)
     if m < 1:
         raise ConfigError("m: must be >= 1")
@@ -377,7 +383,7 @@ def _torus_point(params: dict, system: SkewShiftSystem) -> tuple[float, ...]:
 def _run_simulate_torus(config: ExperimentConfig, out: Path) -> list[Path]:
     system = _torus_system(config.params)
     x = _torus_point(config.params, system)
-    steps = _require(config.params, "steps", int)
+    steps = _require(config.params, "steps", _int)
     if steps < 1:
         raise ConfigError("steps: must be >= 1")
     rows = []
@@ -397,7 +403,7 @@ def _run_verify_tower(config: ExperimentConfig, out: Path) -> list[Path]:
         raise ConfigError(f"freqs: expected {system.dimension} entries")
     if not any(freqs):
         raise ConfigError("freqs: zero frequency vector has no tower")
-    n_max = _require(config.params, "n-max", int, default=1000)
+    n_max = _require(config.params, "n-max", _int, default=1000)
     tower = build_tower(system, CharacterObservable(freqs))
     deviation = verify_factorization(tower, x, n_max)
     payload = {
@@ -426,7 +432,7 @@ def _run_multi_average(config: ExperimentConfig, out: Path) -> list[Path]:
     qs = [TimePolynomial(_parse("qs", q, _int_list)) for q in qs_spec]
     if len(chars) != len(qs):
         raise ConfigError("qs: needs one time polynomial per character")
-    if "ell" in params and _parse("ell", params["ell"], int) != len(chars):
+    if "ell" in params and _parse("ell", params["ell"], _int) != len(chars):
         raise ConfigError(f"ell: {params['ell']} does not match {len(chars)} characters")
     for char in chars:
         if len(char.frequencies) != system.dimension:
@@ -434,7 +440,7 @@ def _run_multi_average(config: ExperimentConfig, out: Path) -> list[Path]:
     weights_spec = params.get("weights")
     if not isinstance(weights_spec, dict):
         raise ConfigError("weights: required parameter block missing")
-    n = _require(params, "n", int)
+    n = _require(params, "n", _int)
     cps = _checkpoints_or_default(config, n)
     seq = _load_weights(weights_spec, n, config.seed)
     series = multiple_ergodic_average(system, chars, qs, x, seq, cps)
@@ -445,10 +451,10 @@ def _run_multi_average(config: ExperimentConfig, out: Path) -> list[Path]:
 
 
 def _padic_system(params: dict) -> PadicAffineSystem:
-    p = _require(params, "p", int)
-    a = _require(params, "a", int)
-    b = _require(params, "b", int)
-    precision = _require(params, "precision", int, default=24)
+    p = _require(params, "p", _int)
+    a = _require(params, "a", _int)
+    b = _require(params, "b", _int)
+    precision = _require(params, "precision", _int, default=24)
     if precision < 1:
         raise ConfigError("precision: must be >= 1")
     try:
@@ -459,8 +465,8 @@ def _padic_system(params: dict) -> PadicAffineSystem:
 
 def _run_simulate_padic(config: ExperimentConfig, out: Path) -> list[Path]:
     system = _padic_system(config.params)
-    x0 = _require(config.params, "x0", int)
-    steps = _require(config.params, "steps", int)
+    x0 = _require(config.params, "x0", _int)
+    steps = _require(config.params, "steps", _int)
     if steps < 1:
         raise ConfigError("steps: must be >= 1")
     rows = []
@@ -487,9 +493,9 @@ def _run_simulate_padic(config: ExperimentConfig, out: Path) -> list[Path]:
 
 def _run_census(config: ExperimentConfig, out: Path) -> list[Path]:
     system = _padic_system(config.params)
-    x0 = _require(config.params, "x0", int)
-    level = _require(config.params, "level", int)
-    steps = _require(config.params, "steps", int)
+    x0 = _require(config.params, "x0", _int)
+    level = _require(config.params, "level", _int)
+    steps = _require(config.params, "steps", _int)
     if not 0 <= level <= system.precision:
         raise ConfigError("level: must be in [0, precision]")
     if steps < 1:
@@ -505,7 +511,7 @@ def _run_lsk_check(config: ExperimentConfig, out: Path) -> list[Path]:
     seeds = _parse("seeds", params.get("seeds", default_seeds), _int_list)
     if not seeds:
         raise ConfigError("seeds: at least one seed required")
-    degree = _require(params, "d", int)
+    degree = _require(params, "d", _int)
     if degree < 1:
         raise ConfigError("d: must be >= 1")
     n_list = _require(params, "n-list", _int_list)
@@ -514,7 +520,7 @@ def _run_lsk_check(config: ExperimentConfig, out: Path) -> list[Path]:
     if min(n_list) < 2:
         # sqrt(N log N) vanishes at N = 1, so the ratio column needs N >= 2.
         raise ConfigError("n-list: entries must be >= 2")
-    grid = _require(params, "grid", int, default=16)
+    grid = _require(params, "grid", _int, default=16)
     if grid < 2:
         raise ConfigError("grid: must be >= 2")
     rows = []

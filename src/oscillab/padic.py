@@ -278,7 +278,7 @@ def _orbit_indices(q, count: int, tail_length: int, cycle_length: int):
 
     i(t) = tail_length + (t - tail_length) mod L, read off
     ``_cycle_positions`` of q - tail_length, except on the runs where
-    q(n) < tail_length, found exactly by Sturm isolation, where i(t) = t.
+    q(n) < tail_length, found exactly by forward differences, where i(t) = t.
     Those runs hold at most degree * tail_length points unless q is
     constant.
     """

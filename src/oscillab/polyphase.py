@@ -149,7 +149,7 @@ def phase_at(poly: PhasePolynomial, n: int) -> float:
     Reference evaluator: each term t_j * n^j is split exactly as
     (num_j * n^j mod den_j) / den_j and the rational parts are summed
     without rounding.  The single float conversion at the end is the
-    only inexact step.
+    only inexact step; a value that rounds up to 1.0 is folded back to 0.0.
     """
     n = operator.index(n)
     if n < 0:
@@ -159,7 +159,7 @@ def phase_at(poly: PhasePolynomial, n: int) -> float:
         if c:
             den = c.denominator
             total += Fraction((c.numerator * pow(n, j, den)) % den, den)
-    return float(total % 1)
+    return float(total % 1) % 1.0
 
 
 def _to_fixed(value) -> int:
@@ -172,6 +172,20 @@ def _fixed_to_float(fx: int) -> float:
     return fx * _INV_2_128
 
 
+def _forward_differences(values) -> list:
+    """Leading entries v(0), (delta v)(0), (delta^2 v)(0), ... of the difference table.
+
+    For the values at 0..d of a polynomial of degree <= d these are its
+    coefficients a_j in the binomial basis, v(n) = sum_j a_j C(n, j).
+    """
+    row = list(values)
+    leading = []
+    while row:
+        leading.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    return leading
+
+
 def _fixed_seed_table(coeffs: tuple[Fraction, ...], count: int) -> list[int]:
     """frac(P(n)) for n = 0..count-1 as 128-bit fixed-point integers.
 
@@ -182,11 +196,8 @@ def _fixed_seed_table(coeffs: tuple[Fraction, ...], count: int) -> list[int]:
     """
     den = math.lcm(*(c.denominator for c in coeffs))
     ints = [c.numerator * (den // c.denominator) for c in coeffs]
-    row = [sum(a * n**j for j, a in enumerate(ints)) % den for n in range(len(ints))]
-    diffs = []
-    while row:
-        diffs.append(row[0])
-        row = [(b - a) % den for a, b in zip(row, row[1:])]
+    values = [sum(a * n**j for j, a in enumerate(ints)) for n in range(len(ints))]
+    diffs = [v % den for v in _forward_differences(values)]
     d = len(diffs) - 1
     seeds = []
     for _ in range(count):
@@ -243,7 +254,7 @@ def _phase_blocks(poly: PhasePolynomial, count: int, block_terms: int):
     block_rows = -(-block_terms // lanes)
     coeffs = poly.coefficients
     if all(c == 0 for c in coeffs[1:]):
-        value = float(coeffs[0])
+        value = float(coeffs[0]) % 1.0
         size = block_rows * lanes
         return (
             (start, np.full(min(size, count - start), value))
@@ -318,12 +329,25 @@ def _weights(seq) -> np.ndarray:
     return values
 
 
+def _integer(value, name: str | None = None) -> int:
+    """``value`` as an int: ints, numpy integers and integral floats (a JSON ``1e6``).
+
+    Anything else, such as 1000.9, a bool or text, raises a ValueError
+    (naming ``name`` when given) instead of being truncated.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ValueError(f"{name + ': ' if name else ''}expected an integer, got {value!r}")
+
+
 def _validated_checkpoints(checkpoints, limit: int | None = None) -> tuple[int, ...]:
     """Checkpoints as a nonempty, strictly increasing tuple of lengths >= 1.
 
     With ``limit`` given, the last checkpoint may not exceed it.
     """
-    cps = tuple(int(c) for c in checkpoints)
+    cps = tuple(_integer(c, "checkpoints") for c in checkpoints)
     if not cps:
         raise ValueError("checkpoints: at least one checkpoint required")
     if any(c < 1 for c in cps):

@@ -32,9 +32,6 @@ STANDARD_GAUSSIAN = "standard-gaussian"
 
 _KINDS = (RADEMACHER, SCALED_RADEMACHER, STANDARD_GAUSSIAN)
 
-#: Empirical headroom multiple of sqrt(N log N); policy, not theory.
-GROWTH_HEADROOM = 5.0
-
 
 @dataclass(frozen=True)
 class Distribution:

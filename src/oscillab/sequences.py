@@ -27,11 +27,6 @@ from .polyphase import (
     unit_values,
 )
 
-# The sieves hold one int8 table and one helper of the smallest unsigned
-# dtype that holds the limit (4 bytes per entry at 10^7), and finish in
-# well under a second at that length.
-SIEVE_TESTED_LIMIT = 10_000_000
-
 _SEED_LIMIT = 1 << 64
 
 
@@ -76,6 +71,9 @@ class ComplexSequence:
         return np.asarray(self.values, dtype=np.complex128)
 
 
+# The sieves hold one int8 table and one helper of the smallest unsigned
+# dtype that holds the limit (4 bytes per entry at 10^7), and finish in
+# well under a second at that length.
 def _primes_up_to(limit: int) -> np.ndarray:
     if limit < 2:
         return np.empty(0, dtype=np.int64)

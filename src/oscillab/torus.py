@@ -18,6 +18,7 @@ evaluation routes compared by ``verify_factorization`` agree to float
 resolution, not merely to some drifting tolerance.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,6 +31,8 @@ from .polyphase import (
     PhasePolynomial,
     _binomial_to_monomial,
     _fixed_to_float,
+    _forward_differences,
+    _integer,
     _to_fixed,
     _validated_checkpoints,
     binomial_phase_polynomial,
@@ -101,7 +104,7 @@ class CharacterObservable:
     frequencies: tuple[int, ...]
 
     def __post_init__(self):
-        freqs = tuple(int(k) for k in self.frequencies)
+        freqs = tuple(_integer(k, "frequencies") for k in self.frequencies)
         if not freqs:
             raise ValueError("frequencies: must be nonempty")
         object.__setattr__(self, "frequencies", freqs)
@@ -205,7 +208,7 @@ def build_tower(system: SkewShiftSystem, char: CharacterObservable) -> QuasiEige
     emits the constant e(k_1 * alpha); the recursion bottoms out at the
     constant level after exactly ``char.order`` steps.
     """
-    freqs = tuple(int(k) for k in char.frequencies)
+    freqs = char.frequencies
     if len(freqs) != system.dimension:
         raise ValueError(
             f"frequencies: expected {system.dimension} entries, got {len(freqs)}"
@@ -336,29 +339,17 @@ class TimePolynomial:
     binomial_coefficients: tuple[int, ...]
 
     def __post_init__(self):
-        coeffs = tuple(int(a) for a in self.binomial_coefficients)
+        coeffs = tuple(_integer(a, "binomial_coefficients") for a in self.binomial_coefficients)
         if not coeffs:
             raise ValueError("binomial_coefficients: must be nonempty")
         object.__setattr__(self, "binomial_coefficients", coeffs)
 
     @classmethod
     def from_power(cls, power: int) -> "TimePolynomial":
-        """q(n) = n^power via n^k = sum_j S2(k, j) j! C(n, j)."""
+        """q(n) = n^power: a_j is the j-th forward difference of n^power at 0."""
         if power < 0:
             raise ValueError("power: must be nonnegative")
-        if power == 0:
-            return cls((1,))
-        # Stirling numbers of the second kind, row `power`.
-        row = [0] * (power + 1)
-        row[0] = 1
-        for _ in range(power):
-            new = [0] * (power + 1)
-            for j in range(power):
-                if row[j]:
-                    new[j] += j * row[j]
-                    new[j + 1] += row[j]
-            row = new
-        return cls(tuple(row[j] * math.factorial(j) for j in range(power + 1)))
+        return cls(tuple(_forward_differences([n**power for n in range(power + 1)])))
 
     @property
     def degree(self) -> int:
@@ -385,104 +376,36 @@ class TimePolynomial:
     def negative_runs(self, count: int) -> list[tuple[int, int]]:
         """Maximal runs [start, stop) of the integers n in [0, count) with q(n) < 0.
 
-        A Sturm chain with integer coefficients counts the distinct real
-        roots in (a, b] exactly; bisecting (-1, count - 1] down to the
-        unit intervals (k - 1, k] that hold a root yields the markers k.
-        No root lies between consecutive markers, so the integers strictly
-        between them share one sign and are read at one point, and each
-        marker is evaluated on its own.  Exact, with about degree *
-        log2(count) chain evaluations.
+        Found by forward differences, from integer values of q alone.
+        The difference q(n + 1) - q(n) has binomial coefficients a_1, a_2,
+        ..., so its negative runs over [0, count - 1) are the runs [s, t)
+        on which q falls strictly; between them q does not fall.  Their
+        ends cut [0, count - 1] into pieces on which q is monotone, so on
+        each piece {q < 0} is a suffix (q falling) or a prefix (q rising)
+        whose end is found by bisection.  Runs from pieces that share an
+        endpoint merge.  The base case is a constant or a single point.
         """
         if count < 1:
             raise ValueError("count: must be >= 1")
-        markers = []
-        if self.degree > 0:
-            chain = _sturm_chain(self.monomial_coefficients())
-            stack = [(-1, count - 1, _sign_changes(chain, -1), _sign_changes(chain, count - 1))]
-            while stack:
-                lo, hi, changes_lo, changes_hi = stack.pop()
-                if changes_lo == changes_hi:
-                    continue
-                if hi - lo == 1:
-                    markers.append(hi)
-                    continue
-                mid = (lo + hi) // 2
-                changes_mid = _sign_changes(chain, mid)
-                stack.append((lo, mid, changes_lo, changes_mid))
-                stack.append((mid, hi, changes_mid, changes_hi))
+        if count == 1 or self.degree == 0:
+            return [(0, count)] if self(0) < 0 else []
+        falls = TimePolynomial(self.binomial_coefficients[1:]).negative_runs(count - 1)
+        # The pieces [cuts[i], cuts[i + 1]] alternate: q does not fall for even i, falls for odd i.
+        cuts = [0, *(n for run in falls for n in run), count - 1]
         runs: list[tuple[int, int]] = []
-
-        def negative(start: int, stop: int) -> None:
-            if runs and runs[-1][1] == start:
+        for i, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+            falling = i % 2 == 1
+            if self(hi if falling else lo) >= 0:
+                continue
+            # First n in [lo, hi] with q(n) < 0 on a fall, q(n) >= 0 on a rise; hi + 1 if none.
+            edge = lo + bisect.bisect_left(
+                range(lo, hi + 1), True, key=lambda n: (self(n) < 0) == falling
+            )
+            start, stop = (edge, hi + 1) if falling else (lo, edge)
+            if runs and start <= runs[-1][1]:
                 start = runs.pop()[0]
             runs.append((start, stop))
-
-        gap_start = 0
-        for k in sorted(markers) + [count]:
-            if gap_start < k and self(gap_start) < 0:
-                negative(gap_start, k)
-            if k < count and self(k) < 0:
-                negative(k, k + 1)
-            gap_start = k + 1
         return runs
-
-
-def _poly_divmod(num: list, den: list) -> tuple[list, list]:
-    """Quotient and remainder of exact polynomials, highest degree first."""
-    rem = list(num)
-    quot = []
-    while len(rem) >= len(den):
-        factor = rem[0] / den[0]
-        quot.append(factor)
-        for i, d in enumerate(den):
-            rem[i] -= factor * d
-        rem.pop(0)
-    while rem and rem[0] == 0:
-        rem.pop(0)
-    return quot, rem
-
-
-def _primitive(poly: list) -> tuple[int, ...]:
-    """Positive multiple of a rational polynomial with coprime integer coefficients."""
-    scale = math.lcm(*(Fraction(c).denominator for c in poly))
-    ints = [int(c * scale) for c in poly]
-    content = math.gcd(*ints)
-    return tuple(c // content for c in ints)
-
-
-def _derivative(poly: list) -> list:
-    degree = len(poly) - 1
-    return [c * (degree - i) for i, c in enumerate(poly[:-1])]
-
-
-def _sturm_chain(monomial_coeffs) -> list[tuple[int, ...]]:
-    """Sturm chain of the square-free part of a nonconstant polynomial.
-
-    Members are scaled by positive constants to integer coefficients
-    (highest degree first), which leaves every sign unchanged.  For a
-    square-free p the sign changes V(x) along the chain, zeros skipped,
-    satisfy V(a) - V(b) = #{distinct real roots in (a, b]} for a < b.
-    """
-    p = [Fraction(c) for c in reversed(monomial_coeffs)]
-    gcd, rest = p, _derivative(p)
-    while rest:
-        gcd, rest = rest, _poly_divmod(gcd, rest)[1]
-    chain = [_poly_divmod(p, gcd)[0]]
-    chain.append(_derivative(chain[0]))
-    while rem := _poly_divmod(chain[-2], chain[-1])[1]:
-        chain.append([-c for c in rem])
-    return [_primitive(member) for member in chain]
-
-
-def _sign_changes(chain: list[tuple[int, ...]], x: int) -> int:
-    signs = []
-    for member in chain:
-        value = 0
-        for c in member:
-            value = value * x + c
-        if value:
-            signs.append(value > 0)
-    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
 def _check_nonnegative_times(time_polynomials, count: int) -> None:

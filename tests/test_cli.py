@@ -455,6 +455,41 @@ def test_config_checkpoint_error_names_field(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: checkpoints:")
 
 
+@pytest.mark.parametrize(
+    "field, n, checkpoints",
+    [
+        ("n", 1000.9, None),
+        ("checkpoints", 1000, [250.5, 500.2, 1000.9]),
+        ("n", 1000.9, [250.5, 500.2, 1000.9]),
+    ],
+)
+def test_config_fractional_integers_exit_one(tmp_path, capsys, field, n, checkpoints):
+    config = ExperimentConfig(
+        command="average",
+        params={"generator": "mobius", "n": n, "coeffs": "0,0.5"},
+        out_dir=str(tmp_path / "out"),
+        checkpoints=checkpoints,
+    )
+    cfg = tmp_path / "fractional.json"
+    cfg.write_text(config.serialize())
+    assert run(["average", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field}: expected an integer")
+    assert not (tmp_path / "out" / "average.csv").exists()
+
+
+def test_config_integral_json_numbers_are_integers(tmp_path):
+    cfg = tmp_path / "integral.json"
+    cfg.write_text(json.dumps({
+        "command": "average",
+        "params": {"generator": "mobius", "n": 1e3, "coeffs": "0,0.5"},
+        "checkpoints": [2.5e2, 500, 1e3],
+        "out_dir": str(tmp_path / "out"),
+    }))
+    assert run(["average", "--config", str(cfg)]) == 0
+    rows = (tmp_path / "out" / "average.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["250", "500", "1000"]
+
+
 def readme_commands() -> list[list[str]]:
     """Every ``oscillab ...`` line of the README "Command line" block, split into argv."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -65,6 +65,17 @@ def test_phase_stream_zero_polynomial():
     assert not phase_stream(PhasePolynomial.zero(3), 100).any()
 
 
+def test_phase_just_below_one_is_zero_on_every_path():
+    # 1 - 2^-60 rounds to 1.0 as a float, which must fold back to 0.0.
+    c = 1 - Fraction(1, 2**60)
+    constant = PhasePolynomial([c])
+    stepped = PhasePolynomial([c - Fraction(1, 2), Fraction(1, 2)])  # c at odd n
+    assert phase_at(constant, 0) == 0.0
+    assert phase_at(stepped, 1) == 0.0
+    assert phase_stream(constant, 3).tolist() == [0.0, 0.0, 0.0]
+    assert phase_stream(stepped, 4)[1::2].tolist() == [0.0, 0.0]
+
+
 def test_phase_stream_matches_oracle_quadratic():
     poly = PhasePolynomial.monomial(SQRT2M1, 2)
     phases = phase_stream(poly, 10**4)
@@ -271,6 +282,19 @@ def test_average_checkpoint_validation():
         weighted_exponential_average(ones, PhasePolynomial.zero(), [5, 20])
     with pytest.raises(ValueError):
         weighted_exponential_average(ones, PhasePolynomial.zero(), [5, 5])
+
+
+def test_checkpoints_must_be_integers():
+    ones = ComplexSequence(np.ones(1000), "ones")
+    zero = PhasePolynomial.zero()
+    with pytest.raises(ValueError, match=r"checkpoints: expected an integer, got 2\.7"):
+        weighted_exponential_average(ones, zero, [2.7, 9.99])
+    for bad in (True, "10", Fraction(5, 2)):
+        with pytest.raises(ValueError, match="checkpoints: expected an integer"):
+            weighted_exponential_average(ones, zero, [bad])
+    integral = weighted_exponential_average(ones, zero, [np.int64(10), 1e2, np.float32(1000.0)])
+    assert integral.checkpoints == (10, 100, 1000)
+    assert all(type(n) is int for n in integral.checkpoints)
 
 
 def test_series_invariants():

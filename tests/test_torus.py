@@ -224,6 +224,15 @@ def test_time_polynomial_basics():
     assert TimePolynomial.from_power(0)(17) == 1
 
 
+def test_integer_fields_refuse_fractional_values():
+    with pytest.raises(ValueError, match=r"binomial_coefficients: expected an integer, got 1\.5"):
+        TimePolynomial((1.5, 2.7))
+    with pytest.raises(ValueError, match=r"frequencies: expected an integer, got 1\.5"):
+        CharacterObservable((0, 1.5))
+    assert TimePolynomial((np.int64(-3), 2.0)).binomial_coefficients == (-3, 2)
+    assert CharacterObservable((0, np.int32(1), 1e6)).frequencies == (0, 1, 1000000)
+
+
 def test_time_polynomial_negativity_detection():
     # q(n) = C(n,1) - 3 = n - 3 dips below zero for n < 3
     q = TimePolynomial((-3, 1))
@@ -307,6 +316,85 @@ def test_first_negative_random_coefficients_match_scan(coeffs, count):
     q = TimePolynomial(tuple(coeffs))
     assert q.first_negative_on_range(count) == first_negative_by_scan(q, count)
     assert q.negative_runs(count) == negative_runs_by_scan(q, count)
+
+
+def product_polynomial(factors, lead=1, shift=0):
+    """q(n) = lead * prod(den * n - num) + shift as a TimePolynomial, and the same q as a function."""
+
+    def direct(n):
+        return lead * math.prod(den * n - num for den, num in factors) + shift
+
+    q = TimePolynomial(binomial_coefficients_of([direct(n) for n in range(len(factors) + 1)]))
+    assert all(q(n) == direct(n) for n in range(0, 500, 41))
+    return q, direct
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    factors=st.lists(
+        st.tuples(st.integers(1, 3), st.integers(-20, 250)), min_size=9, max_size=12
+    ),
+    lead=st.sampled_from([-3, -1, 1, 2]),
+    shift=st.integers(-3, 3),
+    count=st.integers(1, 150),
+)
+def test_negative_runs_degrees_nine_to_twelve_match_scan(factors, lead, shift, count):
+    q, direct = product_polynomial(factors, lead, shift)
+    assert q.degree == len(factors)
+    assert q.negative_runs(count) == negative_runs_by_scan(direct, count)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    roots=st.lists(
+        st.tuples(st.integers(0, 120), st.integers(1, 4)), min_size=1, max_size=3
+    ),
+    lead=st.sampled_from([-2, -1, 1, 3]),
+    shift=st.integers(-2, 2),
+    count=st.integers(1, 150),
+)
+def test_negative_runs_repeated_roots_match_scan(roots, lead, shift, count):
+    """Each root r is repeated up to four times."""
+    factors = [(1, r) for r, times in roots for _ in range(times)]
+    q, direct = product_polynomial(factors, lead, shift)
+    assert q.negative_runs(count) == negative_runs_by_scan(direct, count)
+
+
+def test_negative_runs_touch_both_ends():
+    # (2n - 5)(2n - 15)(2n - 25) < 0 exactly for n <= 2 and 8 <= n <= 12.
+    q, direct = product_polynomial([(2, 5), (2, 15), (2, 25)])
+    assert q.negative_runs(13) == [(0, 3), (8, 13)]
+    assert q.negative_runs(11) == [(0, 3), (8, 11)]
+    # -(n - 3)^2 (n - 9) is negative exactly for 10 <= n: the run ends at count.
+    falling, _ = product_polynomial([(1, 3), (1, 3), (1, 9)], lead=-1)
+    assert falling.negative_runs(30) == [(10, 30)]
+    for count in range(1, 40):
+        assert q.negative_runs(count) == negative_runs_by_scan(direct, count)
+        assert falling.negative_runs(count) == negative_runs_by_scan(falling, count)
+
+
+def test_negative_runs_counts_one_and_two_and_constants():
+    assert TimePolynomial((-1,)).negative_runs(5) == [(0, 5)]
+    assert TimePolynomial((-7, 0, 0)).negative_runs(1) == [(0, 1)]
+    assert TimePolynomial((-7, 0, 0)).first_negative_on_range(9) == 0
+    assert TimePolynomial((0,)).negative_runs(5) == []
+    assert TimePolynomial((1, -2)).negative_runs(1) == []  # 1 - 2n
+    assert TimePolynomial((1, -2)).negative_runs(2) == [(1, 2)]
+    assert TimePolynomial((-1, 2)).negative_runs(2) == [(0, 1)]  # -1 + 2n
+    assert TimePolynomial((-1, -1)).negative_runs(2) == [(0, 2)]  # -1 - n
+    assert TimePolynomial((-1, 1)).negative_runs(2) == [(0, 1)]  # n - 1
+    assert TimePolynomial((3, -4, 2)).negative_runs(2) == [(1, 2)]  # n^2 - 5n + 3
+    for coeffs in [(-1, -1, 1), (2, -5, 4), (0, -1, 3, -1)]:
+        q = TimePolynomial(coeffs)
+        for count in (1, 2):
+            assert q.negative_runs(count) == negative_runs_by_scan(q, count)
+
+
+def test_from_power_is_the_power():
+    for power in range(13):
+        q = TimePolynomial.from_power(power)
+        assert q.degree == power
+        assert [q(n) for n in range(50)] == [n**power for n in range(50)]
 
 
 def test_multiple_average_trivial_tensor():
