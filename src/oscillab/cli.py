@@ -21,7 +21,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .oscillation import (
@@ -82,23 +81,22 @@ class ExperimentConfig:
     checkpoints: tuple[int, ...] | None = None
 
     def serialize(self) -> str:
-        payload = asdict(self)
-        if payload["checkpoints"] is not None:
-            payload["checkpoints"] = list(payload["checkpoints"])
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def parse(cls, text: str) -> "ExperimentConfig":
         data = json.loads(text)
         if "command" not in data:
             raise ConfigError("command: missing from config")
+        # Split only, as the --checkpoints flag is: the runner reads the
+        # items as integers after the fields it checks first.
         cps = data.get("checkpoints")
         return cls(
             command=data["command"],
             params=dict(data.get("params", {})),
             out_dir=data.get("out_dir", "."),
             seed=data.get("seed"),
-            checkpoints=tuple(cps) if cps is not None else None,
+            checkpoints=tuple(_items(cps)) if cps is not None else None,
         )
 
 
@@ -588,7 +586,6 @@ def run_experiment(config: ExperimentConfig) -> tuple[int, list[Path]]:
         "versions": {
             "oscillab": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": sys.version.split()[0],
         },
         "wall_time_seconds": elapsed,

@@ -49,8 +49,10 @@ DECAY_SLOPE = -0.2
 DECAY_LEVEL = 0.1
 NONDECAY_LEVEL = 0.5
 
-#: Refinement stops once its step falls below this pitch.
+#: Refinement stops once its step falls below this pitch,
 MIN_STEP = 1e-5
+#: or once it has scored this many candidates, the start included.
+MAX_EVALS = 10_000
 
 
 class GridBudgetError(RuntimeError):
@@ -137,7 +139,6 @@ def refine_local(
     start,
     n_terms: int,
     initial_step: float = 1.0 / 16,
-    max_evals: int = 10_000,
 ) -> tuple[float, tuple[float, ...]]:
     """Coordinate descent polish of a coefficient vector, wrapped mod 1.
 
@@ -145,7 +146,7 @@ def refine_local(
     sweep with no improvement, stopping below ``MIN_STEP``).  The t_0
     slot is left untouched since it cannot change the modulus.  Never
     returns a value below the start value and scores at most
-    ``max_evals`` candidates, the start included.
+    ``MAX_EVALS`` candidates, the start included.
 
     The terms w_n = c_n e(P(n)) at the current point are kept.  Moving
     t_i by the exact shift s multiplies them by f_n = e(s n^i), so both
@@ -168,12 +169,12 @@ def refine_local(
     best = abs(base.sum()) / n_terms
     evals = 1
     step = float(initial_step)
-    while step >= MIN_STEP and evals < max_evals:
+    while step >= MIN_STEP and evals < MAX_EVALS:
         improved = False
         for i in range(1, degree + 1):
             factor = plus_shift = None
             for plus in (True, False):
-                if evals >= max_evals:
+                if evals >= MAX_EVALS:
                     break
                 candidate = list(coeffs)
                 candidate[i] = (candidate[i] + (step if plus else -step)) % 1.0

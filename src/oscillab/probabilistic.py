@@ -18,7 +18,6 @@ law is not pinned down; tests use the documented headroom factor 5.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 # growth_exponent lives in oscillation, which fits decay slopes with it too;
 # it stays importable from here.
@@ -80,7 +79,12 @@ class RandomSequenceSpec:
 
 
 def sample(spec: RandomSequenceSpec) -> ComplexSequence:
-    """Deterministic realization of the spec (counter-based per entry)."""
+    """Deterministic realization of the spec (counter-based per entry).
+
+    Gaussian entry n is Box-Muller on the uniforms at counters 2n and
+    2n + 1, sqrt(-2 ln u_2n) cos(2 pi u_2n+1); the uniforms lie in
+    [2^-54, 1), so the logarithm is finite.
+    """
     kind = spec.distribution.kind
     if kind == RADEMACHER:
         return rademacher_sequence(spec.seed, spec.length)
@@ -91,9 +95,9 @@ def sample(spec: RandomSequenceSpec) -> ComplexSequence:
             values,
             f"scaled-rademacher(c={spec.distribution.scale}, seed={spec.seed}, n={spec.length})",
         )
-    uniforms = uniform_unit_sequence(spec.seed, spec.length)
+    u = uniform_unit_sequence(spec.seed, 2 * spec.length)
     return ComplexSequence(
-        ndtri(uniforms),
+        np.sqrt(-2.0 * np.log(u[0::2])) * np.cos(2.0 * np.pi * u[1::2]),
         f"standard-gaussian(seed={spec.seed}, n={spec.length})",
     )
 

@@ -11,7 +11,6 @@ value at the integer n + 1.  Averaging code consumes stored indices
 uniformly and never needs to know.
 """
 
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -235,71 +234,33 @@ def read_sequence(path) -> ComplexSequence:
     non-blank character is '#', is skipped; any other line holds exactly
     two whitespace-separated tokens, each parsed by Python ``float``.
 
-    One ``np.loadtxt`` call parses the file.  It drops a trailing '# ...'
-    after the numbers and rejects tokens such as ``1_0`` that ``float``
-    takes, so the line loop ``_parse_lines`` stays: it runs whenever
-    ``loadtxt`` cannot be trusted to agree (see ``_loadtxt_agrees``) or
-    rejects the file or finds other than two columns, and it alone
-    raises ``SequenceParseError`` with the offending line.
+    The leading lines the grammar skips are counted, and one
+    ``np.loadtxt`` call with comments off parses the rest, so a '#'
+    anywhere after them makes it raise.  ``loadtxt`` also rejects tokens
+    such as ``1_0`` that ``float`` takes, so the line loop ``_parse_lines``
+    stays: it runs when there is no data line, when ``loadtxt`` raises or
+    finds other than two columns, and it alone raises
+    ``SequenceParseError`` with the offending line.
     """
     path = Path(path)
     provenance = f"file({path})"
     with path.open("r", encoding="utf-8") as handle:
-        if _loadtxt_agrees(handle):
-            handle.seek(0)
-            try:
-                table = np.loadtxt(handle, dtype=np.float64, comments="#", ndmin=2)
-            except ValueError:
-                pass
-            else:
-                if table.shape[1] == 2:
-                    return ComplexSequence(table.view(np.complex128).reshape(-1), provenance)
+        skipped = 0
+        for raw in handle:
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                handle.seek(0)
+                try:
+                    table = np.loadtxt(handle, comments=None, skiprows=skipped, ndmin=2)
+                except ValueError:
+                    pass
+                else:
+                    if table.shape[1] == 2:
+                        return ComplexSequence(table.view(np.complex128).reshape(-1), provenance)
+                break
+            skipped += 1
         handle.seek(0)
         return ComplexSequence(_parse_lines(handle, path), provenance)
-
-
-# Characters per block scanned by ``_loadtxt_agrees``.  Blocks, not the
-# whole text, keep the scan's memory flat: a decoded 10^7-line file of
-# 17-digit values is 400 MB of text.
-_SCAN_CHARS = 1 << 20
-
-# Start of a data line: its first non-blank character is not '#'.
-_DATA_LINE = re.compile(r"^[^\S\n]*[^\s#]", re.MULTILINE)
-
-
-def _loadtxt_agrees(handle) -> bool:
-    """False when ``np.loadtxt`` could accept the text differently from the grammar.
-
-    A text without a data line makes ``loadtxt`` warn and return an empty
-    table, and a '#' with non-blank text before it on its line is a
-    comment to ``loadtxt`` but an error to the grammar.  Every other
-    difference (``1_0``, non-ASCII digits) makes ``loadtxt`` raise.  The
-    text is read in blocks of whole lines; within a block only the lines
-    that hold a '#' are visited.
-    """
-    found_data = False
-    pending = ""
-    for chunk in iter(lambda: handle.read(_SCAN_CHARS), ""):
-        block, _, pending = (pending + chunk).rpartition("\n")
-        if _has_inline_comment(block):
-            return False
-        found_data = found_data or _DATA_LINE.search(block) is not None
-    if _has_inline_comment(pending):
-        return False
-    return found_data or _DATA_LINE.search(pending) is not None
-
-
-def _has_inline_comment(text: str) -> bool:
-    hash_at = text.find("#")
-    while hash_at >= 0:
-        line_start = text.rfind("\n", 0, hash_at) + 1
-        if text[line_start:hash_at].strip():
-            return True
-        line_end = text.find("\n", hash_at)
-        if line_end < 0:
-            return False
-        hash_at = text.find("#", line_end)
-    return False
 
 
 def _parse_lines(lines, path: Path) -> np.ndarray:

@@ -490,6 +490,28 @@ def test_config_integral_json_numbers_are_integers(tmp_path):
     assert [row.split(",")[0] for row in rows] == ["250", "500", "1000"]
 
 
+def test_config_checkpoint_text_reads_as_the_flag(tmp_path):
+    """A JSON string "125" is checkpoint 125, as --checkpoints 125 is, not (1, 2, 5)."""
+    cfg = tmp_path / "text.json"
+    cfg.write_text(json.dumps({
+        "command": "average",
+        "params": {"generator": "mobius", "n": 200, "coeffs": "0,0.5"},
+        "checkpoints": "125",
+        "out_dir": str(tmp_path / "out"),
+    }))
+    assert run(["average", "--config", str(cfg)]) == 0
+    rows = (tmp_path / "out" / "average.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["125"]
+
+
+def test_import_loads_no_scipy():
+    """The package and its CLI run on numpy alone."""
+    code = "import sys, oscillab, oscillab.cli; print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
 def readme_commands() -> list[list[str]]:
     """Every ``oscillab ...`` line of the README "Command line" block, split into argv."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -154,13 +154,14 @@ def reference_refine(values, degree, start, initial_step, min_step=1e-5, max_eva
     return best, tuple(coeffs)
 
 
-def test_refine_respects_eval_budget():
+def test_refine_respects_eval_budget(monkeypatch):
     rng = np.random.default_rng(13)
     values = rng.normal(size=256) + 1j * rng.normal(size=256)
     seq = ComplexSequence(values, "random")
     start = (0.0, 0.5, 0.5)
     for max_evals in (1, 2, 3, 25):
-        value, coeffs = refine_local(seq, 2, start, 256, max_evals=max_evals)
+        monkeypatch.setattr(oscillation, "MAX_EVALS", max_evals)
+        value, coeffs = refine_local(seq, 2, start, 256)
         ref_value, ref_coeffs = reference_refine(values, 2, start, 1.0 / 16, max_evals=max_evals)
         assert coeffs == ref_coeffs
         assert abs(value - ref_value) <= 1e-12
@@ -169,7 +170,7 @@ def test_refine_respects_eval_budget():
 @pytest.mark.parametrize("degree", [1, 2, 3])
 @pytest.mark.parametrize("count", [64, 1000, 4096])
 @pytest.mark.parametrize("grid", [16, 10])
-def test_refine_matches_direct_evaluation(degree, count, grid):
+def test_refine_matches_direct_evaluation(degree, count, grid, monkeypatch):
     """Scoring from cached terms takes the same path as direct evaluation.
 
     G = 16 starts give dyadic shifts; G = 10 starts give inexact float
@@ -185,9 +186,8 @@ def test_refine_matches_direct_evaluation(degree, count, grid):
         seq = ComplexSequence(values, name)
         _, start = grid_sup_average(seq, degree, grid, count)
         for max_evals in (1, 2, 25, 10_000):
-            value, coeffs = refine_local(
-                seq, degree, start, count, initial_step=1.0 / grid, max_evals=max_evals
-            )
+            monkeypatch.setattr(oscillation, "MAX_EVALS", max_evals)
+            value, coeffs = refine_local(seq, degree, start, count, initial_step=1.0 / grid)
             ref_value, ref_coeffs = reference_refine(
                 values, degree, start, 1.0 / grid, max_evals=max_evals
             )
@@ -196,7 +196,7 @@ def test_refine_matches_direct_evaluation(degree, count, grid):
             assert value == direct_average_modulus(values, coeffs)
 
 
-def test_refine_scores_minus_step_at_its_own_candidate():
+def test_refine_scores_minus_step_at_its_own_candidate(monkeypatch):
     """-step is scored at the float c - step, not at c - (exact +step shift).
 
     From t_3 = 0 with step 1/10, (0 + 0.1) % 1 and (0 - 0.1) % 1 round to
@@ -213,7 +213,8 @@ def test_refine_scores_minus_step_at_its_own_candidate():
     values = 0.5 + 0.6 * np.conj(target_terms)
     seq = ComplexSequence(values, "two resonances")
     for max_evals in (7, 25):
-        value, coeffs = refine_local(seq, 3, start, count, initial_step=0.1, max_evals=max_evals)
+        monkeypatch.setattr(oscillation, "MAX_EVALS", max_evals)
+        value, coeffs = refine_local(seq, 3, start, count, initial_step=0.1)
         ref_value, ref_coeffs = reference_refine(values, 3, start, 0.1, max_evals=max_evals)
         assert coeffs == ref_coeffs
         assert abs(value - ref_value) <= 1e-12

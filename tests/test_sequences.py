@@ -250,21 +250,22 @@ _LINE = st.one_of(_DATA, _DATA, _DATA, _BLANK, _COMMENT)
     lines=st.lists(_LINE, max_size=12),
     ending=st.sampled_from(["\n", "\r\n", "\r"]),
     final_newline=st.booleans(),
-    scan_chars=st.integers(1, 8),
 )
-@example(lines=["# only comments", "   # indented"], ending="\n", final_newline=True, scan_chars=3)
-@example(lines=[], ending="\n", final_newline=False, scan_chars=3)
-@example(lines=["1 0 # inline", "2 0"], ending="\n", final_newline=True, scan_chars=3)
-@example(lines=["1_0 0", "2 0"], ending="\r\n", final_newline=True, scan_chars=3)
-@example(lines=["# header", "1 2 3", "4 5 6"], ending="\n", final_newline=True, scan_chars=3)
-@example(lines=["1", "2"], ending="\n", final_newline=True, scan_chars=3)
+@example(lines=["# only comments", "   # indented"], ending="\n", final_newline=True)
+@example(lines=[], ending="\n", final_newline=False)
+@example(lines=["", " ", "\t"], ending="\n", final_newline=True)
+@example(lines=["", "# header", "  ", "\t# note", "1 2", "3 4"], ending="\r\n", final_newline=False)
+@example(lines=["1 0", "# between", "2 0"], ending="\n", final_newline=True)
+@example(lines=["1 0 # inline", "2 0"], ending="\n", final_newline=True)
+@example(lines=["1_0 0", "2 0"], ending="\r\n", final_newline=True)
+@example(lines=["# header", "1 2 3", "4 5 6"], ending="\n", final_newline=True)
+@example(lines=["1", "2"], ending="\n", final_newline=True)
 @example(
     lines=["nan -0.0", "inf -inf", "5e-324 1.7976931348623157e308"],
     ending="\n",
     final_newline=True,
-    scan_chars=3,
 )
-def test_read_sequence_matches_line_parser(lines, ending, final_newline, scan_chars):
+def test_read_sequence_matches_line_parser(lines, ending, final_newline):
     """Fast and per-line parsers agree bit for bit, or raise at the same line."""
     text = ending.join(lines) + (ending if final_newline and lines else "")
     with tempfile.TemporaryDirectory() as tmp:
@@ -273,9 +274,18 @@ def test_read_sequence_matches_line_parser(lines, ending, final_newline, scan_ch
             handle.write(text)
         expected = _outcome(reference_read_sequence, path)
         assert _outcome(lambda p: read_sequence(p).values, path) == expected
-        # Scan blocks of a few characters split lines at every position.
-        with mock.patch.object(sequences, "_SCAN_CHARS", scan_chars):
-            assert _outcome(lambda p: read_sequence(p).values, path) == expected
+
+
+def test_read_sequence_one_loadtxt_call(tmp_path):
+    """Leading blank and comment lines are skipped, then one loadtxt call parses the rest."""
+    path = tmp_path / "seq.txt"
+    path.write_text("\n# header\n  # note\n1 2\n\n3 4\n", encoding="utf-8")
+    with mock.patch.object(sequences.np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        values = read_sequence(path).values
+    assert values.tolist() == [1 + 2j, 3 + 4j]
+    assert loadtxt.call_count == 1
+    assert loadtxt.call_args.kwargs["comments"] is None
+    assert loadtxt.call_args.kwargs["skiprows"] == 3
 
 
 @pytest.mark.parametrize(
