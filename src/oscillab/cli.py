@@ -671,23 +671,29 @@ def _config_from_args(args) -> ExperimentConfig:
 # threshold keeps it steady: whole-sequence arrays get their own mapping
 # and are returned when freed, while streamed blocks (about 1 MB) and
 # other small buffers reuse heap space, kept up to the trim threshold.
+# Whether a free gets past that threshold hangs on the sizes freed before
+# it, so each command first returns the free heap pages (malloc_trim).
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _MMAP_THRESHOLD_BYTES = 4 << 20
 
 
 def _fix_malloc_thresholds() -> None:
-    """Pin the C allocator's mmap and trim thresholds (glibc only; a no-op elsewhere)."""
+    """Pin the C allocator's thresholds and return its free heap pages (glibc only; a no-op elsewhere)."""
     if not sys.platform.startswith("linux"):
         return
     try:
-        mallopt = ctypes.CDLL(None).mallopt
+        libc = ctypes.CDLL(None)
+        mallopt, malloc_trim = libc.mallopt, libc.malloc_trim
     except (OSError, AttributeError):
         return
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
     mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_BYTES)
+    malloc_trim.argtypes = (ctypes.c_size_t,)
+    malloc_trim.restype = ctypes.c_int
+    malloc_trim(0)
 
 
 def main(argv=None) -> int:

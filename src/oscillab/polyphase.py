@@ -18,16 +18,15 @@ paths avoid this:
   arithmetic.  It is slow and serves as the reference oracle.
 * ``phase_blocks`` emits frac(P(n)) for n = 0..N-1 in blocks of about
   ``_STREAM_TERMS`` terms using blocked forward-difference tables held
-  in 128-bit fixed point.  The seeds come from one exact integer table:
-  with den the lcm of the coefficient denominators, den * P(n) mod den
-  is an integer polynomial, stepped exactly over the seeded indices and
-  truncated once per seed to fixed point.  Addition mod 1 is exact in
-  that representation, so the only error is that single 2^-128
-  truncation per seed (none when den divides 2^128, as for every float
-  coefficient >= 2^-76) plus one float rounding on output; the
-  documented bound of 1e-9 at N = 10^6, d <= 4 is met with orders of
-  magnitude to spare.  ``phase_stream`` is the same stream taken as a
-  single block, for callers that keep the whole array.
+  in 128-bit fixed point.  The seeds are exact: Horner's rule on uint64
+  word pairs when every coefficient denominator divides 2^128 (every
+  float coefficient >= 2^-76), else a Python-integer table of
+  den * P(n) mod den, den the lcm of the denominators, truncated once
+  per seed.  Mod-1 addition is exact in that representation, so the
+  only error is that one 2^-128 truncation per seed (none on the dyadic
+  route) plus one float rounding on output: the 1e-9 bound at N = 10^6,
+  d <= 4 is met with orders of magnitude to spare.  ``phase_stream`` is
+  the same stream taken as one block, for callers that keep the array.
 
 Every long consumer (weighted and multiple ergodic averages, p-adic
 averages, the residue fold of the spectrum scan) works block by block:
@@ -52,14 +51,17 @@ MAX_DEGREE = 8
 # Phases in [0, 1) as 128-bit fixed-point integers: mod-1 addition is exact.
 _FIXED_BITS = 128
 _FIXED_MASK = (1 << _FIXED_BITS) - 1
+_FIXED_ONE = 1 << _FIXED_BITS
 _MASK64 = (1 << 64) - 1
+_MASK32 = np.uint64((1 << 32) - 1)
+_SHIFT32 = np.uint64(32)
 _INV_2_64 = 2.0 ** -64
 _INV_2_128 = 2.0 ** -128
 
-# Lane width of the blocked difference table.  Seeding steps one exact
-# integer table over at most lanes * (d + 1) indices, d additions mod den
-# per index and one truncation per seed; each lane then steps N/lanes
-# times in fixed point, where mod-1 addition is exact.
+# Lane width of the blocked difference table.  At most lanes * (d + 1)
+# <= 36,864 < 2^32 indices are seeded, by Horner on uint64 pairs or, for
+# non-dyadic denominators, one big-int table; each lane then steps
+# N/lanes times in fixed point, where mod-1 addition is exact.
 _MAX_LANES = 4096
 
 # Terms per block of every streamed consumer: a block's phases, unit
@@ -187,7 +189,7 @@ def _forward_differences(values) -> list:
 
 
 def _fixed_seed_table(coeffs: tuple[Fraction, ...], count: int) -> list[int]:
-    """frac(P(n)) for n = 0..count-1 as 128-bit fixed-point integers.
+    """frac(P(n)) for n = 0..count-1 as 128-bit fixed-point Python ints, for any denominators.
 
     With den the lcm of the coefficient denominators, V(n) = den * P(n)
     mod den is an integer polynomial.  V is stepped exactly with an
@@ -207,6 +209,36 @@ def _fixed_seed_table(coeffs: tuple[Fraction, ...], count: int) -> list[int]:
     return seeds
 
 
+def _seed_pairs(coeffs: tuple[Fraction, ...], count: int) -> tuple[np.ndarray, np.ndarray]:
+    """frac(P(n)) for n = 0..count-1 in 128-bit fixed point, as high and low uint64 arrays.
+
+    When every denominator divides 2^128, 2^128 * P(n) mod 2^128 is
+    sum_j A_j n^j with integers A_j = 2^128 t_j: Horner's rule on uint64
+    pairs evaluates it exactly for all n at once, the low word multiplied
+    in 32-bit halves (n < 2^32) with carries into the high word.  Scalars
+    are np.uint64, since numpy 1.x makes uint64 with Python ints float64.
+    Other denominators take the big-int ``_fixed_seed_table``.
+    """
+    if any(_FIXED_ONE % c.denominator for c in coeffs):
+        seeds = _fixed_seed_table(coeffs, count)
+        return (
+            np.array([v >> 64 for v in seeds], dtype=np.uint64),
+            np.array([v & _MASK64 for v in seeds], dtype=np.uint64),
+        )
+    n = np.arange(count, dtype=np.uint64)
+    hi = np.zeros(count, dtype=np.uint64)
+    lo = np.zeros(count, dtype=np.uint64)
+    for c in reversed(coeffs):
+        low = (lo & _MASK32) * n
+        mid = (lo >> _SHIFT32) * n
+        lo = low + (mid << _SHIFT32)
+        hi = hi * n + (mid >> _SHIFT32) + (lo < low)
+        a_hi, a_lo = (np.uint64(w) for w in divmod(_to_fixed(c), 1 << 64))
+        lo += a_lo
+        hi += a_hi + (lo < a_lo)
+    return hi, lo
+
+
 def _lanes(count: int) -> int:
     """Lane width of the difference table for a stream of ``count`` terms."""
     return min(_MAX_LANES, max(64, count // 64))
@@ -220,9 +252,10 @@ def phase_blocks(poly: PhasePolynomial, count: int):
     table of d+1 registers, each step one addition per register.  The
     registers live in 128-bit fixed point (a pair of uint64 arrays)
     where mod-1 addition is exact, so no rounding accumulates across
-    steps.  The registers are seeded from one exact integer table
-    (``_fixed_seed_table``) with one truncation per seed.  Agrees with
-    ``phase_at`` to well below 1e-9 for N <= 10^7 and degree <= 8.
+    steps.  They are seeded exactly by ``_seed_pairs``, on uint64 pairs
+    when every denominator divides 2^128, else from a big-int table with
+    one truncation per seed.  Agrees with ``phase_at`` to well below
+    1e-9 for N <= 10^7 and degree <= 8.
 
     Each block holds a whole number of rows of B terms, about
     ``_STREAM_TERMS`` terms, so only the registers and one block are
@@ -270,9 +303,7 @@ def _stepped_blocks(coeffs: tuple[Fraction, ...], count: int, lanes: int, block_
     # Row i seeds P(i*lanes + r); a row with i >= steps never reaches
     # row 0, so only the first min(d + 1, steps) rows are seeded.
     rows = min(d + 1, steps)
-    seeds = _fixed_seed_table(coeffs, rows * lanes)
-    hi = np.array([v >> 64 for v in seeds], dtype=np.uint64).reshape(rows, lanes)
-    lo = np.array([v & _MASK64 for v in seeds], dtype=np.uint64).reshape(rows, lanes)
+    hi, lo = (words.reshape(rows, lanes) for words in _seed_pairs(coeffs, rows * lanes))
 
     # Forward differences along the rows, exact mod 2^128 (borrow from lo).
     for j in range(1, rows):

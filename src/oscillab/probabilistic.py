@@ -23,7 +23,7 @@ import numpy as np
 # it stays importable from here.
 from .oscillation import growth_exponent, sup_search
 from .polyphase import _weights
-from .sequences import ComplexSequence, rademacher_sequence, uniform_unit_sequence
+from .sequences import ComplexSequence, _counter_blocks, rademacher_sequence
 
 RADEMACHER = "rademacher"
 SCALED_RADEMACHER = "scaled-rademacher"
@@ -82,8 +82,8 @@ def sample(spec: RandomSequenceSpec) -> ComplexSequence:
     """Deterministic realization of the spec (counter-based per entry).
 
     Gaussian entry n is Box-Muller on the uniforms at counters 2n and
-    2n + 1, sqrt(-2 ln u_2n) cos(2 pi u_2n+1); the uniforms lie in
-    [2^-54, 1), so the logarithm is finite.
+    2n + 1, sqrt(-2 ln u_2n) cos(2 pi u_2n+1), drawn block by block; the
+    uniforms lie in [2^-54, 1), so the logarithm is finite.
     """
     kind = spec.distribution.kind
     if kind == RADEMACHER:
@@ -95,11 +95,11 @@ def sample(spec: RandomSequenceSpec) -> ComplexSequence:
             values,
             f"scaled-rademacher(c={spec.distribution.scale}, seed={spec.seed}, n={spec.length})",
         )
-    u = uniform_unit_sequence(spec.seed, 2 * spec.length)
-    return ComplexSequence(
-        np.sqrt(-2.0 * np.log(u[0::2])) * np.cos(2.0 * np.pi * u[1::2]),
-        f"standard-gaussian(seed={spec.seed}, n={spec.length})",
-    )
+    values = np.empty(spec.length, dtype=np.float64)
+    for start, stop, words in _counter_blocks(spec.seed, spec.length, 2):
+        u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        values[start:stop] = np.sqrt(-2.0 * np.log(u[:, 0])) * np.cos(2.0 * np.pi * u[:, 1])
+    return ComplexSequence(values, f"standard-gaussian(seed={spec.seed}, n={spec.length})")
 
 
 def subnormality_margin(distribution: Distribution, lambda_grid) -> list[tuple[float, float]]:

@@ -159,30 +159,32 @@ def _splitmix64(seed: int, indices: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
+def _counter_blocks(seed: int, n: int, width: int = 1):
+    """Hashes of entries 0..n-1 as ``(start, stop, words)`` blocks of ``_STREAM_TERMS`` entries.
+
+    Row i - start of the (stop - start, width) uint64 ``words`` hashes counters
+    width * i .. width * i + width - 1, so no entry depends on n or on the blocking.
+    """
+    if not 0 <= seed < _SEED_LIMIT:
+        raise ValueError("seed: must fit in 64 bits")
+    for start in range(0, n, _STREAM_TERMS):
+        stop = min(n, start + _STREAM_TERMS)
+        counters = np.arange(width * start, width * stop, dtype=np.uint64)
+        yield start, stop, _splitmix64(seed, counters).reshape(-1, width)
+
+
 def rademacher_sequence(seed: int, n: int) -> ComplexSequence:
     """Deterministic +-1 sequence keyed by (seed, index).
 
     Any entry is computable independently of the rest, so the generator
     is reproducible and trivially parallel.
     """
-    if not 0 <= seed < _SEED_LIMIT:
-        raise ValueError("seed: must fit in 64 bits")
     if n < 1:
         raise ValueError("n: must be >= 1")
     values = np.empty(n, dtype=np.int8)
-    for start in range(0, n, _STREAM_TERMS):
-        stop = min(n, start + _STREAM_TERMS)
-        bits = _splitmix64(seed, np.arange(start, stop, dtype=np.uint64)) >> np.uint64(63)
-        values[start:stop] = 1 - 2 * bits.astype(np.int8)
+    for start, stop, words in _counter_blocks(seed, n):
+        values[start:stop] = 1 - 2 * (words[:, 0] >> np.uint64(63)).astype(np.int8)
     return ComplexSequence(values, f"rademacher(seed={seed}, n={n})")
-
-
-def uniform_unit_sequence(seed: int, n: int) -> np.ndarray:
-    """Deterministic uniforms in (0, 1), same counter-based keying."""
-    if not 0 <= seed < _SEED_LIMIT:
-        raise ValueError("seed: must fit in 64 bits")
-    bits = _splitmix64(seed, np.arange(n, dtype=np.uint64)) >> np.uint64(11)
-    return (bits.astype(np.float64) + 0.5) * 2.0**-53
 
 
 def polynomial_phase_sequence(alpha, power: int, n: int) -> ComplexSequence:

@@ -571,3 +571,39 @@ def test_cli_pins_malloc_thresholds():
 
     assert retained_mb("dynamic") > 12
     assert retained_mb("pinned") < 4
+
+
+_RELEASED_AT_START = """
+import numpy as np
+
+from oscillab import cli
+
+
+def rss_mb():
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1]) / 1024
+
+
+cli._fix_malloc_thresholds()
+# 1 MB arrays stay below the pinned mmap threshold, so they live in the
+# heap; the last one, still alive, keeps the heap's top from shrinking.
+blocks = [np.ones(1 << 17) for _ in range(9)]
+del blocks[:8]
+before = rss_mb()
+cli._fix_malloc_thresholds()
+print(before - rss_mb())
+"""
+
+
+@pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc" or not Path("/proc/self/status").exists(),
+    reason="malloc_trim is glibc's; RSS is read from /proc",
+)
+def test_cli_returns_free_heap_pages_at_command_start():
+    """8 MB freed below a live heap top is resident until main starts the next command."""
+    result = subprocess.run(
+        [sys.executable, "-c", _RELEASED_AT_START], capture_output=True, text=True, check=True
+    )
+    assert float(result.stdout) > 6

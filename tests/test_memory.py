@@ -2,6 +2,7 @@
 
 from oscillab.padic import PadicAffineSystem, padic_weighted_average
 from oscillab.polyphase import PhasePolynomial, fourier_bohr_scan, weighted_exponential_average
+from oscillab.probabilistic import Distribution, RandomSequenceSpec, sample
 from oscillab.sequences import cesaro_l1_norm, mobius_sequence, rademacher_sequence, write_sequence
 from oscillab.torus import TimePolynomial
 
@@ -34,6 +35,12 @@ def test_write_sequence_transient_peak(traced_peak, tmp_path):
 def test_rademacher_generation_peak(traced_peak):
     # The int8 result itself is 4 MB of this.
     assert traced_peak(rademacher_sequence, 3, N) < 16 * MB
+
+
+def test_gaussian_sample_peak(traced_peak):
+    # The float64 result itself is 8 MB of this.
+    spec = RandomSequenceSpec(Distribution("standard-gaussian"), 3, 10**6)
+    assert traced_peak(sample, spec) < 16 * MB
 
 
 def test_padic_average_transient_peak(traced_peak):

@@ -5,15 +5,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oscillab.polyphase import (
+    _MAX_LANES,
     _STREAM_TERMS,
     ErgodicAverageSeries,
     PhasePolynomial,
+    _fixed_seed_table,
     _lanes,
     _residue_buckets,
+    _seed_pairs,
     binomial_coefficient,
     binomial_phase_polynomial,
     compose_time_polynomial,
@@ -168,6 +171,37 @@ def test_phase_stream_seed_table_matches_oracle(coefficients, count, data):
     for n in {0, count // 2, count - 1, *boundaries, *picks}:
         delta = abs(phases[n] - phase_at(poly, n))
         assert min(delta, 1 - delta) <= 1e-12, (poly, count, n)
+
+
+_SEED_ROWS_MAX = 9 * _MAX_LANES
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    numerators=st.lists(st.integers(0, 2**128 - 1), min_size=2, max_size=9),
+    count=st.one_of(st.integers(1, 3000), st.integers(1, _SEED_ROWS_MAX)),
+    denominator=st.just(2**128),
+)
+# The uint64-pair path at its largest denominator, every word all ones ...
+@example(numerators=[2**128 - 1] * 9, count=_SEED_ROWS_MAX, denominator=2**128)
+# ... and the big-int path just past it and at a non-dyadic denominator.
+@example(numerators=[2**129 - 1] * 9, count=_SEED_ROWS_MAX, denominator=2**129)
+@example(numerators=[1] * 9, count=_SEED_ROWS_MAX, denominator=3)
+def test_seed_pairs_match_big_int_table_bit_for_bit(numerators, count, denominator):
+    """``_seed_pairs`` against the exact big-int table, all 128 bits of every seed.
+
+    A carry dropped from the low word is worth 2^-64, below what a float
+    comparison of phases can see, so the fixed-point words are compared
+    exactly; a few seeds are also checked against ``phase_at``.
+    """
+    poly = PhasePolynomial([Fraction(k, denominator) for k in numerators])
+    hi, lo = _seed_pairs(poly.coefficients, count)
+    assert hi.dtype == lo.dtype == np.uint64 and hi.shape == lo.shape == (count,)
+    seeds = [(h << 64) | w for h, w in zip(hi.tolist(), lo.tolist())]
+    assert seeds == _fixed_seed_table(poly.coefficients, count)
+    for n in {0, 1, count // 2, count - 1} & set(range(count)):
+        delta = abs(seeds[n] * 2.0**-128 - phase_at(poly, n))
+        assert min(delta, 1 - delta) <= 1e-15, n
 
 
 def block_edges(count):

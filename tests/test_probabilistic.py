@@ -15,7 +15,7 @@ from oscillab.probabilistic import (
     sample,
     subnormality_margin,
 )
-from oscillab.sequences import ComplexSequence
+from oscillab.sequences import ComplexSequence, _splitmix64
 
 
 def test_rademacher_margin_nonnegative():
@@ -62,6 +62,16 @@ def test_gaussian_sampling_deterministic():
     assert np.array_equal(short.values, a.values[:1000])
     assert abs(a.values.mean()) < 0.1
     assert abs(a.values.std() - 1.0) < 0.1
+
+
+@pytest.mark.parametrize("length", [1, 65_537, 200_000])
+def test_gaussian_draws_match_the_unblocked_formula(length):
+    """Blocked Box-Muller gives, bit for bit, the draws of hashing all 2N counters at once."""
+    u = ((_splitmix64(42, np.arange(2 * length, dtype=np.uint64)) >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    expected = np.sqrt(-2.0 * np.log(u[0::2])) * np.cos(2.0 * np.pi * u[1::2])
+    drawn = sample(RandomSequenceSpec(Distribution("standard-gaussian"), 42, length)).values
+    assert drawn.dtype == np.float64
+    assert drawn.tobytes() == expected.tobytes()
 
 
 def test_lsk_zero_sequence():
