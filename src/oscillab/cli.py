@@ -246,6 +246,13 @@ def _int(value) -> int:
     return int(value) if isinstance(value, str) else _integer(value)
 
 
+def _bool(value) -> bool:
+    """A JSON boolean (a store_true flag is one too); text such as "false" is refused."""
+    if isinstance(value, bool):
+        return value
+    raise ValueError(f"expected true or false, got {value!r}")
+
+
 def _int_list(value) -> tuple[int, ...]:
     return tuple(_int(v) for v in _items(value))
 
@@ -323,7 +330,7 @@ def _run_scan_spectrum(config: ExperimentConfig, out: Path) -> list[Path]:
     m = _require(config.params, "grid-size", _int, default=1024)
     if m < 2:
         raise ConfigError("grid-size: must be >= 2")
-    refine = bool(config.params.get("refine", False))
+    refine = _require(config.params, "refine", _bool, default=False)
     seq = _load_weights(config.params, n, config.seed)
     scan = fourier_bohr_scan(seq, m, n)
     rows = [(f"{freq:.17g}", modulus) for freq, modulus in scan]

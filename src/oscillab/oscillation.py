@@ -254,8 +254,14 @@ def report_to_json(report: OscillationReport) -> str:
     payload = [
         {
             "degree": prof.degree,
+            "grid_per_dim": prof.grid_per_dim,
             "checkpoints": [
-                {"n": est.n, "sup": est.sup, "coeffs": list(est.coefficients)}
+                {
+                    "n": est.n,
+                    "sup": est.sup,
+                    "coeffs": list(est.coefficients),
+                    "grid_sup": est.grid_sup,
+                }
                 for est in prof.estimates
             ],
             "slope": prof.slope,

@@ -28,6 +28,14 @@ paths avoid this:
   d <= 4 is met with orders of magnitude to spare.  ``phase_stream`` is
   the same stream taken as one block, for callers that keep the array.
 
+``unit_values`` turns phases into e(phase) without a complex
+exponential: 4096 * phase splits exactly into an integer k and a rest
+r in [0, 1), so e(phase) is the table root e(k / 4096) times e(r / 4096),
+whose angle is below 1.6e-3 and takes a degree-5 Taylor series (off by
+under 2e-20).  Values agree with ``np.exp`` to about 1e-15, and the
+input is worked through in 2^13-term pieces so that the scratch of a
+piece stays in cache.
+
 Every long consumer (weighted and multiple ergodic averages, p-adic
 averages, the residue fold of the spectrum scan) works block by block:
 weights become complex one block at a time and each block's terms are
@@ -67,6 +75,22 @@ _MAX_LANES = 4096
 # Terms per block of every streamed consumer: a block's phases, unit
 # values and terms are about 2.5 MB together, whatever N is.
 _STREAM_TERMS = 1 << 16
+
+# e(phase) reads e(k / _ROOT_COUNT) from a table and corrects it by a
+# short Taylor series; the table is built from its first quarter turned
+# by i, -1 and -i, so e(j / 4) are exact.
+_ROOT_COUNT = 1 << 12
+_ROOT_STEP = 2 * math.pi / _ROOT_COUNT
+_QUARTER_ROOTS = np.exp((1j * _ROOT_STEP) * np.arange(_ROOT_COUNT // 4))
+_ROOTS = np.concatenate([_QUARTER_ROOTS, 1j * _QUARTER_ROOTS, -_QUARTER_ROOTS, -1j * _QUARTER_ROOTS])
+
+# Terms per piece of ``unit_values``: its scratch, 56 bytes a term, is
+# then 448 KB and a piece's dozen passes stay in a core's L2 cache.  On a
+# Xeon with 2 MB of L2 per core, 10^6 phases took 18 ns/term in 2^13-term
+# pieces, 23 in ``_STREAM_TERMS`` pieces (3.5 MB of scratch) and 55 as
+# one piece (np.exp: 64); one piece also raised the sup search's peak
+# RSS by 19%.
+_UNIT_TERMS = 1 << 13
 
 
 def _reduced(value) -> Fraction:
@@ -341,10 +365,68 @@ def _drift_bound(degree: int, count: int) -> int:
     return sum(math.comb(last_row, j) << j for j in range(degree + 1))
 
 
-def unit_values(phases: np.ndarray) -> np.ndarray:
-    """e(phase) for an array of phases in turns."""
-    z = (2j * np.pi) * np.asarray(phases, dtype=np.float64)
-    return np.exp(z, out=z)
+def unit_values(phases) -> np.ndarray:
+    """e(phase) for an array of phases in turns, as a complex array of the same shape.
+
+    x = 4096 * phase and k = floor(x) are exact in floats, so
+    e(phase) = R[k mod 4096] * e(r / 4096) with r = x - k in [0, 1) also
+    exact.  The root R comes from the table ``_ROOTS``; the residual
+    angle theta = 2 pi r / 4096 is below 1.6e-3, where
+    cos = 1 - theta^2/2 + theta^4/24 and sin = theta - theta^3/6 +
+    theta^5/120 are off by under 2e-20.  What is left is float rounding:
+    values agree with ``np.exp(2j * pi * phase)`` to about 1e-15 on
+    [-1, 1), and their moduli are within 1e-15 of 1.  Phases that differ
+    by an integer give the same values bit for bit as long as both are
+    exact floats.
+
+    The input is worked through in ``_UNIT_TERMS`` = 2^13-term pieces
+    written into the one preallocated result, so a piece's scratch stays
+    in cache whatever the size; at ``_STREAM_TERMS`` it would not fit a
+    core's L2 cache and run slower per term.  Phases must be finite with
+    magnitude below 2^51, so that k fits an int64; others raise a
+    ValueError.
+    """
+    phases = np.asarray(phases, dtype=np.float64)
+    values = np.empty(phases.shape, dtype=np.complex128)
+    src = phases.reshape(-1)
+    dst = values.reshape(-1)
+    size = min(src.size, _UNIT_TERMS)
+    scratch = [np.empty(size) for _ in range(4)]
+    scratch += [np.empty(size, dtype=np.intp), np.empty(size, dtype=np.complex128)]
+    # For finite phases below 2^51 no step is invalid; for others the cast of k is.
+    try:
+        with np.errstate(invalid="raise"):
+            for start in range(0, src.size, _UNIT_TERMS):
+                stop = min(src.size, start + _UNIT_TERMS)
+                _unit_piece(src[start:stop], dst[start:stop], scratch)
+    except FloatingPointError:
+        raise ValueError("phases: must be finite with magnitude below 2^51") from None
+    return values
+
+
+def _unit_piece(phases: np.ndarray, out: np.ndarray, scratch) -> None:
+    """Write e(phases) into ``out`` by the table method of ``unit_values``."""
+    x, k, theta2, cos, index, roots = (a[: phases.size] for a in scratch)
+    np.multiply(phases, float(_ROOT_COUNT), out=x)
+    np.floor(x, out=k)
+    np.subtract(x, k, out=x)
+    index[...] = k
+    np.bitwise_and(index, _ROOT_COUNT - 1, out=index)
+    np.take(_ROOTS, index, out=roots)
+    theta = np.multiply(x, _ROOT_STEP, out=x)
+    np.multiply(theta, theta, out=theta2)
+    np.multiply(theta2, 1 / 24, out=cos)
+    cos -= 0.5
+    cos *= theta2
+    cos += 1.0
+    sin = np.multiply(theta2, 1 / 120, out=k)
+    sin -= 1 / 6
+    sin *= theta2
+    sin *= theta
+    sin += theta
+    out.real = cos
+    out.imag = sin
+    np.multiply(out, roots, out=out)
 
 
 def _weights(seq) -> np.ndarray:

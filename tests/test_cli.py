@@ -139,7 +139,7 @@ def test_report_json_schema_via_emit(tmp_path):
     report = estimate_oscillation_profile(seq, 1, [1000, 2000, 4000])
     path = emit_report(report, "json", tmp_path / "r.json")
     payload = json.loads(path.read_text())
-    assert set(payload[0]) == {"degree", "checkpoints", "slope", "verdict"}
+    assert set(payload[0]) == {"degree", "grid_per_dim", "checkpoints", "slope", "verdict"}
 
 
 def test_svg_polyline_per_degree(tmp_path):
@@ -504,6 +504,36 @@ def test_config_checkpoint_text_reads_as_the_flag(tmp_path):
     assert [row.split(",")[0] for row in rows] == ["125"]
 
 
+@pytest.mark.parametrize("refine", ["false", "true", 0, 1])
+def test_config_refine_must_be_a_boolean(tmp_path, capsys, refine):
+    """Text or numbers for ``refine`` exit 1 naming it; "false" used to turn refinement on."""
+    cfg = tmp_path / "refine.json"
+    cfg.write_text(json.dumps({
+        "command": "scan-spectrum",
+        "params": {"generator": "mobius", "n": 2000, "grid-size": 64, "refine": refine},
+        "out_dir": str(tmp_path / "out"),
+    }))
+    assert run(["scan-spectrum", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error: refine: expected true or false")
+    assert not (tmp_path / "out" / "spectrum_refined.json").exists()
+
+
+@pytest.mark.parametrize("refine, refined", [(False, False), (True, True), (None, False)])
+def test_config_refine_boolean(tmp_path, refine, refined):
+    cfg = tmp_path / "refine.json"
+    cfg.write_text(json.dumps({
+        "command": "scan-spectrum",
+        "params": {"generator": "mobius", "n": 2000, "grid-size": 64, "refine": refine},
+        "out_dir": str(tmp_path / "out"),
+    }))
+    assert run(["scan-spectrum", "--config", str(cfg)]) == 0
+    assert (tmp_path / "out" / "spectrum_refined.json").exists() == refined
+    flag_out = tmp_path / "flag"
+    argv = ["scan-spectrum", "--generator", "mobius", "--n", "2000", "--grid-size", "64"]
+    assert run(argv + ["--refine", "--out", str(flag_out)]) == 0
+    assert (flag_out / "spectrum_refined.json").exists()
+
+
 def test_import_loads_no_scipy():
     """The package and its CLI run on numpy alone."""
     code = "import sys, oscillab, oscillab.cli; print('scipy' in sys.modules)"
@@ -526,6 +556,25 @@ def test_readme_commands_parse():
     parser = build_parser()
     for argv in commands:
         assert parser.parse_args(argv).command == argv[0]
+
+
+def test_readme_estimate_order_reports_its_grid(tmp_path):
+    """The README example's report says which pitch each degree used and what the grid found.
+
+    The grid folds residues and the refinement streams terms, so where
+    the refinement keeps the grid point the two values of that one point
+    can differ in their last bits: ``grid_sup <= sup`` is checked to the
+    benchmark gate's 1e-12.
+    """
+    [argv] = [a for a in readme_commands() if a[0] == "estimate-order"]
+    out = tmp_path / "order"
+    assert run(argv[: argv.index("--out")] + ["--out", str(out)]) == 0
+    report = json.loads((out / "oscillation.json").read_text())
+    assert [prof["degree"] for prof in report] == [1, 2]
+    for prof in report:
+        assert prof["grid_per_dim"] == 16
+        for cp in prof["checkpoints"]:
+            assert 0 < cp["grid_sup"] <= cp["sup"] + 1e-12
 
 
 _RETAINED_AFTER_FREE = """
@@ -607,3 +656,4 @@ def test_cli_returns_free_heap_pages_at_command_start():
         [sys.executable, "-c", _RELEASED_AT_START], capture_output=True, text=True, check=True
     )
     assert float(result.stdout) > 6
+

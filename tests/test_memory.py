@@ -1,7 +1,9 @@
 """Long averages, norms and writes stream in blocks: transient memory does not grow with N."""
 
+import numpy as np
+
 from oscillab.padic import PadicAffineSystem, padic_weighted_average
-from oscillab.polyphase import PhasePolynomial, fourier_bohr_scan, weighted_exponential_average
+from oscillab.polyphase import PhasePolynomial, fourier_bohr_scan, unit_values, weighted_exponential_average
 from oscillab.probabilistic import Distribution, RandomSequenceSpec, sample
 from oscillab.sequences import cesaro_l1_norm, mobius_sequence, rademacher_sequence, write_sequence
 from oscillab.torus import TimePolynomial
@@ -14,6 +16,12 @@ def test_weighted_average_transient_peak(traced_peak):
     weights = rademacher_sequence(3, N)
     poly = PhasePolynomial([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
     assert traced_peak(weighted_exponential_average, weights, poly, [10**5, 10**6, N]) < 16 * MB
+
+
+def test_unit_values_peak(traced_peak):
+    # The complex result itself is 16 MB of this; whole-array scratch would add 56 MB.
+    phases = np.random.default_rng(3).random(10**6)
+    assert traced_peak(unit_values, phases) < 17 * MB
 
 
 def test_spectrum_scan_transient_peak(traced_peak):

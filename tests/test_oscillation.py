@@ -354,5 +354,5 @@ def test_report_json_schema():
     payload = json.loads(report_to_json(report))
     assert isinstance(payload, list)
     entry = payload[0]
-    assert set(entry) == {"degree", "checkpoints", "slope", "verdict"}
-    assert set(entry["checkpoints"][0]) == {"n", "sup", "coeffs"}
+    assert set(entry) == {"degree", "grid_per_dim", "checkpoints", "slope", "verdict"}
+    assert set(entry["checkpoints"][0]) == {"n", "sup", "coeffs", "grid_sup"}

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from oscillab.polyphase import (
     _MAX_LANES,
     _STREAM_TERMS,
+    _UNIT_TERMS,
     ErgodicAverageSeries,
     PhasePolynomial,
     _fixed_seed_table,
@@ -270,6 +271,77 @@ def test_constant_and_stepped_streams_share_block_edges(count):
     assert stepped == constant
     assert [s for s, _ in stepped[1:]] == block_edges(count)
     assert sum(size for _, size in stepped) == count
+
+
+def _exp_reference(phases):
+    return np.exp(2j * np.pi * np.asarray(phases, dtype=np.float64))
+
+
+def test_unit_values_match_numpy_exp():
+    """Random phases, every table point k/4096 and the float just below it, 1 - 2^-53, j/4."""
+    rng = np.random.default_rng(12)
+    k = np.arange(-4096, 4097) / 4096
+    phases = np.concatenate([
+        2 * rng.random(3 * _UNIT_TERMS + 17) - 1,
+        k,
+        k - 2.0**-53,
+        [1 - 2.0**-53],
+        np.arange(-4, 5) / 4,
+    ])
+    values = unit_values(phases)
+    assert np.abs(values - _exp_reference(phases)).max() <= 2e-15
+    assert np.abs(np.abs(values) - 1).max() <= 1e-15
+
+
+@pytest.mark.parametrize("quarter", [0, 1, 2, 3])
+def test_unit_values_within_ulps_next_to_exact_roots(quarter):
+    """Past j/4 the table root is exactly i^j, so each part is the series itself.
+
+    There cos and sin of the one residual angle must match ``np.cos`` and
+    ``np.sin`` to 2 ulps: the series is exact to 2e-20, against the
+    2.2e-19 ulp of sin near 1.5e-3.
+    """
+    rng = np.random.default_rng(quarter)
+    r = rng.integers(0, 2**40, 10_000) / 2.0**40
+    theta = r * (2 * np.pi / 4096)
+    expected = (np.cos(theta) + 1j * np.sin(theta)) * 1j**quarter
+    values = unit_values(quarter / 4 + r / 4096)
+    for part in ("real", "imag"):
+        got, want = getattr(values, part), getattr(expected, part)
+        assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    numerators=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=64),
+    shift=st.integers(-(2**20), 2**20),
+)
+@example(numerators=[0, 2**30, 2**31, 3 * 2**30, 2**32 - 1], shift=2**20)
+def test_unit_values_integer_shift_is_bit_identical(numerators, shift):
+    phases = np.array(numerators) / 2.0**32
+    shifted = phases + shift
+    assert np.array_equal(shifted - shift, phases)  # both are exact floats
+    assert np.array_equal(unit_values(shifted).view(np.uint64), unit_values(phases).view(np.uint64))
+
+
+def test_unit_values_pieces_do_not_change_values():
+    phases = np.random.default_rng(5).random(2 * _UNIT_TERMS + 3)
+    split = np.concatenate([unit_values(phases[:7]), unit_values(phases[7:])])
+    assert np.array_equal(unit_values(phases).view(np.uint64), split.view(np.uint64))
+
+
+@pytest.mark.parametrize("phases", [[], np.zeros((0, 3)), 0.375, np.array(0.125), [[0.1, 0.2], [0.3, -0.4]]])
+def test_unit_values_keep_shape(phases):
+    values = unit_values(phases)
+    assert isinstance(values, np.ndarray) and values.dtype == np.complex128
+    assert values.shape == np.shape(phases)
+    assert np.allclose(values, _exp_reference(phases), rtol=0, atol=2e-15)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2.0**52])
+def test_unit_values_refuse_phases_off_the_table_domain(bad):
+    with pytest.raises(ValueError, match="phases"):
+        unit_values([0.25, bad])
 
 
 @pytest.mark.parametrize(
