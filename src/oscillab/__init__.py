@@ -28,7 +28,6 @@ from .padic import (
 from .polyphase import (
     ErgodicAverageSeries,
     PhasePolynomial,
-    binomial_coefficient,
     binomial_phase_polynomial,
     compose_time_polynomial,
     fourier_bohr_scan,

@@ -34,6 +34,7 @@ from .padic import PadicAffineSystem, affine_minimality_check, orbit_residue_cen
 from .polyphase import (
     ErgodicAverageSeries,
     PhasePolynomial,
+    _fixed_to_float,
     _integer,
     _validated_checkpoints,
     fourier_bohr_scan,
@@ -61,6 +62,7 @@ from .torus import (
     CharacterObservable,
     SkewShiftSystem,
     TimePolynomial,
+    _orbit_registers,
     build_tower,
     multiple_ergodic_average,
     verify_factorization,
@@ -391,11 +393,10 @@ def _run_simulate_torus(config: ExperimentConfig, out: Path) -> list[Path]:
     steps = _require(config.params, "steps", _int)
     if steps < 1:
         raise ConfigError("steps: must be >= 1")
-    rows = []
-    point = x
-    for n in range(steps):
-        rows.append((n, *point))
-        point = system.step(point)
+    rows = [
+        (n, *map(_fixed_to_float, regs[1:]))
+        for n, regs in enumerate(_orbit_registers(system, x, steps))
+    ]
     header = "n," + ",".join(f"x{i + 1}" for i in range(system.dimension))
     return [_write_csv(out / "orbit.csv", header, rows)]
 

@@ -212,25 +212,39 @@ def _forward_differences(values) -> list:
     return leading
 
 
+def _difference_steps(registers: list, count: int, modulus: int):
+    """Yield ``registers`` r_0, ..., r_k at steps 0..count-1 of the difference recurrence.
+
+    One step adds r_{j-1} to r_j mod ``modulus`` for j = k, ..., 1, so r_0
+    is constant and r_k after n steps is sum_j C(n, k - j) r_j mod
+    ``modulus``.  The list is updated in place and the same list is
+    yielded each time, so read it before the next step.  With a
+    polynomial's leading forward differences, highest first, r_k steps
+    through its values; with (alpha, x_1, ..., x_m) the registers step
+    the skew shift T.
+    """
+    downward = range(len(registers) - 1, 0, -1)
+    for _ in range(count):
+        yield registers
+        for j in downward:
+            registers[j] = (registers[j] + registers[j - 1]) % modulus
+
+
 def _fixed_seed_table(coeffs: tuple[Fraction, ...], count: int) -> list[int]:
     """frac(P(n)) for n = 0..count-1 as 128-bit fixed-point Python ints, for any denominators.
 
     With den the lcm of the coefficient denominators, V(n) = den * P(n)
-    mod den is an integer polynomial.  V is stepped exactly with an
-    integer forward-difference table (d additions mod den per value) and
-    each value is truncated once, to floor(2^128 * V(n) / den).
+    mod den is an integer polynomial.  Its forward differences at 0,
+    reduced mod den, step on ``_difference_steps`` (d additions mod den
+    per value) and each value is truncated once, to
+    floor(2^128 * V(n) / den).  This is the bit-for-bit reference for
+    the uint64 Horner seeds of ``_seed_pairs``.
     """
     den = math.lcm(*(c.denominator for c in coeffs))
     ints = [c.numerator * (den // c.denominator) for c in coeffs]
     values = [sum(a * n**j for j, a in enumerate(ints)) for n in range(len(ints))]
-    diffs = [v % den for v in _forward_differences(values)]
-    d = len(diffs) - 1
-    seeds = []
-    for _ in range(count):
-        seeds.append((diffs[0] << _FIXED_BITS) // den)
-        for k in range(d):
-            diffs[k] = (diffs[k] + diffs[k + 1]) % den
-    return seeds
+    diffs = [v % den for v in reversed(_forward_differences(values))]
+    return [(regs[-1] << _FIXED_BITS) // den for regs in _difference_steps(diffs, count, den)]
 
 
 def _seed_pairs(coeffs: tuple[Fraction, ...], count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -553,13 +567,6 @@ def weighted_exponential_average(
         for start, phases in phase_blocks(poly, cps[-1])
     )
     return _average_series(terms, cps)
-
-
-def binomial_coefficient(n: int, k: int) -> int:
-    """C(n, k), exact; zero when 0 <= n < k."""
-    if n < 0 or k < 0:
-        raise ValueError("binomial_coefficient: arguments must be nonnegative")
-    return math.comb(n, k)
 
 
 @lru_cache(maxsize=None)

@@ -12,10 +12,14 @@ reduce to a single weighted exponential average of the composed phase
 polynomial, which is what makes million-term runs cheap.
 
 All tower identities are exact integer/rational statements (frequency
-vectors shift and constants are integer multiples of alpha mod 1), and
-the orbit closed form is evaluated in 128-bit fixed point, so the three
-evaluation routes compared by ``verify_factorization`` agree to float
-resolution, not merely to some drifting tolerance.
+vectors shift and constants are integer multiples of alpha mod 1).  T
+itself and the tower identity f_j(Tx) = f_{j-1}(x) f_j(x) are the
+difference recurrence r_j += r_{j-1}, on the registers (alpha, x_1, ...,
+x_m) and on the level phases; both are stepped by the stream's exact
+``_difference_steps`` in 128-bit fixed point, where mod-1 addition is
+exact, so the three evaluation routes compared by
+``verify_factorization`` agree to float resolution, not merely to some
+drifting tolerance.
 """
 
 import bisect
@@ -27,9 +31,11 @@ import numpy as np
 
 from .polyphase import (
     _FIXED_MASK,
+    _FIXED_ONE,
     ErgodicAverageSeries,
     PhasePolynomial,
     _binomial_to_monomial,
+    _difference_steps,
     _fixed_to_float,
     _forward_differences,
     _integer,
@@ -95,6 +101,17 @@ def orbit_point(system: SkewShiftSystem, point, n: int) -> tuple[float, ...]:
             acc += math.comb(n, j - i) * fx[i - 1]
         out.append(_fixed_to_float(acc & _FIXED_MASK))
     return tuple(out)
+
+
+def _orbit_registers(system: SkewShiftSystem, point, count: int):
+    """Registers (alpha, x_1, ..., x_m) of T^n(x), n = 0..count-1, in 128-bit fixed point.
+
+    T is one step of ``_difference_steps``, exact mod 1, so x_j equals
+    the closed form of ``orbit_point`` to the bit.
+    """
+    x = system.validate_point(point)
+    registers = [_to_fixed(system.alpha), *(_to_fixed(c) for c in x)]
+    return _difference_steps(registers, count, _FIXED_ONE)
 
 
 @dataclass(frozen=True)
@@ -174,10 +191,6 @@ class QuasiEigenTower:
             if any(self.levels[j].frequencies):
                 return j
         return 0
-
-    @property
-    def chain_length(self) -> int:
-        return len(self.levels) - 1
 
     @property
     def top(self) -> TowerLevel:
@@ -273,58 +286,32 @@ def tower_phase_polynomial(tower: QuasiEigenTower, point) -> PhasePolynomial:
 def verify_factorization(tower: QuasiEigenTower, point, n_max: int) -> float:
     """Max pairwise distance of the three evaluation routes over n <= n_max.
 
-    Route 1 evaluates the top character on the closed-form orbit, route
-    2 multiplies the level values raised to binomial powers, route 3
-    evaluates e(Q(n)) through the monomial expansion of the tower phase
-    polynomial.  All three run in exact arithmetic, so for a valid tower
-    the returned deviation sits at float-rounding scale.
+    Route 1 evaluates the top character on the orbit, T stepped on the
+    registers (alpha, x_1, ..., x_m); route 2 steps the level phases
+    theta_0, ..., theta_k by the tower identity f_j(Tx) = f_{j-1}(x)
+    f_j(x) and reads the top one; route 3 evaluates e(Q(n)) through the
+    monomial expansion of the tower phase polynomial on ``phase_stream``.
+    All three run in exact arithmetic, so for a valid tower the returned
+    deviation sits at float-rounding scale.
     """
     if n_max < 1:
         raise ValueError("n_max: must be >= 1")
-    system = tower.system
-    pt = system.validate_point(point)
-    m = system.dimension
-    k_top = tower.top.frequencies
-    chain = tower.chain_length
-
-    fx = [_to_fixed(c) for c in pt]
-    fa = _to_fixed(system.alpha)
-    f_const_top = _to_fixed(tower.top.constant_phase)
-    thetas_fx = [_to_fixed(th) for th in tower_thetas(tower, pt)]
-
+    pt = tower.system.validate_point(point)
     count = n_max + 1
-    combs = [[math.comb(n, j) for n in range(count)] for j in range(max(m, chain) + 1)]
+    top = tower.top
+    constant = _to_fixed(top.constant_phase)
+    terms = [(j, k) for j, k in enumerate(top.frequencies, start=1) if k]
+    thetas = [_to_fixed(th) for th in tower_thetas(tower, pt)]
 
-    phases_orbit = np.empty(count, dtype=np.float64)
-    phases_product = np.empty(count, dtype=np.float64)
-    for n in range(count):
-        acc1 = f_const_top
-        for j in range(1, m + 1):
-            kj = k_top[j - 1]
-            if kj:
-                coord = combs[j][n] * fa
-                for i in range(1, j + 1):
-                    coord += combs[j - i][n] * fx[i - 1]
-                acc1 += kj * (coord & _FIXED_MASK)
-        phases_orbit[n] = _fixed_to_float(acc1 & _FIXED_MASK)
-
-        acc2 = 0
-        for j, th in enumerate(thetas_fx):
-            acc2 += combs[chain - j][n] * th
-        phases_product[n] = _fixed_to_float(acc2 & _FIXED_MASK)
-
-    q_poly = tower_phase_polynomial(tower, pt)
-    phases_q = phase_stream(q_poly, count)
-
-    v1 = unit_values(phases_orbit)
-    v2 = unit_values(phases_product)
-    v3 = unit_values(phases_q)
-    dev = max(
-        float(np.abs(v1 - v2).max()),
-        float(np.abs(v1 - v3).max()),
-        float(np.abs(v2 - v3).max()),
-    )
-    return dev
+    phases = np.empty((3, count), dtype=np.float64)
+    phases[0] = [
+        _fixed_to_float((constant + sum(k * regs[j] for j, k in terms)) & _FIXED_MASK)
+        for regs in _orbit_registers(tower.system, pt, count)
+    ]
+    phases[1] = [_fixed_to_float(regs[-1]) for regs in _difference_steps(thetas, count, _FIXED_ONE)]
+    phases[2] = phase_stream(tower_phase_polynomial(tower, pt), count)
+    values = unit_values(phases)
+    return float(max(np.abs(values[a] - values[b]).max() for a, b in ((0, 1), (0, 2), (1, 2))))
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,10 @@ from oscillab.cli import (
     run_experiment,
 )
 from oscillab.oscillation import estimate_oscillation_profile
+from oscillab.padic import PadicAffineSystem
 from oscillab.polyphase import ErgodicAverageSeries
 from oscillab.sequences import mobius_sequence, read_sequence, write_sequence
+from oscillab.torus import SkewShiftSystem, orbit_point
 
 import numpy as np
 
@@ -241,6 +243,76 @@ def test_verify_tower_smoke(tmp_path):
     payload = json.loads((out / "tower.json").read_text())
     assert payload["order"] == 2
     assert payload["max_deviation"] <= 1e-9
+
+
+def test_simulate_torus_rows_are_the_exact_orbit(tmp_path):
+    """Every row of orbit.csv reads back as ``orbit_point`` at its n.
+
+    The rows are stepped in exact fixed point; a float loop of the
+    one-step map is off by 0.04 turn at n = 2 * 10^4 on this orbit.
+    """
+    out = tmp_path / "st"
+    x = (0.1, 0.2, 0.3, 0.4)
+    assert run(
+        [
+            "simulate-torus", "--m", "4", "--alpha", "0.618033988749895",
+            "--x", "0.1,0.2,0.3,0.4", "--steps", "20000", "--out", str(out),
+        ]
+    ) == 0
+    lines = (out / "orbit.csv").read_text().splitlines()
+    assert lines[0] == "n,x1,x2,x3,x4"
+    assert len(lines) == 20_001
+    system = SkewShiftSystem(4, 0.618033988749895)
+    for n, line in enumerate(lines[1:]):
+        cells = line.split(",")
+        assert int(cells[0]) == n
+        assert tuple(float(c) for c in cells[1:]) == orbit_point(system, x, n), n
+
+
+def test_simulate_torus_reduces_the_start_point(tmp_path):
+    out = tmp_path / "st"
+    assert run(
+        [
+            "simulate-torus", "--m", "2", "--alpha", "0.125",
+            "--x", "1.25,0.5", "--steps", "3", "--out", str(out),
+        ]
+    ) == 0
+    rows = (out / "orbit.csv").read_text().splitlines()[1:]
+    assert rows == ["0,0.25,0.5", "1,0.375,0.75", "2,0.5,0.125"]
+
+
+def test_simulate_padic_rows_follow_step_int(tmp_path):
+    out = tmp_path / "sp"
+    assert run(
+        [
+            "simulate-padic", "--p", "3", "--a", "4", "--b", "1", "--precision", "40",
+            "--x0=-7", "--steps", "300", "--out", str(out),
+        ]
+    ) == 0
+    lines = (out / "padic_orbit.csv").read_text().splitlines()
+    assert lines[0] == "n,value"
+    assert len(lines) == 301
+    system = PadicAffineSystem.from_ints(3, 4, 1, precision=40)
+    x = -7 % 3**40
+    for n, line in enumerate(lines[1:]):
+        assert line == f"{n},{x}"
+        x = system.step_int(x, 40)
+    info = json.loads((out / "padic_system.json").read_text())
+    assert info == {"p": 3, "precision": 40, "a": 4, "b": 1, "minimal": True}
+
+
+def test_simulate_padic_leaves_p2_minimality_open(tmp_path):
+    out = tmp_path / "sp2"
+    assert run(
+        [
+            "simulate-padic", "--p", "2", "--a", "5", "--b", "3",
+            "--x0", "1", "--steps", "4", "--out", str(out),
+        ]
+    ) == 0
+    rows = (out / "padic_orbit.csv").read_text().splitlines()[1:]
+    assert rows == ["0,1", "1,8", "2,43", "3,218"]
+    info = json.loads((out / "padic_system.json").read_text())
+    assert info["minimal"] is None and info["p"] == 2 and info["precision"] == 24
 
 
 def test_runtime_error_exits_two(tmp_path, capsys):

@@ -14,11 +14,11 @@ from oscillab.polyphase import (
     _UNIT_TERMS,
     ErgodicAverageSeries,
     PhasePolynomial,
+    _difference_steps,
     _fixed_seed_table,
     _lanes,
     _residue_buckets,
     _seed_pairs,
-    binomial_coefficient,
     binomial_phase_polynomial,
     compose_time_polynomial,
     fourier_bohr_scan,
@@ -203,6 +203,25 @@ def test_seed_pairs_match_big_int_table_bit_for_bit(numerators, count, denominat
     for n in {0, 1, count // 2, count - 1} & set(range(count)):
         delta = abs(seeds[n] * 2.0**-128 - phase_at(poly, n))
         assert min(delta, 1 - delta) <= 1e-15, n
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    modulus=st.one_of(st.integers(2, 10**6), st.just(2**128), st.integers(2**128, 2**140)),
+    data=st.data(),
+)
+def test_difference_steps_match_binomial_closed_form(modulus, data):
+    """After n steps r_i = sum_j C(n, i - j) r_j(0) mod the modulus, for every register."""
+    start = data.draw(st.lists(st.integers(0, modulus - 1), min_size=1, max_size=9))
+    count = data.draw(st.integers(1, 300))
+    steps = _difference_steps(list(start), count, modulus)
+    for n, registers in enumerate(steps):
+        expected = [
+            sum(math.comb(n, i - j) * start[j] for j in range(i + 1)) % modulus
+            for i in range(len(start))
+        ]
+        assert registers == expected, n
+    assert n == count - 1
 
 
 def block_edges(count):
@@ -453,15 +472,6 @@ def test_integer_valued_shift_leaves_averages_unchanged():
         base = weighted_exponential_average(seq, poly, [n]).averages[0]
         shifted = weighted_exponential_average(seq, poly + shift, [n]).averages[0]
         assert abs(base - shifted) <= 1e-9
-
-
-def test_binomial_coefficient_values():
-    assert binomial_coefficient(5, 2) == 10
-    assert binomial_coefficient(3, 5) == 0
-    for n in (0, 1, 7, 61, 200):
-        assert binomial_coefficient(n, 0) == 1
-    with pytest.raises(ValueError):
-        binomial_coefficient(-1, 2)
 
 
 def test_binomial_phase_polynomial_example():

@@ -15,6 +15,7 @@ from oscillab.torus import (
     QuasiEigenTower,
     SkewShiftSystem,
     TimePolynomial,
+    TowerLevel,
     build_tower,
     multiple_ergodic_average,
     orbit_point,
@@ -177,6 +178,46 @@ def test_verify_factorization_random_towers():
         system, tower = random_tower(rng)
         x = tuple(float(v) for v in rng.random(system.dimension))
         assert verify_factorization(tower, x, 300) <= 1e-9
+
+
+def broken_level(tower, j, change):
+    """``tower`` with level j's constant moved by 1/10 or its frequencies replaced."""
+    levels = list(tower.levels)
+    level = levels[j]
+    if isinstance(change, Fraction):
+        levels[j] = TowerLevel((level.constant_phase + change) % 1, level.frequencies)
+    else:
+        levels[j] = TowerLevel(level.constant_phase, change)
+    return QuasiEigenTower(tower.system, tuple(levels))
+
+
+@pytest.mark.parametrize(
+    "j, change",
+    [(0, Fraction(1, 10)), (1, Fraction(1, 10)), (2, Fraction(1, 10)), (1, (2, 0, 0)), (2, (0, 1, 1))],
+)
+def test_verify_factorization_rejects_a_broken_lower_level(j, change):
+    """One lower level broken: the identity check fails and the routes split by >= 1.
+
+    Route 1 reads the top character on the orbit, routes 2 and 3 the
+    level phases, which now drift from it by a multiple of C(n, k - j).
+    """
+    system = SkewShiftSystem(3, GOLDEN)
+    x = (0.1, 0.2, 0.3)
+    tower = build_tower(system, CharacterObservable((0, 0, 1)))
+    assert tower.is_valid()
+    assert verify_factorization(tower, x, 1000) <= 1e-9
+    broken = broken_level(tower, j, change)
+    assert not broken.is_valid()
+    assert verify_factorization(broken, x, 1000) >= 1
+
+
+def test_verify_factorization_top_constant_is_a_global_phase():
+    """The top level's constant multiplies every route alike, so neither check catches a change."""
+    system = SkewShiftSystem(3, GOLDEN)
+    x = (0.1, 0.2, 0.3)
+    tower = broken_level(build_tower(system, CharacterObservable((0, 0, 1))), 3, Fraction(1, 10))
+    assert tower.is_valid()
+    assert verify_factorization(tower, x, 1000) <= 1e-9
 
 
 def test_tower_product_group_closure():
