@@ -15,6 +15,12 @@ the phase of index n depends only on n mod G, so the sequence folds
 into G residue buckets and each grid point costs G multiply-adds
 regardless of N.
 
+The refinement streams N-term factors e(s n^i) and terms c_n e(P(n)),
+but every point and shift it visits from a pitch-1/16 grid lies on a
+dyadic lattice no finer than 2^-16, and e(P(n)) repeats with period q,
+the lcm of the denominators of t_1..t_d.  So it streams one period of at
+most 2^16 terms and repeats it, bit for bit the full stream.
+
 The constant coefficient only rotates the average, so it is pinned to 0
 and excluded from the search dimensions (the reported argmax vector
 still carries the t_0 slot).
@@ -123,14 +129,39 @@ def grid_sup_average(
     return math.sqrt(max(best_sq, 0.0)), coeffs
 
 
+def _unit_stream(poly: PhasePolynomial, n: int) -> np.ndarray:
+    """e(P(k)) for k < n, streaming one period of q terms and repeating it.
+
+    With q the lcm of the denominators of t_1..t_d, P(k + q) - P(k) is an
+    integer, so e(P(k)) has period q.  Where every denominator divides
+    2^128 the stream's seeds are exact, frac(P(k)) and frac(P(k + q)) are
+    the same float and the repeat is ``unit_values(phase_stream(poly, n))``
+    bit for bit; other periods repeat values within 1e-15 of it.  The
+    period is copied in doubling slices, so a short period costs
+    log2(n / q) copies, and no second n-term array is made when q reaches n.
+    """
+    q = min(n, math.lcm(*(c.denominator for c in poly.coefficients[1:])))
+    first = unit_values(phase_stream(poly, q))
+    if q == n:
+        return first
+    values = np.empty(n, dtype=np.complex128)
+    values[:q] = first
+    filled = q
+    while filled < n:
+        size = min(filled, n - filled)
+        values[filled : filled + size] = values[:size]
+        filled += size
+    return values
+
+
 def _weighted_terms(values: np.ndarray, coefficients) -> np.ndarray:
     """Terms c_n * e(P(n)) for n < len(values), P given by its coefficients."""
-    return values * unit_values(phase_stream(PhasePolynomial(coefficients), len(values)))
+    return values * _unit_stream(PhasePolynomial(coefficients), len(values))
 
 
 def _shift_factor(shift: Fraction, index: int, n_terms: int) -> np.ndarray:
     """Factors e(shift * n^index) for n < n_terms."""
-    return unit_values(phase_stream(PhasePolynomial.monomial(shift, index), n_terms))
+    return _unit_stream(PhasePolynomial.monomial(shift, index), n_terms)
 
 
 def refine_local(
@@ -157,6 +188,13 @@ def refine_local(
     re-streaming the terms at the candidate, and the move is taken only
     if that exact value beats the best, so the returned sup is the exact
     objective at the returned coefficients.
+
+    Factors and terms come from ``_unit_stream``, which streams one
+    period and repeats it: from a G = 16 start every coordinate and
+    shift has a denominator of at most 2^16, so at N = 2 * 10^5 a factor
+    is at most 65,536 streamed terms.  Pitches that are no power of two
+    (G = 10) give float coordinates whose periods exceed N, and those
+    streams run in full.
     """
     if degree < 1:
         raise ValueError("degree: must be >= 1")

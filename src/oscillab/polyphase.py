@@ -69,7 +69,9 @@ _INV_2_128 = 2.0 ** -128
 # Lane width of the blocked difference table.  At most lanes * (d + 1)
 # <= 36,864 < 2^32 indices are seeded, by Horner on uint64 pairs or, for
 # non-dyadic denominators, one big-int table; each lane then steps
-# N/lanes times in fixed point, where mod-1 addition is exact.
+# N/lanes times in fixed point, where mod-1 addition is exact.  Lanes are
+# N/8, so a stream of 2^15 terms or more has the full 4096 and every
+# block of it but the last holds exactly ``_STREAM_TERMS`` terms.
 _MAX_LANES = 4096
 
 # Terms per block of every streamed consumer: a block's phases, unit
@@ -84,8 +86,8 @@ _ROOT_STEP = 2 * math.pi / _ROOT_COUNT
 _QUARTER_ROOTS = np.exp((1j * _ROOT_STEP) * np.arange(_ROOT_COUNT // 4))
 _ROOTS = np.concatenate([_QUARTER_ROOTS, 1j * _QUARTER_ROOTS, -_QUARTER_ROOTS, -1j * _QUARTER_ROOTS])
 
-# Terms per piece of ``unit_values``: its scratch, 56 bytes a term, is
-# then 448 KB and a piece's dozen passes stay in a core's L2 cache.  On a
+# Terms per piece of ``unit_values``: its scratch, 72 bytes a term, is
+# then 576 KB and a piece's dozen passes stay in a core's L2 cache.  On a
 # Xeon with 2 MB of L2 per core, 10^6 phases took 18 ns/term in 2^13-term
 # pieces, 23 in ``_STREAM_TERMS`` pieces (3.5 MB of scratch) and 55 as
 # one piece (np.exp: 64); one piece also raised the sup search's peak
@@ -195,7 +197,8 @@ def _to_fixed(value) -> int:
 
 
 def _fixed_to_float(fx: int) -> float:
-    return fx * _INV_2_128
+    """A 128-bit fixed-point phase as a float in [0, 1); one that rounds up to 1.0 folds to 0.0."""
+    return (fx * _INV_2_128) % 1.0
 
 
 def _forward_differences(values) -> list:
@@ -278,8 +281,13 @@ def _seed_pairs(coeffs: tuple[Fraction, ...], count: int) -> tuple[np.ndarray, n
 
 
 def _lanes(count: int) -> int:
-    """Lane width of the difference table for a stream of ``count`` terms."""
-    return min(_MAX_LANES, max(64, count // 64))
+    """Lane width of the difference table for a stream of ``count`` terms.
+
+    count / 8 lanes, so a stream below 2^15 terms steps at most 8 rows:
+    each row is a handful of numpy calls, while uint64 Horner seeds for
+    more lanes cost little.
+    """
+    return min(_MAX_LANES, max(64, count // 8))
 
 
 def phase_blocks(poly: PhasePolynomial, count: int):
@@ -389,9 +397,10 @@ def unit_values(phases) -> np.ndarray:
     cos = 1 - theta^2/2 + theta^4/24 and sin = theta - theta^3/6 +
     theta^5/120 are off by under 2e-20.  What is left is float rounding:
     values agree with ``np.exp(2j * pi * phase)`` to about 1e-15 on
-    [-1, 1), and their moduli are within 1e-15 of 1.  Phases that differ
-    by an integer give the same values bit for bit as long as both are
-    exact floats.
+    [-1, 1), and their moduli are within 1e-15 of 1.  Every value depends
+    on its phase alone, not on its place in the array or the array's
+    size, and phases that differ by an integer give the same values bit
+    for bit as long as both are exact floats.
 
     The input is worked through in ``_UNIT_TERMS`` = 2^13-term pieces
     written into the one preallocated result, so a piece's scratch stays
@@ -406,7 +415,7 @@ def unit_values(phases) -> np.ndarray:
     dst = values.reshape(-1)
     size = min(src.size, _UNIT_TERMS)
     scratch = [np.empty(size) for _ in range(4)]
-    scratch += [np.empty(size, dtype=np.intp), np.empty(size, dtype=np.complex128)]
+    scratch += [np.empty(size, dtype=np.intp)] + [np.empty(size, dtype=np.complex128) for _ in range(2)]
     # For finite phases below 2^51 no step is invalid; for others the cast of k is.
     try:
         with np.errstate(invalid="raise"):
@@ -420,7 +429,7 @@ def unit_values(phases) -> np.ndarray:
 
 def _unit_piece(phases: np.ndarray, out: np.ndarray, scratch) -> None:
     """Write e(phases) into ``out`` by the table method of ``unit_values``."""
-    x, k, theta2, cos, index, roots = (a[: phases.size] for a in scratch)
+    x, k, theta2, cos, index, roots, turn = (a[: phases.size] for a in scratch)
     np.multiply(phases, float(_ROOT_COUNT), out=x)
     np.floor(x, out=k)
     np.subtract(x, k, out=x)
@@ -438,9 +447,12 @@ def _unit_piece(phases: np.ndarray, out: np.ndarray, scratch) -> None:
     sin *= theta2
     sin *= theta
     sin += theta
-    out.real = cos
-    out.imag = sin
-    np.multiply(out, roots, out=out)
+    turn.real = cos
+    turn.imag = sin
+    # Not in place: numpy rounds an in-place product of one-term arrays by
+    # another path than longer ones, so a value would depend on whether
+    # its phase falls in a one-term last piece.
+    np.multiply(turn, roots, out=out)
 
 
 def _weights(seq) -> np.ndarray:

@@ -281,6 +281,20 @@ def test_simulate_torus_reduces_the_start_point(tmp_path):
     assert rows == ["0,0.25,0.5", "1,0.375,0.75", "2,0.5,0.125"]
 
 
+def test_simulate_torus_rows_stay_below_one(tmp_path):
+    """A coordinate within 2^-54 of 1 is written as 0, not as 1."""
+    out = tmp_path / "st"
+    start = f"{1 - 2**-53!r},{2**-54 + 2**-60!r}"
+    assert run(
+        [
+            "simulate-torus", "--m", "2", "--alpha", "0.25",
+            "--x", start, "--steps", "2", "--out", str(out),
+        ]
+    ) == 0
+    rows = (out / "orbit.csv").read_text().splitlines()[1:]
+    assert rows[1] == "1,0.24999999999999989,0"
+
+
 def test_simulate_padic_rows_follow_step_int(tmp_path):
     out = tmp_path / "sp"
     assert run(

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from oscillab.oscillation import sup_search
 from oscillab.padic import PadicAffineSystem, padic_weighted_average
 from oscillab.polyphase import PhasePolynomial, fourier_bohr_scan, unit_values, weighted_exponential_average
 from oscillab.probabilistic import Distribution, RandomSequenceSpec, sample
@@ -22,6 +23,13 @@ def test_unit_values_peak(traced_peak):
     # The complex result itself is 16 MB of this; whole-array scratch would add 56 MB.
     phases = np.random.default_rng(3).random(10**6)
     assert traced_peak(unit_values, phases) < 17 * MB
+
+
+def test_sup_search_peak(traced_peak):
+    # The complex weight prefix is 3.2 MB of this; the refinement holds it,
+    # its terms and one factor, and streams one period of each factor.
+    weights = rademacher_sequence(7, 200_000)
+    assert traced_peak(sup_search, weights, 1, 200_000, 16) < 10.5 * MB
 
 
 def test_spectrum_scan_transient_peak(traced_peak):

@@ -1,9 +1,12 @@
 """Grid sup search, local refinement, decay profiles and order reading."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscillab import oscillation
 from oscillab.oscillation import (
@@ -12,6 +15,7 @@ from oscillab.oscillation import (
     DegreeProfile,
     GridBudgetError,
     OscillationReport,
+    _unit_stream,
     classify_exact_order,
     estimate_oscillation_profile,
     grid_sup_average,
@@ -167,14 +171,19 @@ def test_refine_respects_eval_budget(monkeypatch):
         assert abs(value - ref_value) <= 1e-12
 
 
-@pytest.mark.parametrize("degree", [1, 2, 3])
-@pytest.mark.parametrize("count", [64, 1000, 4096])
-@pytest.mark.parametrize("grid", [16, 10])
+@pytest.mark.parametrize(
+    "grid, count, degree",
+    [(g, c, d) for g in (16, 10) for c in (64, 1000, 4096) for d in (1, 2, 3)]
+    + [(16, 70_001, 1), (16, 70_001, 2)],
+)
 def test_refine_matches_direct_evaluation(degree, count, grid, monkeypatch):
     """Scoring from cached terms takes the same path as direct evaluation.
 
     G = 16 starts give dyadic shifts; G = 10 starts give inexact float
-    shifts, whose +step and -step moves are not exact negatives.
+    shifts, whose +step and -step moves are not exact negatives.  At
+    70,001 terms every G = 16 point and shift has a period of at most
+    2^16 terms, so the refinement repeats each of its streams, while the
+    reference streams every candidate in full.
     """
     rng = np.random.default_rng(1000 * degree + count + grid)
     weights = {
@@ -219,6 +228,41 @@ def test_refine_scores_minus_step_at_its_own_candidate(monkeypatch):
         assert coeffs == ref_coeffs
         assert abs(value - ref_value) <= 1e-12
     assert coeffs[3] == target[3]
+
+
+def _period(poly):
+    return math.lcm(*(c.denominator for c in poly.coefficients[1:]))
+
+
+def _lengths_around(q):
+    return sorted({n for n in (q - 1, q, q + 1, 2 * q + 1) if n >= 1})
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    bits=st.integers(0, 20),
+    numerators=st.lists(st.integers(0, 2**20 - 1), min_size=1, max_size=3),
+    constant=st.floats(0.0, 1.0, exclude_max=True),
+)
+def test_unit_stream_repeats_dyadic_periods_bit_for_bit(bits, numerators, constant):
+    """On a 2^-k lattice the repeated period is the full stream's unit values, bit for bit."""
+    poly = PhasePolynomial([constant] + [Fraction(m % 2**bits, 2**bits) for m in numerators])
+    for n in _lengths_around(_period(poly)):
+        expected = unit_values(phase_stream(poly, n))
+        assert np.array_equal(_unit_stream(poly, n), expected), n
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    numerators=st.lists(st.integers(0, 29), min_size=1, max_size=3),
+    denominators=st.lists(st.sampled_from([3, 10]), min_size=3, max_size=3),
+)
+def test_unit_stream_repeats_other_periods_within_rounding(numerators, denominators):
+    """Thirds and tenths have inexact seeds, so a period repeats within 1e-15."""
+    poly = PhasePolynomial([0] + [Fraction(m, d) for m, d in zip(numerators, denominators)])
+    for n in _lengths_around(_period(poly)) + [5_000]:
+        expected = unit_values(phase_stream(poly, n))
+        assert np.abs(_unit_stream(poly, n) - expected).max() <= 1e-15, n
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])

@@ -350,18 +350,19 @@ def test_weighted_average_streams_across_blocks():
 
 
 def test_weighted_average_zips_constant_and_stepped_streams():
-    """Constant scaled phases next to stepped ones, where lanes do not divide 2^16.
+    """Constant scaled phases next to stepped ones, cut into the same blocks.
 
-    At 100,000 terms a lane row is 1,562 terms, so a block of whole rows
-    holds 65,604 terms; q = 5 and q = 3^5 n + 2 scale to constant phases
-    mod 1 and must be cut into the same blocks as q = n.
+    At 100,000 terms a lane row is 4,096 terms (lanes reach 4096 at
+    32,768), so every block but the last holds 16 rows, 65,536 terms;
+    q = 5 and q = 3^5 n + 2 scale to constant phases mod 1 and must be
+    cut into the same blocks as q = n.
     """
     system = PadicAffineSystem.from_ints(3, 4, 1)
     level, x0 = 5, 17
     mod = 3**level
     qs = [TimePolynomial((5,)), TimePolynomial.from_power(1), TimePolynomial((2, mod))]
     n = 100_000
-    cps = [1, _STREAM_TERMS, 65_603, 65_604, 65_605, n]
+    cps = [1, 4_096, _STREAM_TERMS - 1, _STREAM_TERMS, _STREAM_TERMS + 1, n]
     seq = rademacher_sequence(4, n)
     series = padic_weighted_average(system, level, x0, qs, seq, cps)
 

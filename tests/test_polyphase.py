@@ -108,7 +108,8 @@ def test_phase_stream_lane_boundary_counts():
         PhasePolynomial([0.3, 0.7, SQRT2M1, 0.05, 0.9, 0.123, 0.77, 0.31, SQRT2M1 / 3]),
     )
     for poly in polys:
-        for count in (1, 2, 63, 64, 65, 1001, 4095, 4096, 4097, 4160, 8193):
+        for count in (1, 2, 63, 64, 65, 511, 512, 513, 1001, 4095, 4096, 4097, 4160, 8193,
+                      32767, 32768, 32769):
             phases = phase_stream(poly, count)
             assert phases.shape == (count,)
             for n in {0, 1, count // 2, count - 2, count - 1} & set(range(count)):
@@ -129,10 +130,11 @@ def test_phase_stream_random_polynomials_small_range():
             assert min(delta, 1 - delta) <= 1e-12
 
 
-# Counts where the lane width or the number of blocks changes.
+# Counts where the lane width or the number of blocks changes: lanes
+# grow past 64 at 512 terms and reach 4096 at 32,768.
 _LANE_BOUNDARY_COUNTS = (
-    63, 64, 65, 127, 128, 129, 4095, 4096, 4097, 4159, 4160, 4161,
-    262143, 262144, 262145,
+    63, 64, 65, 127, 128, 129, 511, 512, 513, 4095, 4096, 4097, 4159, 4160, 4161,
+    32767, 32768, 32769, 262143, 262144, 262145,
 )
 
 _seed_coefficients = st.one_of(
@@ -231,11 +233,11 @@ def block_edges(count):
     return list(range(size, count, size))
 
 
-# Counts at lane-row and block boundaries +-1 (lanes reach 4096 at 2^18
-# terms, where a block is 16 rows) and counts that are no multiple of the
-# lane count.
+# Counts at lane-row and block boundaries +-1 (lanes reach 4096 at 2^15
+# terms; from there a block is 16 rows) and counts that are no multiple
+# of the lane count.
 _STREAM_COUNTS = (
-    1, 2, 63, 64, 65, 4095, 4096, 4097, 65535, 65536, 65537, 100_003,
+    1, 2, 63, 64, 65, 4095, 4096, 4097, 32767, 32768, 32769, 65535, 65536, 65537, 100_003,
     131071, 131072, 131073, 262143, 262144, 262145, 266239, 266241,
     327679, 327680, 327681,
 )
@@ -347,6 +349,20 @@ def test_unit_values_pieces_do_not_change_values():
     phases = np.random.default_rng(5).random(2 * _UNIT_TERMS + 3)
     split = np.concatenate([unit_values(phases[:7]), unit_values(phases[7:])])
     assert np.array_equal(unit_values(phases).view(np.uint64), split.view(np.uint64))
+
+
+def test_unit_values_of_one_term_match_longer_arrays():
+    """A one-term array, or a one-term last piece, rounds as every other place does.
+
+    numpy multiplies a one-term complex array in place by a path of its
+    own, whose product can differ in the last bit.
+    """
+    phases = np.random.default_rng(6).random(_UNIT_TERMS + 1)
+    whole = unit_values(phases).view(np.uint64).reshape(-1, 2)
+    singles = np.concatenate([unit_values(phases[i : i + 1]) for i in range(2000)])
+    assert np.array_equal(singles.view(np.uint64).reshape(-1, 2), whole[:2000])
+    assert np.array_equal(unit_values(phases[-1:]).view(np.uint64).reshape(-1, 2), whole[-1:])
+    assert np.array_equal(unit_values(phases[-2:]).view(np.uint64).reshape(-1, 2), whole[-2:])
 
 
 @pytest.mark.parametrize("phases", [[], np.zeros((0, 3)), 0.375, np.array(0.125), [[0.1, 0.2], [0.3, -0.4]]])

@@ -56,6 +56,13 @@ def test_orbit_circle_rotation():
         )
 
 
+def test_orbit_point_folds_a_coordinate_that_rounds_to_one():
+    """x_2 + x_1 = 1 - 2^-54 + 2^-60 rounds to 1.0 as a float; it reads as 0.0."""
+    x = (1 - 2**-53, 2**-54 + 2**-60)
+    assert orbit_point(SkewShiftSystem(2, 0.25), x, 1) == (0.2499999999999999, 0.0)
+    assert CharacterObservable((1, 1)).evaluate(x) == 1.0
+
+
 def test_orbit_hand_iterated_example():
     system = SkewShiftSystem(2, 0.1)
     x = (0.25, 0.5)
