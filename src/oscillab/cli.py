@@ -333,6 +333,8 @@ def _run_scan_spectrum(config: ExperimentConfig, out: Path) -> list[Path]:
     if m < 2:
         raise ConfigError("grid-size: must be >= 2")
     refine = _require(config.params, "refine", _bool, default=False)
+    if refine and m & (m - 1):
+        raise ConfigError("grid-size: must be a power of two with --refine")
     seq = _load_weights(config.params, n, config.seed)
     scan = fourier_bohr_scan(seq, m, n)
     rows = [(f"{freq:.17g}", modulus) for freq, modulus in scan]
@@ -358,8 +360,8 @@ def _run_estimate_order(config: ExperimentConfig, out: Path) -> list[Path]:
     if d_max < 1:
         raise ConfigError("d-max: must be >= 1")
     grid = _require(config.params, "grid", _int, default=None)
-    if grid is not None and grid < 2:
-        raise ConfigError("grid: must be >= 2")
+    if grid is not None and (grid < 2 or grid & (grid - 1)):
+        raise ConfigError("grid: must be a power of two >= 2")
     cps = _checkpoints_or_default(config, n)
     if len(cps) < 3:
         raise ConfigError("checkpoints: at least 3 required")
@@ -527,8 +529,8 @@ def _run_lsk_check(config: ExperimentConfig, out: Path) -> list[Path]:
         # sqrt(N log N) vanishes at N = 1, so the ratio column needs N >= 2.
         raise ConfigError("n-list: entries must be >= 2")
     grid = _require(params, "grid", _int, default=16)
-    if grid < 2:
-        raise ConfigError("grid: must be >= 2")
+    if grid < 2 or grid & (grid - 1):
+        raise ConfigError("grid: must be a power of two >= 2")
     rows = []
     slopes = {}
     for seed in seeds:

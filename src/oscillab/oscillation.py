@@ -15,11 +15,11 @@ the phase of index n depends only on n mod G, so the sequence folds
 into G residue buckets and each grid point costs G multiply-adds
 regardless of N.
 
-The refinement streams N-term factors e(s n^i) and terms c_n e(P(n)),
-but every point and shift it visits from a pitch-1/16 grid lies on a
-dyadic lattice no finer than 2^-16, and e(P(n)) repeats with period q,
-the lcm of the denominators of t_1..t_d.  So it streams one period of at
-most 2^16 terms and repeats it, bit for bit the full stream.
+Every pitch is a power of two, so the refinement steps on a dyadic
+lattice no finer than 2^-16, where t_i +/- step is an exact float and
+e(P(n)) repeats with period q <= 2^16, the lcm of the denominators of
+t_1..t_d.  So its N-term factors e(step n^i) and terms c_n e(P(n))
+stream one period and repeat it, bit for bit the full stream.
 
 The constant coefficient only rotates the average, so it is pinned to 0
 and excluded from the search dimensions (the reported argmax vector
@@ -29,12 +29,12 @@ still carries the t_0 slot).
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .polyphase import (
     PhasePolynomial,
+    _integer,
     _residue_buckets,
     _validated_checkpoints,
     _weights,
@@ -56,7 +56,7 @@ DECAY_LEVEL = 0.1
 NONDECAY_LEVEL = 0.5
 
 #: Refinement stops once its step falls below this pitch,
-MIN_STEP = 1e-5
+MIN_STEP = 2.0**-16
 #: or once it has scored this many candidates, the start included.
 MAX_EVALS = 10_000
 
@@ -72,16 +72,17 @@ def _weights_prefix(seq, n_terms: int) -> np.ndarray:
     return np.asarray(values[:n_terms], dtype=np.complex128)
 
 
-def _checked_grid(degree: int, grid_per_dim: int) -> int:
-    """The pitch as an int, once degree >= 1, G >= 2 and G^(d+1) <= ``GRID_BUDGET`` hold."""
+def _checked_grid(degree: int, grid_per_dim) -> int:
+    """The pitch G as an int, once degree >= 1, G = 2^k >= 2 and G^(d+1) <= ``GRID_BUDGET`` hold."""
     if degree < 1:
         raise ValueError("degree: must be >= 1")
-    if grid_per_dim < 2:
-        raise ValueError("grid_per_dim: must be >= 2")
-    cost = int(grid_per_dim) ** (degree + 1)
+    g = _integer(grid_per_dim, "grid_per_dim")
+    if g < 2 or g & (g - 1):
+        raise ValueError(f"grid_per_dim: must be a power of two >= 2, got {g}")
+    cost = g ** (degree + 1)
     if cost > GRID_BUDGET:
         raise GridBudgetError(f"grid budget exceeded: G^(d+1) = {cost} > {GRID_BUDGET}")
-    return int(grid_per_dim)
+    return g
 
 
 def grid_sup_average(
@@ -133,10 +134,10 @@ def _unit_stream(poly: PhasePolynomial, n: int) -> np.ndarray:
     """e(P(k)) for k < n, streaming one period of q terms and repeating it.
 
     With q the lcm of the denominators of t_1..t_d, P(k + q) - P(k) is an
-    integer, so e(P(k)) has period q.  Where every denominator divides
-    2^128 the stream's seeds are exact, frac(P(k)) and frac(P(k + q)) are
-    the same float and the repeat is ``unit_values(phase_stream(poly, n))``
-    bit for bit; other periods repeat values within 1e-15 of it.  The
+    integer, so e(P(k)) has period q.  On the refinement's 2^-k lattice
+    the seeds are exact, frac(P(k)) and frac(P(k + q)) are the same float
+    and the repeat is ``unit_values(phase_stream(poly, n))`` bit for bit;
+    inexact seeds (thirds) would repeat values within 1e-15 of it.  The
     period is copied in doubling slices, so a short period costs
     log2(n / q) copies, and no second n-term array is made when q reaches n.
     """
@@ -159,11 +160,6 @@ def _weighted_terms(values: np.ndarray, coefficients) -> np.ndarray:
     return values * _unit_stream(PhasePolynomial(coefficients), len(values))
 
 
-def _shift_factor(shift: Fraction, index: int, n_terms: int) -> np.ndarray:
-    """Factors e(shift * n^index) for n < n_terms."""
-    return _unit_stream(PhasePolynomial.monomial(shift, index), n_terms)
-
-
 def refine_local(
     seq,
     degree: int,
@@ -179,54 +175,48 @@ def refine_local(
     returns a value below the start value and scores at most
     ``MAX_EVALS`` candidates, the start included.
 
-    The terms w_n = c_n e(P(n)) at the current point are kept.  Moving
-    t_i by the exact shift s multiplies them by f_n = e(s n^i), so both
-    moves of a step are scored from one factor: +step as |sum w f| / N
-    and -step as |sum w conj(f)| / N.  Where the float candidates are not
-    exact negatives of each other (a step that rounds, as on a G = 10
-    grid), -step gets a factor for its own exact shift.  A winning score is confirmed by
-    re-streaming the terms at the candidate, and the move is taken only
-    if that exact value beats the best, so the returned sup is the exact
-    objective at the returned coefficients.
+    ``initial_step`` must be 2^-k with k >= 1 and t_1..t_d multiples of
+    it (a grid argmax of pitch 1/G = 2^-k is); anything else raises a
+    ValueError.  On that lattice t_i +/- step is an exact float, so the
+    terms w_n = c_n e(P(n)) at the current point are kept and one factor
+    f_n = e(step n^i) per coordinate scores both moves: +step as
+    |sum w f| / N and -step as |sum w conj(f)| / N.  A winning score is
+    confirmed by re-streaming the terms at the candidate, and the move is
+    taken only if that exact value beats the best, so the returned sup is
+    the exact objective at the returned coefficients.
 
     Factors and terms come from ``_unit_stream``, which streams one
-    period and repeats it: from a G = 16 start every coordinate and
-    shift has a denominator of at most 2^16, so at N = 2 * 10^5 a factor
-    is at most 65,536 streamed terms.  Pitches that are no power of two
-    (G = 10) give float coordinates whose periods exceed N, and those
-    streams run in full.
+    period and repeats it: every coordinate and step has a denominator
+    of at most 2^16 once the step is 2^-16 or more, so at N = 2 * 10^5 a
+    factor is at most 65,536 streamed terms.
     """
     if degree < 1:
         raise ValueError("degree: must be >= 1")
     coeffs = [float(c) % 1.0 for c in start]
     if len(coeffs) != degree + 1:
         raise ValueError("start: expected degree + 1 coefficients")
+    step = float(initial_step)
+    if math.frexp(step)[0] != 0.5 or step > 0.5:
+        raise ValueError(f"initial_step: must be 2^-k with k >= 1, got {initial_step!r}")
+    if not all((c / step).is_integer() for c in coeffs[1:]):
+        raise ValueError(f"start: t_1..t_d must be multiples of initial_step {step!r}")
     values = _weights_prefix(seq, n_terms)
 
     base = _weighted_terms(values, coeffs)
     best = abs(base.sum()) / n_terms
     evals = 1
-    step = float(initial_step)
     while step >= MIN_STEP and evals < MAX_EVALS:
         improved = False
         for i in range(1, degree + 1):
-            factor = plus_shift = None
-            for plus in (True, False):
+            factor = None
+            for sign in (1, -1):
                 if evals >= MAX_EVALS:
                     break
                 candidate = list(coeffs)
-                candidate[i] = (candidate[i] + (step if plus else -step)) % 1.0
-                # The exact shift to this candidate; c - step rounds apart
-                # from c + step, so -step reuses the factor only when the
-                # two shifts are exact negatives mod 1.
-                shift = Fraction(candidate[i]) - Fraction(coeffs[i])
-                if factor is not None and (shift + plus_shift) % 1 == 0:
-                    total = np.vdot(factor, base)
-                else:
-                    factor = None  # free the old factor before streaming
-                    factor = _shift_factor(shift, i, n_terms)
-                    plus_shift = shift
-                    total = np.dot(base, factor)
+                candidate[i] = (candidate[i] + sign * step) % 1.0
+                if factor is None:
+                    factor = _unit_stream(PhasePolynomial.monomial(step, i), n_terms)
+                total = np.dot(base, factor) if sign > 0 else np.vdot(factor, base)
                 evals += 1
                 if abs(total) / n_terms <= best:
                     continue
@@ -258,6 +248,7 @@ def sup_search(seq, degree: int, n: int, grid: int) -> CheckpointEstimate:
 
     The weight prefix is made complex once; ``grid_sup_average`` scans the
     pitch-1/grid grid and ``refine_local`` polishes its argmax from a step of 1/grid.
+    A ``grid`` that is no power of two raises a ValueError before the scan.
     """
     values = _weights_prefix(seq, n)
     grid_value, start = grid_sup_average(values, degree, grid, n)
@@ -332,8 +323,9 @@ def estimate_oscillation_profile(
     """``sup_search`` estimates at every checkpoint for every degree d <= d_max.
 
     The pitch is ``grid_per_dim``, else ``DEFAULT_GRID[d]``, at every
-    degree; checkpoints past the sequence and a pitch with G^(d+1) above
-    ``GRID_BUDGET`` (``GridBudgetError``) are refused before any search.
+    degree; checkpoints past the sequence, a pitch that is no power of two
+    and one with G^(d+1) above ``GRID_BUDGET`` (``GridBudgetError``) are
+    refused before any search.
     The decay slope is the least-squares slope of log sup vs log N over
     the trailing half of the checkpoints (at least 3).  Verdict policy:
     decaying when slope <= ``DECAY_SLOPE`` and the final sup is at most

@@ -329,7 +329,8 @@ def padic_weighted_average(
     _check_nonnegative_times(qs, n_max)
 
     if level == 0:
-        return _average_series([(0, np.asarray(values[:n_max], dtype=np.complex128))], cps)
+        starts = range(0, n_max, _STREAM_TERMS)
+        return _average_series(((s, values[s : s + _STREAM_TERMS].astype(complex)) for s in starts), cps)
 
     mod = system.prime**level
     if mod > (1 << 26):

@@ -681,12 +681,12 @@ def fourier_bohr_scan(seq, grid_frequencies: int, length: int) -> list[tuple[flo
     folded into M residue buckets and a single FFT finishes the scan.
     Ties in modulus break toward the smaller frequency index.
     """
-    if grid_frequencies < 2:
+    m = _integer(grid_frequencies, "grid_frequencies")
+    if m < 2:
         raise ValueError("grid_frequencies: must be >= 2")
     values = _weights(seq)
     if length < 1 or length > len(values):
         raise ValueError("length: must be in [1, sequence length]")
-    m = int(grid_frequencies)
     averages = np.fft.ifft(_residue_buckets(values, length, m)) * (m / length)
     moduli = np.abs(averages)
     order = np.lexsort((np.arange(m), -moduli))

@@ -2,6 +2,7 @@
 
 import json
 import platform
+import re
 import shlex
 import subprocess
 import sys
@@ -335,7 +336,7 @@ def test_runtime_error_exits_two(tmp_path, capsys):
         [
             "lsk-check",
             "--seeds", "1", "--d", "3",
-            "--n-list", "256", "--grid", "100",
+            "--n-list", "256", "--grid", "64",
             "--out", str(tmp_path / "boom"),
         ]
     )
@@ -344,12 +345,12 @@ def test_runtime_error_exits_two(tmp_path, capsys):
 
 
 def test_estimate_order_over_budget_pitch_exits_two(tmp_path, capsys):
-    # 300^3 points at degree 2 exceed the grid budget; no smaller pitch is tried
+    # 256^3 points at degree 2 exceed the grid budget; no smaller pitch is tried
     status = run(
         [
             "estimate-order",
             "--generator", "mobius", "--n", "1000", "--d-max", "2",
-            "--grid", "300", "--checkpoints", "250,500,1000",
+            "--grid", "256", "--checkpoints", "250,500,1000",
             "--out", str(tmp_path / "boom"),
         ]
     )
@@ -497,6 +498,33 @@ def test_lsk_check_rejects_grid_below_two(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: grid:")
 
 
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("grid", ["estimate-order", "--generator", "mobius", "--n", "1000",
+                  "--checkpoints", "250,500,1000", "--grid", "10"]),
+        ("grid", ["estimate-order", "--generator", "mobius", "--n", "1000",
+                  "--checkpoints", "250,500,1000", "--grid", "12"]),
+        ("grid", ["lsk-check", "--seeds", "1", "--d", "1", "--n-list", "256,512", "--grid", "10"]),
+        ("grid-size", ["scan-spectrum", "--generator", "mobius", "--n", "2000",
+                       "--grid-size", "1000", "--refine"]),
+    ],
+)
+def test_search_pitch_must_be_a_power_of_two(tmp_path, capsys, flag, argv):
+    """Only a power-of-two pitch puts the refinement's start and steps on floats."""
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {flag}: must be a power of two")
+    assert not out.exists() or [p.name for p in out.iterdir()] == []
+
+
+def test_plain_spectrum_scan_takes_any_grid_size(tmp_path):
+    out = tmp_path / "out"
+    argv = ["scan-spectrum", "--generator", "mobius", "--n", "2000", "--grid-size", "1000"]
+    assert run(argv + ["--out", str(out)]) == 0
+    assert len((out / "spectrum.csv").read_text().splitlines()) == 1001
+
+
 def test_lsk_check_rejects_length_one(tmp_path, capsys):
     out = tmp_path / "l"
     status = run(["lsk-check", "--seeds", "1", "--d", "1", "--n-list", "1,4,8",
@@ -642,6 +670,26 @@ def test_readme_commands_parse():
     parser = build_parser()
     for argv in commands:
         assert parser.parse_args(argv).command == argv[0]
+
+
+def readme_outputs() -> dict[str, set[str]]:
+    """The files the README "Command line" section lists for each command, as ``- `cmd`: `file`, ...``."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^- `([a-z-]+)`: (.+)$", section, flags=re.MULTILINE)
+    return {command: set(re.findall(r"`([^`]+)`", files)) for command, files in listed}
+
+
+def test_readme_commands_run(tmp_path):
+    """Every README command exits 0 and writes manifest.json and the files the README lists for it."""
+    commands = readme_commands()
+    outputs = readme_outputs()
+    assert sorted(outputs) == sorted(COMMANDS)
+    for argv in commands:
+        out = tmp_path / argv[0]
+        at = argv.index("--out")
+        assert run(argv[:at] + ["--out", str(out)] + argv[at + 2 :]) == 0, argv
+        assert {p.name for p in out.iterdir()} == outputs[argv[0]] | {"manifest.json"}, argv[0]
 
 
 def test_readme_estimate_order_reports_its_grid(tmp_path):

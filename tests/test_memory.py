@@ -65,3 +65,11 @@ def test_padic_average_transient_peak(traced_peak):
     qs = [TimePolynomial.from_power(3), TimePolynomial.from_power(1)]
     peak = traced_peak(padic_weighted_average, system, 12, 12345, qs, weights, [10**5, N])
     assert peak < 32 * MB
+
+
+def test_padic_level_zero_transient_peak(traced_peak):
+    # Level 0 averages the weights themselves; a complex copy of all of them would be 64 MB.
+    weights = rademacher_sequence(3, N)
+    system = PadicAffineSystem.from_ints(3, 4, 1)
+    qs = [TimePolynomial.from_power(1)]
+    assert traced_peak(padic_weighted_average, system, 0, 0, qs, weights, [10**5, N]) < 16 * MB

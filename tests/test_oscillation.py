@@ -58,8 +58,8 @@ def test_grid_quadratic_weyl_below_linear_grid():
 def test_grid_budget_error_names_cost():
     ones = ComplexSequence(np.ones(16), "ones")
     with pytest.raises(GridBudgetError) as err:
-        grid_sup_average(ones, 3, 100, 16)
-    assert "100000000" in str(err.value)
+        grid_sup_average(ones, 3, 128, 16)
+    assert "268435456" in str(err.value)
 
 
 def test_grid_matches_direct_evaluation():
@@ -78,18 +78,6 @@ def test_grid_matches_direct_evaluation():
     sup, coeffs = grid_sup_average(seq, 2, g, 512)
     assert abs(sup - best) <= 1e-10
     assert coeffs == best_coeffs
-
-
-def test_grid_matches_direct_for_odd_grid_size():
-    rng = np.random.default_rng(4)
-    values = rng.normal(size=300) + 1j * rng.normal(size=300)
-    seq = ComplexSequence(values, "random")
-    g = 5
-    best = max(
-        direct_average_modulus(values, [0.0, g1 / g]) for g1 in range(g)
-    )
-    sup, _ = grid_sup_average(seq, 1, g, 300)
-    assert abs(sup - best) <= 1e-10
 
 
 def test_grid_chunked_evaluation_matches(monkeypatch):
@@ -113,8 +101,9 @@ def test_refine_zeros():
 def test_refine_holds_exact_resonance():
     n = 10**4
     seq = polynomial_phase_sequence(SQRT2M1, 1, n)
-    start = (0.0, (1 - SQRT2M1) % 1.0)
-    value, coeffs = refine_local(seq, 1, start, n)
+    # The nearest point of the finest lattice the refinement steps on.
+    start = (0.0, round((1 - SQRT2M1) * 2**16) / 2**16)
+    value, coeffs = refine_local(seq, 1, start, n, initial_step=2.0**-16)
     assert value >= 0.9
     delta = abs(coeffs[1] - (1 - SQRT2M1)) % 1.0
     assert min(delta, 1 - delta) <= 2e-5
@@ -126,7 +115,7 @@ def test_refine_never_decreases():
         count = int(rng.integers(16, 400))
         values = rng.normal(size=count) + 1j * rng.normal(size=count)
         seq = ComplexSequence(values, "random")
-        start = (0.0,) + tuple(float(v) for v in rng.random(2))
+        start = (0.0,) + tuple(rng.integers(16, size=2) / 16)
         start_value = direct_average_modulus(values, start)
         refined, _ = refine_local(seq, 2, start, count)
         assert refined >= start_value - 1e-15
@@ -173,15 +162,13 @@ def test_refine_respects_eval_budget(monkeypatch):
 
 @pytest.mark.parametrize(
     "grid, count, degree",
-    [(g, c, d) for g in (16, 10) for c in (64, 1000, 4096) for d in (1, 2, 3)]
+    [(g, c, d) for g in (16, 32) for c in (64, 1000, 4096) for d in (1, 2, 3)]
     + [(16, 70_001, 1), (16, 70_001, 2)],
 )
 def test_refine_matches_direct_evaluation(degree, count, grid, monkeypatch):
     """Scoring from cached terms takes the same path as direct evaluation.
 
-    G = 16 starts give dyadic shifts; G = 10 starts give inexact float
-    shifts, whose +step and -step moves are not exact negatives.  At
-    70,001 terms every G = 16 point and shift has a period of at most
+    At 70,001 terms every G = 16 point and shift has a period of at most
     2^16 terms, so the refinement repeats each of its streams, while the
     reference streams every candidate in full.
     """
@@ -205,29 +192,29 @@ def test_refine_matches_direct_evaluation(degree, count, grid, monkeypatch):
             assert value == direct_average_modulus(values, coeffs)
 
 
-def test_refine_scores_minus_step_at_its_own_candidate(monkeypatch):
-    """-step is scored at the float c - step, not at c - (exact +step shift).
+@pytest.mark.parametrize(
+    "start, step",
+    [
+        ((0.0, 0.0, 0.0, 0.0), 0.1),  # a step off the powers of two
+        ((0.0, 0.0, 0.0, 0.0), 1.0),  # 2^0: k >= 1 is required
+        ((0.0, 0.0, 0.0, 0.0), 0.0),
+        ((0.0, 0.0, 0.7, 0.0), 1.0 / 16),  # a start off the 1/16 lattice
+        ((0.0, 0.0, 0.0, 1.0 / 32), 1.0 / 16),
+    ],
+    ids=["step-0.1", "step-1", "step-0", "start-0.7", "start-1/32"],
+)
+def test_refine_refuses_steps_off_the_dyadic_lattice(start, step, monkeypatch):
+    """Only on a 2^-k lattice is t_i - step an exact float, the exact negative move of t_i + step.
 
-    From t_3 = 0 with step 1/10, (0 + 0.1) % 1 and (0 - 0.1) % 1 round to
-    shifts that are not exact negatives: they miss by 2^-55.  At
-    N = 3 * 10^5 that moves the phase of n^3 by about 0.75 turn.  The
-    weights put modulus 0.5 at the start and 0.6 at the -step candidate,
-    so a -step score taken from the +step factor (about 0.3) would skip
-    the move that direct evaluation takes.
+    Off it, from t_3 = 0 with step 1/10, (0 + 0.1) % 1 and (0 - 0.1) % 1
+    round to moves that miss exact negatives by 2^-55, about 0.75 turn of
+    n^3 at N = 3 * 10^5.  Such a start or step is refused before any
+    candidate is scored.
     """
-    count = 300_000
-    start = (0.0, 0.0, 0.0, 0.0)
-    target = (0.0, 0.0, 0.0, (0.0 - 0.1) % 1.0)
-    target_terms = unit_values(phase_stream(PhasePolynomial(target), count))
-    values = 0.5 + 0.6 * np.conj(target_terms)
-    seq = ComplexSequence(values, "two resonances")
-    for max_evals in (7, 25):
-        monkeypatch.setattr(oscillation, "MAX_EVALS", max_evals)
-        value, coeffs = refine_local(seq, 3, start, count, initial_step=0.1)
-        ref_value, ref_coeffs = reference_refine(values, 3, start, 0.1, max_evals=max_evals)
-        assert coeffs == ref_coeffs
-        assert abs(value - ref_value) <= 1e-12
-    assert coeffs[3] == target[3]
+    monkeypatch.setattr(oscillation, "_weighted_terms", _no_search)
+    seq = ComplexSequence(np.ones(64), "ones")
+    with pytest.raises(ValueError, match="initial_step|start"):
+        refine_local(seq, 3, start, 64, initial_step=step)
 
 
 def _period(poly):
@@ -266,7 +253,7 @@ def test_unit_stream_repeats_other_periods_within_rounding(numerators, denominat
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
-@pytest.mark.parametrize("grid", [16, 10])
+@pytest.mark.parametrize("grid", [16, 32])
 def test_sup_search_is_grid_then_refine(degree, grid):
     """The one search equals the grid stage plus refinement from its argmax, to the bit."""
     rng = np.random.default_rng(10 * degree + grid)
@@ -292,7 +279,58 @@ def test_profile_refuses_over_budget_pitch_before_any_search(monkeypatch):
     monkeypatch.setattr(oscillation, "grid_sup_average", _no_search)
     ones = ComplexSequence(np.ones(1000), "ones")
     with pytest.raises(GridBudgetError, match="budget"):
-        estimate_oscillation_profile(ones, 2, [250, 500, 1000], grid_per_dim=300)
+        estimate_oscillation_profile(ones, 2, [250, 500, 1000], grid_per_dim=256)
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [(1, "power of two"), (5, "power of two"), (10, "power of two"), (12, "power of two"),
+     (16.5, "integer")],
+)
+def test_search_refuses_pitch_off_powers_of_two_before_any_search(grid, message, monkeypatch):
+    """A pitch 1/G puts the grid on floats only when G = 2^k.
+
+    At G = 10 the grid scored the exact 7/10 while the refinement started
+    from float(0.7), 1.2 turns away at n^3 by N = 3 * 10^5: weights
+    conj e(7/10 n^3) got a sup of 0.483 beside a grid_sup of 1.000.
+    """
+    monkeypatch.setattr(oscillation, "_residue_buckets", _no_search)
+    monkeypatch.setattr(oscillation, "_weighted_terms", _no_search)
+    ones = ComplexSequence(np.ones(1000), "ones")
+    with pytest.raises(ValueError, match=f"grid_per_dim: .*{message}"):
+        estimate_oscillation_profile(ones, 3, [250, 500, 1000], grid_per_dim=grid)
+    with pytest.raises(ValueError, match=f"grid_per_dim: .*{message}"):
+        sup_search(ones, 1, 1000, grid)
+    with pytest.raises(ValueError, match=f"grid_per_dim: .*{message}"):
+        grid_sup_average(ones, 2, grid, 1000)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    grid=st.sampled_from([2, 4, 8, 16, 32]),
+    degree=st.integers(1, 3),
+    digits=st.lists(st.integers(0, 31), min_size=3, max_size=3),
+    noise=st.floats(0.0, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sup_search_never_reports_below_its_grid(grid, degree, digits, noise, seed):
+    """sup >= grid_sup: a resonance at a grid point plus random weights.
+
+    The weights are conj e(P(n)) at a grid point P, the resonance the grid
+    finds exactly, plus ``noise`` times random complex weights.  The
+    refinement starts at the grid argmax, which it can only improve; the
+    grid folds residues and the refinement streams terms, so the two
+    values of one point may differ in their last bits.
+    """
+    if grid ** (degree + 1) > oscillation.GRID_BUDGET:
+        return
+    count = 3_000
+    coeffs = [0.0] + [(d % grid) / grid for d in digits[:degree]]
+    rng = np.random.default_rng(seed)
+    resonance = np.conj(unit_values(phase_stream(PhasePolynomial(coeffs), count)))
+    values = resonance + noise * (rng.normal(size=count) + 1j * rng.normal(size=count))
+    estimate = sup_search(ComplexSequence(values, "resonance"), degree, count, grid)
+    assert estimate.sup >= estimate.grid_sup - 1e-12
 
 
 def test_profile_refuses_checkpoints_past_sequence_before_any_search(monkeypatch):
@@ -306,8 +344,8 @@ def test_profile_uses_the_pitch_asked_for():
     seq = polynomial_phase_sequence(SQRT2M1, 2, 400)
     default = estimate_oscillation_profile(seq, 3, [100, 200, 400])
     assert [p.grid_per_dim for p in default.degrees] == [DEFAULT_GRID[d] for d in (1, 2, 3)]
-    chosen = estimate_oscillation_profile(seq, 3, [100, 200, 400], grid_per_dim=10)
-    assert [p.grid_per_dim for p in chosen.degrees] == [10, 10, 10]
+    chosen = estimate_oscillation_profile(seq, 3, [100, 200, 400], grid_per_dim=32)
+    assert [p.grid_per_dim for p in chosen.degrees] == [32, 32, 32]
 
 
 def test_grid_monotone_in_degree_on_nested_grids():

@@ -564,6 +564,14 @@ def test_fourier_bohr_matches_linear_average():
         assert abs(scan[j / m] - avg) <= 1e-10
 
 
+def test_fourier_bohr_grid_size_must_be_an_integer():
+    """A fractional M is refused, not truncated: 64.7 used to scan M = 64."""
+    ones = np.ones(128)
+    with pytest.raises(ValueError, match=r"grid_frequencies: expected an integer, got 64\.7"):
+        fourier_bohr_scan(ones, 64.7, 128)
+    assert fourier_bohr_scan(ones, 64.0, 128) == fourier_bohr_scan(ones, 64, 128)
+
+
 def test_fourier_bohr_sorted_descending():
     rng = np.random.default_rng(43)
     values = rng.normal(size=500) + 1j * rng.normal(size=500)
