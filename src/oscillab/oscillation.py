@@ -35,6 +35,8 @@ import numpy as np
 from .polyphase import (
     PhasePolynomial,
     _integer,
+    _period,
+    _repeated,
     _residue_buckets,
     _validated_checkpoints,
     _weights,
@@ -131,28 +133,16 @@ def grid_sup_average(
 
 
 def _unit_stream(poly: PhasePolynomial, n: int) -> np.ndarray:
-    """e(P(k)) for k < n, streaming one period of q terms and repeating it.
+    """e(P(k)) for k < n: one period of q = ``_period`` terms, streamed and ``_repeated``.
 
-    With q the lcm of the denominators of t_1..t_d, P(k + q) - P(k) is an
-    integer, so e(P(k)) has period q.  On the refinement's 2^-k lattice
-    the seeds are exact, frac(P(k)) and frac(P(k + q)) are the same float
-    and the repeat is ``unit_values(phase_stream(poly, n))`` bit for bit;
-    inexact seeds (thirds) would repeat values within 1e-15 of it.  The
-    period is copied in doubling slices, so a short period costs
-    log2(n / q) copies, and no second n-term array is made when q reaches n.
+    On the refinement's 2^-k lattice the seeds are exact, frac(P(k)) and
+    frac(P(k + q)) are the same float and the repeat is
+    ``unit_values(phase_stream(poly, n))`` bit for bit; inexact seeds
+    (thirds) would repeat values within 1e-15 of it.  No second n-term
+    array is made when q reaches n.
     """
-    q = min(n, math.lcm(*(c.denominator for c in poly.coefficients[1:])))
-    first = unit_values(phase_stream(poly, q))
-    if q == n:
-        return first
-    values = np.empty(n, dtype=np.complex128)
-    values[:q] = first
-    filled = q
-    while filled < n:
-        size = min(filled, n - filled)
-        values[filled : filled + size] = values[:size]
-        filled += size
-    return values
+    first = unit_values(phase_stream(poly, min(n, _period(poly.coefficients))))
+    return first if first.size == n else _repeated(first, 0, n)
 
 
 def _weighted_terms(values: np.ndarray, coefficients) -> np.ndarray:

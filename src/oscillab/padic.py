@@ -13,7 +13,8 @@ need q(n) positioned inside the orbit cycle, never q(n) literal
 iterations.  Those positions q(n) mod L, for a cycle of length L, are
 read off the package's one difference-table stream: ``phase_blocks``
 of q / L gives (q(n) mod L) / L, exactly enough to round back to the
-integer.  A non-invertible a adds a pre-periodic tail of at most
+integer.  On a cycle they repeat with the period of q / L; one period
+is computed.  A non-invertible a adds a pre-periodic tail of at most
 ``level`` points, met only at the few n with q(n) below its length.
 """
 
@@ -29,6 +30,8 @@ from .polyphase import (
     PhasePolynomial,
     _average_series,
     _drift_bound,
+    _period,
+    _repeated,
     _validated_checkpoints,
     _weights,
     phase_blocks,
@@ -239,9 +242,7 @@ def orbit_residue_census(
         raise ValueError("level: must be in [0, precision]")
     if steps < 1:
         raise ValueError("steps: must be >= 1")
-    x = int(getattr(x0, "value", x0)) % system.prime**max(level, 1)
-    if level == 0:
-        return {0: steps}
+    x = int(getattr(x0, "value", x0)) % system.prime**level
     counts: Counter[int] = Counter()
     for _ in range(steps):
         counts[x] += 1
@@ -308,9 +309,9 @@ def padic_weighted_average(
     """(1/N) sum c_n prod_j e((T^{q_j(n)} x0 mod p^level) / p^level).
 
     The observable is the cylinder character of the first ``level``
-    digits (level 0 is the constant 1).  Orbit values are read from the
-    orbit's cycle mod p^level, which is exact because truncation
-    commutes with the map.
+    digits (level 0 is the constant 1, on a one-point cycle).  Orbit
+    values are read from the orbit's cycle mod p^level, which is exact
+    because truncation commutes with the map.
     """
     if not 0 <= level <= system.precision:
         raise ValueError("level: must be in [0, precision]")
@@ -328,24 +329,26 @@ def padic_weighted_average(
             )
     _check_nonnegative_times(qs, n_max)
 
-    if level == 0:
-        starts = range(0, n_max, _STREAM_TERMS)
-        return _average_series(((s, values[s : s + _STREAM_TERMS].astype(complex)) for s in starts), cps)
-
     mod = system.prime**level
     if mod > (1 << 26):
         raise ValueError("level: p^level observable classes exceed the supported size")
-    x_start = int(getattr(x0, "value", x0)) % mod
-    tail, cycle = _orbit_cycle(system, x_start, level)
+    tail, cycle = _orbit_cycle(system, int(getattr(x0, "value", x0)), level)
     orbit = np.concatenate((np.asarray(tail, dtype=np.int64), cycle)) if tail else cycle
-    streams = [_orbit_indices(q, n_max, len(tail), cycle.size) for q in qs]
-    roots = np.exp((2j * np.pi / mod) * np.arange(mod))
-
-    def terms():
-        for blocks in zip(*streams):
-            start = blocks[0][0]
-            residue_total = sum(orbit[indices] for _, indices in blocks)
-            phase_index = residue_total % mod
-            yield start, values[start : start + phase_index.size] * roots[phase_index]
-
-    return _average_series(terms(), cps)
+    # With no tail, q_j(n) mod L repeats with the period of q_j / L, and so do the units with their lcm.
+    scaled = ([c / cycle.size for c in q.monomial_coefficients()] for q in qs)
+    span = n_max if tail else min(n_max, _period(*scaled))
+    streams = [_orbit_indices(q, span, len(tail), cycle.size) for q in qs]
+    # One root per class pays off only when the classes are fewer than the units they serve;
+    # a unit is the table's own expression of its class either way, so the values are the same.
+    roots = np.exp((2j * np.pi / mod) * np.arange(mod)) if mod < span else None
+    classes = ((b[0][0], sum(orbit[indices] for _, indices in b) % mod) for b in zip(*streams))
+    units = ((s, np.exp((2j * np.pi / mod) * k) if roots is None else roots[k]) for s, k in classes)
+    stops = [(s, min(s + _STREAM_TERMS, n_max)) for s in range(0, n_max, _STREAM_TERMS)]
+    if span < n_max:
+        period = np.empty(span, dtype=np.complex128)
+        for start, unit in units:
+            period[start : start + unit.size] = unit
+        units = ((s, _repeated(period, s, e)) for s, e in stops)
+    # Stops are the streams' own blocks.  The units enter each product unnamed: numpy reuses a large
+    # unnamed factor for the result, swapping the factors, which fixes the last bit of complex products.
+    return _average_series(((s, values[s:e] * next(units)[1]) for s, e in stops), cps)

@@ -387,6 +387,24 @@ def _drift_bound(degree: int, count: int) -> int:
     return sum(math.comb(last_row, j) << j for j in range(degree + 1))
 
 
+def _period(*coefficient_lists) -> int:
+    """q = lcm of the denominators of t_1..t_d of every P given: each P(n + q) - P(n) is an integer."""
+    return math.lcm(*(c.denominator for coefficients in coefficient_lists for c in coefficients[1:]))
+
+
+def _repeated(period: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """period[k mod q], q = period.size, for start <= k < stop: a new array, in log2((stop - start) / q) copies."""
+    q = period.size
+    out = np.empty(stop - start, dtype=period.dtype)
+    filled = 0
+    while filled < out.size:
+        # Until one whole period is in, copy from it; then double what is in, from a multiple of q back.
+        piece = period[(start + filled) % q :] if filled < q else out[filled % q : filled]
+        out[filled : filled + piece.size] = piece[: out.size - filled]
+        filled = min(out.size, filled + piece.size)
+    return out
+
+
 def unit_values(phases) -> np.ndarray:
     """e(phase) for an array of phases in turns, as a complex array of the same shape.
 

@@ -21,7 +21,7 @@ import numpy as np
 
 # growth_exponent lives in oscillation, which fits decay slopes with it too;
 # it stays importable from here.
-from .oscillation import growth_exponent, sup_search
+from .oscillation import _checked_grid, growth_exponent, sup_search
 from .polyphase import _weights
 from .sequences import ComplexSequence, _counter_blocks, rademacher_sequence
 
@@ -135,5 +135,6 @@ def lsk_empirical_sup(
     length = spec.length if sampled else len(_weights(spec))
     if length < ns[-1]:
         raise ValueError(f"n_list: {ns[-1]} exceeds sequence length {length}")
+    _checked_grid(degree, grid_per_dim)
     seq = sample(spec) if sampled else spec
     return [(n, sup_search(seq, degree, n, grid_per_dim).sup * n) for n in ns]

@@ -178,6 +178,23 @@ def test_census_csv_format(tmp_path):
     assert lines[1:] == ["0,3", "1,3", "2,3"]
 
 
+@pytest.mark.parametrize(
+    ("flag", "value", "message"),
+    [
+        ("--level", "5", "error: level: must be in [0, precision]"),
+        ("--level", "-1", "error: level: must be in [0, precision]"),
+        ("--steps", "0", "error: steps: must be >= 1"),
+    ],
+)
+def test_census_refuses_level_and_steps_out_of_range(tmp_path, capsys, flag, value, message):
+    args = {"--level": "1", "--steps": "9", flag: value}
+    argv = ["census", "--p", "3", "--a", "4", "--b", "1", "--precision", "4", "--x0", "0"]
+    argv += [item for pair in args.items() for item in pair] + ["--out", str(tmp_path / "c")]
+    assert run(argv) == 1
+    assert capsys.readouterr().err.strip() == message
+    assert not (tmp_path / "c" / "census.csv").exists()
+
+
 def test_lsk_csv_format(tmp_path):
     out = tmp_path / "l"
     assert run(

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from oscillab import padic
 from oscillab.padic import (
     PadicAffineSystem,
     PadicNumber,
@@ -19,7 +20,7 @@ from oscillab.padic import (
     padic_eval_map,
     padic_weighted_average,
 )
-from oscillab.polyphase import _STREAM_TERMS, PhasePolynomial, _drift_bound, phase_blocks
+from oscillab.polyphase import _STREAM_TERMS, PhasePolynomial, _average_series, _drift_bound, phase_blocks
 from oscillab.sequences import rademacher_sequence
 from oscillab.torus import TimePolynomial
 
@@ -374,6 +375,71 @@ def test_weighted_average_zips_constant_and_stepped_streams():
     terms = seq.values * np.exp(2j * np.pi * (residues % mod) / mod)
     reference = np.cumsum(np.add.reduceat(terms, [0] + cps[:-1])) / np.asarray(cps)
     assert np.abs(series.averages - reference).max() <= 1e-12
+
+
+_AROUND_THE_PERIOD = [
+    # (p, a, b, level, x0, qs, P): P the lcm of the periods of q_j / L, L the cycle length.
+    (3, 4, 1, 5, 17, [TimePolynomial((0, 1, 2)), TimePolynomial.from_power(1)], 243),
+    (2, 5, 1, 6, 3, [TimePolynomial((0, 0, 1))], 128),  # C(n, 2) / 64 has denominator 128
+    (5, 6, 2, 3, 1, [TimePolynomial((1, 2, 0, 1)), TimePolynomial((4,))], 750),  # C(n, 3) / 125: 750
+    (7, 8, 1, 2, 5, [TimePolynomial.from_power(8), TimePolynomial((0, 0, 1))], 98),
+    (3, 4, 1, 10, 12345, [TimePolynomial.from_power(3)], 3**10),  # 2^16 +- 1 cross a block edge
+    (3, 3, 1, 4, 7, [TimePolynomial((0, 1, 2)), TimePolynomial.from_power(1)], None),  # p | a: a tail
+]
+
+
+@pytest.mark.parametrize(("p", "a", "b", "level", "x0", "qs", "period"), _AROUND_THE_PERIOD)
+def test_average_around_the_period_matches_term_by_term(p, a, b, level, x0, qs, period, monkeypatch):
+    """N at P - 1, P, P + 1, 2P + 1 and 2^16 +- 1, against orbit positions q(n) mod L computed exactly.
+
+    The same averages with the repeat switched off, every unit streamed,
+    agree bit for bit, complex weights included.
+    """
+    system = PadicAffineSystem.from_ints(p, a, b)
+    mod = p**level
+    ns = [2**16 - 1, 2**16 + 1] + ([period - 1, period, period + 1, 2 * period + 1] if period else [])
+    count = max(ns)
+    rng = np.random.default_rng(level)
+    weights = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+
+    orbit, seen = [x0 % mod], {x0 % mod: 0}
+    while (following := system.step_int(orbit[-1], level)) not in seen:
+        seen[following] = len(orbit)
+        orbit.append(following)
+    tail = seen[following]
+    cycle_length = len(orbit) - tail
+    if period:
+        assert tail == 0 and cycle_length == p**level
+        scaled = ([c / cycle_length for c in q.monomial_coefficients()] for q in qs)
+        assert padic._period(*scaled) == period
+    residues = np.zeros(count, dtype=np.int64)
+    for q in qs:
+        times = (q(k) for k in range(count))
+        residues += [orbit[t if t < tail else tail + (t - tail) % cycle_length] for t in times]
+    terms = weights * np.exp(2j * np.pi * (residues % mod) / mod)
+
+    for n in ns:
+        cps = sorted({1, n // 2, n})
+        series = padic_weighted_average(system, level, x0, qs, weights[:n], cps)
+        reference = np.cumsum(np.add.reduceat(terms[:n], [0] + cps[:-1])) / np.asarray(cps)
+        assert np.abs(series.averages - reference).max() <= 1e-12, n
+        with monkeypatch.context() as patched:
+            patched.setattr(padic, "_period", lambda *coefficients: 2**62)
+            streamed = padic_weighted_average(system, level, x0, qs, weights[:n], cps)
+        assert series.averages.tobytes() == streamed.averages.tobytes(), n
+
+
+@pytest.mark.parametrize("a", [4, 3])
+def test_level_zero_averages_the_weights_themselves(a):
+    """Level 0 is a one-point cycle with unit 1: the averages of the weights made complex, bit for bit."""
+    system = PadicAffineSystem.from_ints(3, a, 1)
+    n = 2 * _STREAM_TERMS + 7
+    weights = np.random.default_rng(a).standard_normal(n)
+    cps = (1, 5_000, _STREAM_TERMS, n)
+    qs = [TimePolynomial.from_power(2), TimePolynomial((4,))]
+    series = padic_weighted_average(system, 0, 11, qs, weights, cps)
+    blocks = ((s, weights[s : s + _STREAM_TERMS].astype(complex)) for s in range(0, n, _STREAM_TERMS))
+    assert series.averages.tobytes() == _average_series(blocks, cps).averages.tobytes()
 
 
 def _affine_power(a, b, t, mod):

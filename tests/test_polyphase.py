@@ -17,6 +17,7 @@ from oscillab.polyphase import (
     _difference_steps,
     _fixed_seed_table,
     _lanes,
+    _repeated,
     _residue_buckets,
     _seed_pairs,
     binomial_phase_polynomial,
@@ -590,3 +591,30 @@ def test_series_csv_format():
     lines = series.to_csv().strip().splitlines()
     assert lines[0] == "n,re,im,modulus"
     assert lines[1].startswith("2,0.5,0,")
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    q=st.one_of(st.integers(1, 64), st.integers(1, 70_000)),
+    start=st.integers(0, 10**12),
+    data=st.data(),
+    dtype=st.sampled_from([np.int64, np.complex128]),
+)
+@example(q=1, start=0, data=None, dtype=np.complex128)
+@example(q=70_000, start=69_999, data=None, dtype=np.int64)
+def test_repeated_is_the_period_indexed_mod_q(q, start, data, dtype):
+    """period[k mod q] for start <= k < stop, bit for bit, below and above one period."""
+    if data is None:
+        length = 3 * q + 1
+    else:
+        length = data.draw(st.one_of(st.integers(0, q), st.integers(q, 4 * q + 3)), label="length")
+    rng = np.random.default_rng(q)
+    if dtype is np.int64:
+        period = rng.integers(-(2**62), 2**62, q)
+    else:
+        period = rng.standard_normal(q) + 1j * rng.standard_normal(q)
+    out = _repeated(period, start, start + length)
+    expected = period[np.arange(start, start + length) % q]
+    assert out.dtype == period.dtype and out.shape == (length,)
+    assert out.tobytes() == expected.tobytes()
+    assert not np.shares_memory(out, period)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oscillab import oscillation
+from oscillab import oscillation, probabilistic
 from oscillab.oscillation import grid_sup_average, refine_local
 from oscillab.probabilistic import (
     Distribution,
@@ -95,6 +95,16 @@ def test_lsk_refuses_lengths_past_a_direct_sequence(monkeypatch):
     ones = ComplexSequence(np.ones(500), "ones")
     with pytest.raises(ValueError, match="n_list: 1000 exceeds sequence length 500"):
         lsk_empirical_sup(ones, 1, [250, 1000], 8)
+
+
+def test_lsk_refuses_a_pitch_before_drawing(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the sequence was drawn before the pitch was checked")
+
+    monkeypatch.setattr(probabilistic, "sample", no_draw)
+    spec = RandomSequenceSpec(Distribution("standard-gaussian"), 1, 10**7)
+    with pytest.raises(ValueError, match="grid_per_dim: must be a power of two >= 2, got 10"):
+        lsk_empirical_sup(spec, 1, [10**7], 10)
 
 
 def test_lsk_growth_bound_single_seed():
