@@ -349,6 +349,7 @@ def padic_weighted_average(
         for start, unit in units:
             period[start : start + unit.size] = unit
         units = ((s, _repeated(period, s, e)) for s, e in stops)
-    # Stops are the streams' own blocks.  The units enter each product unnamed: numpy reuses a large
-    # unnamed factor for the result, swapping the factors, which fixes the last bit of complex products.
-    return _average_series(((s, values[s:e] * next(units)[1]) for s, e in stops), cps)
+    # Stops are the streams' own blocks.  Every units block is a new array, so each product is written
+    # into it as units * weights: one factor order, and so one last bit of complex products, at any size.
+    products = ((s, np.multiply(unit, values[s:e], out=unit)) for (s, e), (_, unit) in zip(stops, units))
+    return _average_series(products, cps)

@@ -11,6 +11,7 @@ value at the integer n + 1.  Averaging code consumes stored indices
 uniformly and never needs to know.
 """
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from .polyphase import (
     MAX_DEGREE,
     PhasePolynomial,
     _average_series,
+    _repeated,
     _validated_checkpoints,
     phase_blocks,
     unit_values,
@@ -70,85 +72,81 @@ class ComplexSequence:
         return np.asarray(self.values, dtype=np.complex128)
 
 
-# The sieves hold one int8 table and one helper of the smallest unsigned
-# dtype that holds the limit (4 bytes per entry at 10^7), and finish in
-# well under a second at that length.
-def _primes_up_to(limit: int) -> np.ndarray:
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    flags = np.ones(limit + 1, dtype=bool)
+# The sieve fills its int8 table in blocks of _SIEVE_BLOCK entries, so beside the table it holds
+# one int32 block of signed prime products (1 MiB) and its scratch, never a full-length helper.
+# Every block is sliced once per prime up to sqrt(limit) (446 at 10^7): short blocks pay that
+# Python overhead often, long ones leave the cache.  Moebius at 10^7 took 0.28, 0.18, 0.13, 0.13
+# and 0.17 s at 2^16 ... 2^20 entries (median of 7, 2-core host); 2^19 is no faster than 2^18
+# and traces 10.4 MiB against 7.2 at 4 * 10^6.
+_SIEVE_BLOCK = 1 << 18
+_WHEEL_PRIMES = 6  # 2, 3, 5, 7, 11, 13: a 30,030-entry pattern
+
+
+def _primes_up_to(limit: int) -> list[int]:
+    flags = np.ones(max(limit + 1, 2), dtype=bool)
     flags[:2] = False
-    for p in range(2, int(limit**0.5) + 1):
+    for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = False
-    return np.nonzero(flags)[0].astype(np.int64)
+    return np.nonzero(flags)[0].tolist()
 
 
-def _flip_leftover(table: np.ndarray, smooth: np.ndarray) -> None:
-    """Flip the sign of every k whose small-prime part smooth[k] is not k itself.
+def _sieve_table(limit: int, liouville: bool) -> np.ndarray:
+    """mu(k), or lambda(k) = (-1)^Omega(k) if ``liouville``, for k = 0..limit as int8 (0 at k = 0).
 
-    Such k carry exactly one prime factor above sqrt(limit).  The
-    comparison with k runs in blocks, so no full-length arange is built.
+    Block by block, s[k] is the product of -p over the primes p <= sqrt(limit) that divide k:
+    a copy of the wheel primes' periodic pattern, times -p for each other prime.  Moebius then
+    sets s[k] = 0 where p^2 divides k; Liouville multiplies by -p again at every higher power
+    p^i.  The value is sign(s[k]), negated where |s[k]| != k: then k has exactly one prime
+    factor above sqrt(limit), since two would exceed limit.
     """
-    for start in range(0, smooth.size, _STREAM_TERMS):
-        stop = min(smooth.size, start + _STREAM_TERMS)
-        leftover = smooth[start:stop] != np.arange(start, stop, dtype=smooth.dtype)
-        table[start:stop][leftover] *= -1
-
-
-def _mobius_table(limit: int) -> np.ndarray:
-    """mu(k) for k = 0..limit as int8 (mu(0) stored as 0)."""
-    mu = np.ones(limit + 1, dtype=np.int8)
-    mu[0] = 0
-    if limit < 2:
-        return mu
-    # smooth[k] divides k, so it fits the smallest dtype that holds limit.
-    smooth = np.ones(limit + 1, dtype=np.min_scalar_type(limit))
-    for p in _primes_up_to(int(limit**0.5)):
-        p = int(p)
-        mu[p::p] *= -1
-        smooth[p::p] *= p
-        mu[p * p :: p * p] = 0
-    _flip_leftover(mu, smooth)
-    mu[0] = 0
-    return mu
-
-
-def _liouville_table(limit: int) -> np.ndarray:
-    """lambda(k) = (-1)^Omega(k) for k = 0..limit as int8."""
-    lam = np.ones(limit + 1, dtype=np.int8)
-    lam[0] = 0
-    if limit < 2:
-        return lam
-    smooth = np.ones(limit + 1, dtype=np.min_scalar_type(limit))
-    for p in _primes_up_to(int(limit**0.5)):
-        p = int(p)
-        pk = p
-        while pk <= limit:
-            lam[pk::pk] *= -1
-            smooth[pk::pk] *= p
-            pk *= p
-    _flip_leftover(lam, smooth)
-    lam[0] = 0
-    return lam
+    table = np.empty(limit + 1, dtype=np.int8)
+    primes = _primes_up_to(math.isqrt(limit))
+    # |s[k]| divides k, so it fits the signed type that holds limit (k = 0 may wrap; it is reset).
+    dtype = np.int32 if limit < 1 << 31 else np.int64
+    pattern = np.ones(math.prod(primes[:_WHEEL_PRIMES]), dtype=dtype)
+    for p in primes[:_WHEEL_PRIMES]:
+        pattern[::p] *= -p
+    for lo in range(0, limit + 1, _SIEVE_BLOCK):
+        hi = min(limit + 1, lo + _SIEVE_BLOCK)
+        s = _repeated(pattern, lo, hi)
+        for p in primes[_WHEEL_PRIMES:]:
+            s[-lo % p :: p] *= -p
+        for p in primes:
+            pk = p * p
+            while pk < hi:
+                if not liouville:
+                    s[-lo % pk :: pk] = 0
+                    break
+                s[-lo % pk :: pk] *= -p
+                pk *= p
+        part = table[lo:hi]
+        np.sign(s, out=part, casting="unsafe")
+        part *= 1 - 2 * (np.abs(s) != np.arange(lo, hi, dtype=dtype)).view(np.int8)
+    table[0] = 0
+    return table
 
 
 def mobius_sequence(n: int) -> ComplexSequence:
     """First n Moebius values; stored index i holds mu(i + 1).
 
-    Sieve cost is O(n log log n) with vectorized passes over the primes
-    up to sqrt(n); values are exact 8-bit integers in {-1, 0, +1}.
+    A segmented sieve: 2^18-entry blocks, each a copy of the wheel pattern
+    for 2..13 with one vectorized pass per other prime up to sqrt(n), so
+    the cost is O(n log log n) and the only full-length array is the
+    result.  At n = 10^7 it takes about 0.12 s, and it traces 1 byte per
+    entry plus about 3.4 MiB of block scratch.  Values are exact 8-bit
+    integers in {-1, 0, +1}.
     """
     if n < 1:
         raise ValueError("n: must be >= 1")
-    return ComplexSequence(_mobius_table(n)[1:], f"mobius(n={n})")
+    return ComplexSequence(_sieve_table(n, liouville=False)[1:], f"mobius(n={n})")
 
 
 def liouville_sequence(n: int) -> ComplexSequence:
     """First n Liouville values; stored index i holds lambda(i + 1)."""
     if n < 1:
         raise ValueError("n: must be >= 1")
-    return ComplexSequence(_liouville_table(n)[1:], f"liouville(n={n})")
+    return ComplexSequence(_sieve_table(n, liouville=True)[1:], f"liouville(n={n})")
 
 
 def _splitmix64(seed: int, indices: np.ndarray) -> np.ndarray:

@@ -6,7 +6,13 @@ from oscillab.oscillation import sup_search
 from oscillab.padic import PadicAffineSystem, padic_weighted_average
 from oscillab.polyphase import PhasePolynomial, fourier_bohr_scan, unit_values, weighted_exponential_average
 from oscillab.probabilistic import Distribution, RandomSequenceSpec, sample
-from oscillab.sequences import cesaro_l1_norm, mobius_sequence, rademacher_sequence, write_sequence
+from oscillab.sequences import (
+    cesaro_l1_norm,
+    liouville_sequence,
+    mobius_sequence,
+    rademacher_sequence,
+    write_sequence,
+)
 from oscillab.torus import TimePolynomial
 
 N = 4_000_000
@@ -46,6 +52,15 @@ def test_write_sequence_transient_peak(traced_peak, tmp_path):
     # Half a million lines keep the traced formatting quick; a complex copy alone is 8 MB.
     weights = mobius_sequence(N // 8)
     assert traced_peak(write_sequence, tmp_path / "mobius.txt", weights) < 4 * MB
+
+
+def test_mobius_sieve_peak(traced_peak):
+    # The int8 result itself is 4 MB of this; a full-length helper array would add 16 MB more.
+    assert traced_peak(mobius_sequence, N) < 8 * MB
+
+
+def test_liouville_sieve_peak(traced_peak):
+    assert traced_peak(liouville_sequence, N) < 8 * MB
 
 
 def test_rademacher_generation_peak(traced_peak):

@@ -442,6 +442,31 @@ def test_level_zero_averages_the_weights_themselves(a):
     assert series.averages.tobytes() == _average_series(blocks, cps).averages.tobytes()
 
 
+@pytest.mark.parametrize("n", [5_000, 65_535, 70_000])
+def test_complex_weights_multiply_units_first(n):
+    """Each block's product is units * weights, whatever its size.
+
+    The two factor orders differ in the last bit of complex products.
+    N = 5,000 and the 4,464-term last block of N = 70,000 are short enough
+    that numpy would not reuse an unnamed factor for the result.
+    """
+    system = PadicAffineSystem.from_ints(3, 4, 1)
+    qs = [TimePolynomial.from_power(2), TimePolynomial.from_power(1)]
+    rng = np.random.default_rng(n)
+    weights = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    cps = sorted({1, n // 2, n})
+    series = padic_weighted_average(system, 1, 1, qs, weights, cps)
+
+    tail, cycle = _orbit_cycle(system, 1, 1)
+    assert not tail and cycle.size == 3
+    classes = sum(cycle[np.asarray([q(k) for k in range(n)]) % 3] for q in qs) % 3
+    units = np.exp((2j * np.pi / 3) * classes)
+    terms = units * weights
+    assert (terms != weights * units).any()
+    blocks = ((s, terms[s : s + _STREAM_TERMS]) for s in range(0, n, _STREAM_TERMS))
+    assert series.averages.tobytes() == _average_series(blocks, cps).averages.tobytes()
+
+
 def _affine_power(a, b, t, mod):
     """(A, B) with T^t x = A x + B mod ``mod`` for T x = a x + b."""
     big_a, big_b = 1, 0

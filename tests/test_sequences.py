@@ -89,6 +89,26 @@ def test_sieves_at_documented_limit():
         assert lam[k - 1] == (-1) ** omega_by_trial_division(k), k
 
 
+def test_sieves_at_block_and_wheel_seams():
+    """Values within 3 of every multiple of the sieve block and of the 30,030-entry wheel pattern."""
+    n = 10**6
+    mu = mobius_sequence(n).values
+    lam = liouville_sequence(n).values
+    for period in (sequences._SIEVE_BLOCK, 2 * 3 * 5 * 7 * 11 * 13):
+        for k in {k for m in range(period, n + 4, period) for k in range(m - 3, m + 4) if k <= n}:
+            assert mu[k - 1] == mobius_by_trial_division(k), k
+            assert lam[k - 1] == (-1) ** omega_by_trial_division(k), k
+
+
+def test_sieves_at_every_small_limit():
+    """Limits 0..300 cover sqrt(limit) passing each wheel prime 2..13, and 17 (at 289)."""
+    mu = np.array([0] + [mobius_by_trial_division(k) for k in range(1, 301)])
+    lam = np.array([0] + [(-1) ** omega_by_trial_division(k) for k in range(1, 301)])
+    for limit in range(301):
+        assert sequences._sieve_table(limit, liouville=False).tolist() == mu[: limit + 1].tolist(), limit
+        assert sequences._sieve_table(limit, liouville=True).tolist() == lam[: limit + 1].tolist(), limit
+
+
 def test_mobius_rejects_zero_length():
     with pytest.raises(ValueError):
         mobius_sequence(0)
