@@ -34,8 +34,9 @@ from .padic import PadicAffineSystem, affine_minimality_check, orbit_residue_cen
 from .polyphase import (
     ErgodicAverageSeries,
     PhasePolynomial,
-    _fixed_to_float,
+    _folded,
     _integer,
+    _pair_floats,
     _validated_checkpoints,
     fourier_bohr_scan,
     geometric_checkpoints,
@@ -62,7 +63,7 @@ from .torus import (
     CharacterObservable,
     SkewShiftSystem,
     TimePolynomial,
-    _orbit_registers,
+    _orbit_blocks,
     build_tower,
     multiple_ergodic_average,
     verify_factorization,
@@ -395,10 +396,11 @@ def _run_simulate_torus(config: ExperimentConfig, out: Path) -> list[Path]:
     steps = _require(config.params, "steps", _int)
     if steps < 1:
         raise ConfigError("steps: must be >= 1")
-    rows = [
-        (n, *map(_fixed_to_float, regs[1:]))
-        for n, regs in enumerate(_orbit_registers(system, x, steps))
-    ]
+    rows = []
+    for start, registers in _orbit_blocks(system, x, steps):
+        next(registers)  # alpha
+        coordinates = _folded(np.array([_pair_floats(hi, lo) for hi, lo in registers]))
+        rows += zip(range(start, start + coordinates.shape[1]), *coordinates.tolist())
     header = "n," + ",".join(f"x{i + 1}" for i in range(system.dimension))
     return [_write_csv(out / "orbit.csv", header, rows)]
 

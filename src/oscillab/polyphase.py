@@ -27,6 +27,9 @@ paths avoid this:
   route) plus one float rounding on output: the 1e-9 bound at N = 10^6,
   d <= 4 is met with orders of magnitude to spare.  ``phase_stream`` is
   the same stream taken as one block, for callers that keep the array.
+  Every fixed-point value becomes a float by the one conversion
+  hi * 2^-64 + lo * 2^-128 of its (hi, lo) words (``_pair_floats``,
+  ``_fixed_to_float`` for one Python int).
 
 ``unit_values`` turns phases into e(phase) without a complex
 exponential: 4096 * phase splits exactly into an integer k and a rest
@@ -197,8 +200,29 @@ def _to_fixed(value) -> int:
 
 
 def _fixed_to_float(fx: int) -> float:
-    """A 128-bit fixed-point phase as a float in [0, 1); one that rounds up to 1.0 folds to 0.0."""
-    return (fx * _INV_2_128) % 1.0
+    """A 128-bit fixed-point phase as a float in [0, 1): ``_pair_floats`` and ``_folded`` on one int."""
+    value = (fx >> 64) * _INV_2_64 + (fx & _MASK64) * _INV_2_128
+    return 0.0 if value >= 1.0 else value
+
+
+def _pair_floats(hi: np.ndarray, lo: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    """hi * 2^-64 + lo * 2^-128 for 128-bit fixed-point (hi, lo) words, into ``out`` if given.
+
+    The one conversion of fixed-point phases to floats: hi rounds once
+    and the sum once more, so a phase is off by at most a unit in its
+    last place.  Only a sum just below 2^128 can round up to 1.0, which
+    ``_folded`` takes back to 0.0.  ``scratch``, if given, holds lo's
+    part, so that a conversion into ``out`` makes no temporary.
+    """
+    out = np.multiply(hi, _INV_2_64, out=out)
+    out += np.multiply(lo, _INV_2_128, out=scratch)
+    return out
+
+
+def _folded(phases: np.ndarray) -> np.ndarray:
+    """``phases`` with the 1.0 of a fixed-point value just below 2^128 folded to 0.0, in place."""
+    phases[phases >= 1.0] = 0.0
+    return phases
 
 
 def _forward_differences(values) -> list:
@@ -221,16 +245,115 @@ def _difference_steps(registers: list, count: int, modulus: int):
     One step adds r_{j-1} to r_j mod ``modulus`` for j = k, ..., 1, so r_0
     is constant and r_k after n steps is sum_j C(n, k - j) r_j mod
     ``modulus``.  The list is updated in place and the same list is
-    yielded each time, so read it before the next step.  With a
-    polynomial's leading forward differences, highest first, r_k steps
-    through its values; with (alpha, x_1, ..., x_m) the registers step
-    the skew shift T.
+    yielded each time, so read it before the next step.  This scalar
+    stepper serves moduli other than 2^128, the big-int seeds of
+    ``_fixed_seed_table``; mod 2^128 the same recurrence runs a block at
+    a time on uint64 pairs in ``_pair_steps``.
     """
     downward = range(len(registers) - 1, 0, -1)
     for _ in range(count):
         yield registers
         for j in downward:
             registers[j] = (registers[j] + registers[j - 1]) % modulus
+
+
+def _add_pairs(hi: np.ndarray, lo: np.ndarray, b_hi, b_lo) -> None:
+    """(hi, lo) += (b_hi, b_lo) mod 2^128 in place, the low words' carry taken into the high word."""
+    lo += b_lo
+    hi += b_hi + (lo < b_lo)
+
+
+def _times_small(hi, lo, n) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) * n mod 2^128 for n < 2^32, an array or an np.uint64.
+
+    The low word is multiplied in 32-bit halves, whose products fit 64
+    bits, and their high parts and carry go into the high word.
+    Scalars are np.uint64, since numpy 1.x makes uint64 with Python ints
+    float64.
+    """
+    low = (lo & _MASK32) * n
+    mid = (lo >> _SHIFT32) * n
+    lo = low + (mid << _SHIFT32)
+    return hi * n + (mid >> _SHIFT32) + (lo < low), lo
+
+
+def _scaled_pairs(hi, lo, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) * k mod 2^128 for any integer k.
+
+    Horner's rule over the 32-bit digits of |k| mod 2^128, one
+    ``_times_small`` per digit (a single one for |k| < 2^32), then the
+    two's complement for k < 0.
+    """
+    magnitude = abs(k) & _FIXED_MASK
+    top = max(0, magnitude.bit_length() - 1) // 32 * 32
+    out_hi, out_lo = _times_small(hi, lo, np.uint64(magnitude >> top))
+    for shift in range(top - 32, -1, -32):
+        out_hi, out_lo = (out_hi << _SHIFT32) | (out_lo >> _SHIFT32), out_lo << _SHIFT32
+        digit = (magnitude >> shift) & 0xFFFFFFFF
+        if digit:
+            _add_pairs(out_hi, out_lo, *_times_small(hi, lo, np.uint64(digit)))
+    if k < 0:
+        out_hi, out_lo = ~out_hi + (out_lo == 0), ~out_lo + np.uint64(1)
+    return out_hi, out_lo
+
+
+def _cumulate_pairs(hi: np.ndarray, lo: np.ndarray) -> None:
+    """Running sums of a row of 128-bit (hi, lo) pairs, in place, exact mod 2^128.
+
+    ``np.cumsum`` wraps hi mod 2^64, as a high word should.  The low
+    words are summed as 32-bit halves, which cannot overflow for fewer
+    than 2^32 terms, and the upper halves' sum is shifted into place
+    with its overflow and carry going to hi.
+    """
+    upper = np.cumsum(lo >> _SHIFT32)
+    np.bitwise_and(lo, _MASK32, out=lo)
+    np.cumsum(lo, out=lo)
+    np.cumsum(hi, out=hi)
+    hi += upper >> _SHIFT32
+    upper <<= _SHIFT32
+    lo += upper
+    hi += lo < upper
+
+
+def _pair_steps(registers: list, count: int, block: int):
+    """``(start, rows)``: registers of ``_difference_steps`` mod 2^128 at steps 0..count-1, by blocks.
+
+    ``registers`` are r_0, ..., r_k at step 0 as ints in [0, 2^128).  A
+    block covers steps start..start+size-1, size <= ``block`` < 2^32,
+    and ``rows`` yields r_0, ..., r_k over it in turn, each as uint64
+    arrays (hi, lo) of length size whose entry t is the register at step
+    start + t: the values the scalar stepper yields.  Over a block r_0
+    is constant and row j is r_j(start) plus the exclusive prefix sum of
+    row j - 1, which ``_cumulate_pairs`` makes in place from row j - 1
+    shifted by one.  So every row of every block is written into the
+    same two arrays, and a row must be read before the next is asked
+    for.  The registers at the next block's start are the rows' last
+    entries stepped once more.
+    """
+    hi = np.empty(min(block, count), dtype=np.uint64)
+    lo = np.empty_like(hi)
+    for start in range(0, count, block):
+        size = min(block, count - start)
+        last = []
+        rows = _block_rows(registers, hi[:size], lo[:size], last)
+        yield start, rows
+        for _ in rows:  # rows left unread still hand their last entries on
+            pass
+        registers = last[:1] + [(r + s) & _FIXED_MASK for r, s in zip(last[1:], last)]
+
+
+def _block_rows(registers: list, hi: np.ndarray, lo: np.ndarray, last: list):
+    """Rows r_0, ..., r_k of one ``_pair_steps`` block, in place in (hi, lo); each row's last entry goes to ``last``."""
+    for j, register in enumerate(registers):
+        if j:
+            hi[1:] = hi[:-1]
+            lo[1:] = lo[:-1]
+            hi[0], lo[0] = divmod(register, 1 << 64)
+            _cumulate_pairs(hi, lo)
+        else:
+            hi[:], lo[:] = divmod(register, 1 << 64)
+        last.append((int(hi[-1]) << 64) | int(lo[-1]))
+        yield hi, lo
 
 
 def _fixed_seed_table(coeffs: tuple[Fraction, ...], count: int) -> list[int]:
@@ -255,9 +378,8 @@ def _seed_pairs(coeffs: tuple[Fraction, ...], count: int) -> tuple[np.ndarray, n
 
     When every denominator divides 2^128, 2^128 * P(n) mod 2^128 is
     sum_j A_j n^j with integers A_j = 2^128 t_j: Horner's rule on uint64
-    pairs evaluates it exactly for all n at once, the low word multiplied
-    in 32-bit halves (n < 2^32) with carries into the high word.  Scalars
-    are np.uint64, since numpy 1.x makes uint64 with Python ints float64.
+    pairs evaluates it exactly for all n < 2^32 at once, each step a
+    ``_times_small`` and an addition with its carry into the high word.
     Other denominators take the big-int ``_fixed_seed_table``.
     """
     if any(_FIXED_ONE % c.denominator for c in coeffs):
@@ -270,13 +392,8 @@ def _seed_pairs(coeffs: tuple[Fraction, ...], count: int) -> tuple[np.ndarray, n
     hi = np.zeros(count, dtype=np.uint64)
     lo = np.zeros(count, dtype=np.uint64)
     for c in reversed(coeffs):
-        low = (lo & _MASK32) * n
-        mid = (lo >> _SHIFT32) * n
-        lo = low + (mid << _SHIFT32)
-        hi = hi * n + (mid >> _SHIFT32) + (lo < low)
-        a_hi, a_lo = (np.uint64(w) for w in divmod(_to_fixed(c), 1 << 64))
-        lo += a_lo
-        hi += a_hi + (lo < a_lo)
+        hi, lo = _times_small(hi, lo, n)
+        _add_pairs(hi, lo, *(np.uint64(w) for w in divmod(_to_fixed(c), 1 << 64)))
     return hi, lo
 
 
@@ -329,17 +446,22 @@ def _phase_blocks(poly: PhasePolynomial, count: int, block_terms: int):
     """
     if count < 1:
         raise ValueError("count: must be >= 1")
-    lanes = _lanes(count)
-    block_rows = -(-block_terms // lanes)
+    size = _block_size(count, block_terms)
     coeffs = poly.coefficients
     if all(c == 0 for c in coeffs[1:]):
         value = float(coeffs[0]) % 1.0
-        size = block_rows * lanes
         return (
             (start, np.full(min(size, count - start), value))
             for start in range(0, count, size)
         )
-    return _stepped_blocks(coeffs, count, lanes, block_rows)
+    lanes = _lanes(count)
+    return _stepped_blocks(coeffs, count, lanes, size // lanes)
+
+
+def _block_size(count: int, block_terms: int = _STREAM_TERMS) -> int:
+    """Terms in every block but the last of a ``count``-term stream: whole lane rows, at least ``block_terms``."""
+    lanes = _lanes(count)
+    return -(-block_terms // lanes) * lanes
 
 
 def _stepped_blocks(coeffs: tuple[Fraction, ...], count: int, lanes: int, block_rows: int):
@@ -358,21 +480,34 @@ def _stepped_blocks(coeffs: tuple[Fraction, ...], count: int, lanes: int, block_
             lo[i] -= lo[i - 1]
             hi[i] -= hi[i - 1] + borrow
 
+    # A step adds row i + 1 to row i for i < rows - 1, from one table into
+    # the other, and the two swap; the top row is constant, so it is
+    # copied once.  The views and the carry and conversion scratch are
+    # made once per stream, so a step makes no temporary.
+    tables = ((hi, lo), (np.empty_like(hi), np.empty_like(lo)))
+    tables[1][0][-1] = hi[-1]
+    tables[1][1][-1] = lo[-1]
+    moves = [
+        (src_hi[:-1], src_hi[1:], src_lo[:-1], src_lo[1:], dst_hi[:-1], dst_lo[:-1])
+        for (src_hi, src_lo), (dst_hi, dst_lo) in (tables, tables[::-1])
+    ]
+    heads = [(table_hi[0], table_lo[0]) for table_hi, table_lo in tables]
+    carry = np.empty((rows - 1, lanes), dtype=bool)
+    scratch = np.empty(lanes)
+    current = 0
     for first in range(0, steps, block_rows):
         out = np.empty((min(block_rows, steps - first), lanes), dtype=np.float64)
         for k in range(len(out)):
             if first + k:
-                src_lo = lo[1:].copy()
-                src_hi = hi[1:].copy()
-                lo[:-1] += src_lo
-                carry = (lo[:-1] < src_lo).astype(np.uint64)
-                hi[:-1] += src_hi + carry
-            out[k] = hi[0] * _INV_2_64 + lo[0] * _INV_2_128
+                lower_hi, upper_hi, lower_lo, upper_lo, dst_hi, dst_lo = moves[current]
+                np.add(lower_lo, upper_lo, out=dst_lo)
+                np.less(dst_lo, upper_lo, out=carry)
+                np.add(lower_hi, upper_hi, out=dst_hi)
+                np.add(dst_hi, carry, out=dst_hi)
+                current ^= 1
+            _pair_floats(*heads[current], out=out[k], scratch=scratch)
         start = first * lanes
-        phases = out.reshape(-1)[: count - start]
-        # hi = 2^64 - 1 can round up to 1.0 in float; fold it back.
-        phases[phases >= 1.0] -= 1.0
-        yield start, phases
+        yield start, _folded(out.reshape(-1)[: count - start])
 
 
 def _drift_bound(degree: int, count: int) -> int:

@@ -207,6 +207,10 @@ def polynomial_phase_sequence(alpha, power: int, n: int) -> ComplexSequence:
 # chunk runs in C, and the chunk bounds the transient text to about 0.5 MB.
 _WRITE_CHUNK_LINES = 1 << 13
 
+# The line of every int8 value v, at index v mod 256, so that an int8
+# chunk indexes its lines directly (a negative v from the end).
+_INT8_LINES = np.array(["%.17g %.17g\n" % (v, 0.0) for v in (*range(128), *range(-128, 0))], dtype=object)
+
 
 def write_sequence(path, seq: ComplexSequence) -> None:
     """Write one "RE IM" decimal pair per line after a '# provenance' line.
@@ -214,17 +218,23 @@ def write_sequence(path, seq: ComplexSequence) -> None:
     Values are emitted with 17 significant digits, which round-trips
     float64 exactly.  Formatting line by line costs about 1.3 us a line,
     so each chunk of lines is made complex on its own and written by one
-    ``%``-format call over the interleaved real and imaginary parts.  The
-    bytes equal those of writing every line as ``f"{re:.17g} {im:.17g}\\n"``,
-    the reference the tests keep.
+    ``%``-format call over the interleaved real and imaginary parts.  An
+    int8 chunk (the arithmetic and random +-1/0 sequences) instead joins
+    its lines from ``_INT8_LINES``, several times faster than formatting.
+    The bytes equal those of writing every line as
+    ``f"{re:.17g} {im:.17g}\\n"``, the reference the tests keep.
     """
     path = Path(path)
     with path.open("w", encoding="utf-8") as handle:
         handle.write(f"# {seq.provenance}\n")
         for start in range(0, seq.length, _WRITE_CHUNK_LINES):
             chunk = seq.values[start : start + _WRITE_CHUNK_LINES]
-            part = np.ascontiguousarray(chunk, dtype=np.complex128).view(np.float64).tolist()
-            handle.write(("%.17g %.17g\n" * chunk.size) % tuple(part))
+            if chunk.dtype == np.int8:
+                text = "".join(_INT8_LINES[chunk])
+            else:
+                part = np.ascontiguousarray(chunk, dtype=np.complex128).view(np.float64).tolist()
+                text = ("%.17g %.17g\n" * chunk.size) % tuple(part)
+            handle.write(text)
 
 
 def read_sequence(path) -> ComplexSequence:

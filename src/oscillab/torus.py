@@ -15,11 +15,14 @@ All tower identities are exact integer/rational statements (frequency
 vectors shift and constants are integer multiples of alpha mod 1).  T
 itself and the tower identity f_j(Tx) = f_{j-1}(x) f_j(x) are the
 difference recurrence r_j += r_{j-1}, on the registers (alpha, x_1, ...,
-x_m) and on the level phases; both are stepped by the stream's exact
-``_difference_steps`` in 128-bit fixed point, where mod-1 addition is
-exact, so the three evaluation routes compared by
-``verify_factorization`` agree to float resolution, not merely to some
-drifting tolerance.
+x_m) and on the level phases.  Both are stepped by ``_pair_steps`` in
+128-bit fixed point, where mod-1 addition is exact: a block at a time,
+register j is its start value plus prefix sums of register j - 1 over
+(hi, lo) uint64 words.  Every fixed-point phase becomes a float by the
+one conversion hi * 2^-64 + lo * 2^-128 (1.0 folded to 0), so the three
+evaluation routes compared by ``verify_factorization`` agree to float
+resolution, not merely to some drifting tolerance, and ``orbit_point``
+matches the stepped orbit bit for bit.
 """
 
 import bisect
@@ -31,19 +34,24 @@ import numpy as np
 
 from .polyphase import (
     _FIXED_MASK,
-    _FIXED_ONE,
+    _MASK64,
     ErgodicAverageSeries,
     PhasePolynomial,
+    _add_pairs,
     _binomial_to_monomial,
-    _difference_steps,
+    _block_size,
     _fixed_to_float,
+    _folded,
     _forward_differences,
     _integer,
+    _pair_floats,
+    _pair_steps,
+    _scaled_pairs,
     _to_fixed,
     _validated_checkpoints,
     binomial_phase_polynomial,
     compose_time_polynomial,
-    phase_stream,
+    phase_blocks,
     unit_values,
     weighted_exponential_average,
 )
@@ -103,15 +111,18 @@ def orbit_point(system: SkewShiftSystem, point, n: int) -> tuple[float, ...]:
     return tuple(out)
 
 
-def _orbit_registers(system: SkewShiftSystem, point, count: int):
-    """Registers (alpha, x_1, ..., x_m) of T^n(x), n = 0..count-1, in 128-bit fixed point.
+def _orbit_blocks(system: SkewShiftSystem, point, count: int):
+    """``(start, rows)``: registers alpha, x_1, ..., x_m of T^n(x), n = 0..count-1, by blocks.
 
-    T is one step of ``_difference_steps``, exact mod 1, so x_j equals
-    the closed form of ``orbit_point`` to the bit.
+    T is one step of the difference recurrence, run by ``_pair_steps``
+    on 128-bit fixed-point pairs, where it is exact mod 1, so x_j equals
+    the closed form of ``orbit_point`` to the bit.  ``rows`` yields the
+    registers over the block in that order, as ``_pair_steps`` does; the
+    blocks are those of ``phase_blocks`` over ``count`` terms.
     """
     x = system.validate_point(point)
     registers = [_to_fixed(system.alpha), *(_to_fixed(c) for c in x)]
-    return _difference_steps(registers, count, _FIXED_ONE)
+    return _pair_steps(registers, count, _block_size(count))
 
 
 @dataclass(frozen=True)
@@ -287,12 +298,14 @@ def verify_factorization(tower: QuasiEigenTower, point, n_max: int) -> float:
     """Max pairwise distance of the three evaluation routes over n <= n_max.
 
     Route 1 evaluates the top character on the orbit, T stepped on the
-    registers (alpha, x_1, ..., x_m); route 2 steps the level phases
-    theta_0, ..., theta_k by the tower identity f_j(Tx) = f_{j-1}(x)
-    f_j(x) and reads the top one; route 3 evaluates e(Q(n)) through the
-    monomial expansion of the tower phase polynomial on ``phase_stream``.
-    All three run in exact arithmetic, so for a valid tower the returned
-    deviation sits at float-rounding scale.
+    registers (alpha, x_1, ..., x_m), as c + sum_j k_j x_j; route 2
+    steps the level phases theta_0, ..., theta_k by the tower identity
+    f_j(Tx) = f_{j-1}(x) f_j(x) and reads the top one; route 3 evaluates
+    e(Q(n)) through the monomial expansion of the tower phase polynomial
+    on ``phase_blocks``.  All three run in exact arithmetic mod 1 (128-bit
+    fixed-point pairs), so for a valid tower the returned deviation sits
+    at float-rounding scale.  The routes go block by block side by side,
+    so memory does not grow with ``n_max``.
     """
     if n_max < 1:
         raise ValueError("n_max: must be >= 1")
@@ -300,18 +313,27 @@ def verify_factorization(tower: QuasiEigenTower, point, n_max: int) -> float:
     count = n_max + 1
     top = tower.top
     constant = _to_fixed(top.constant_phase)
-    terms = [(j, k) for j, k in enumerate(top.frequencies, start=1) if k]
     thetas = [_to_fixed(th) for th in tower_thetas(tower, pt)]
-
-    phases = np.empty((3, count), dtype=np.float64)
-    phases[0] = [
-        _fixed_to_float((constant + sum(k * regs[j] for j, k in terms)) & _FIXED_MASK)
-        for regs in _orbit_registers(tower.system, pt, count)
-    ]
-    phases[1] = [_fixed_to_float(regs[-1]) for regs in _difference_steps(thetas, count, _FIXED_ONE)]
-    phases[2] = phase_stream(tower_phase_polynomial(tower, pt), count)
-    values = unit_values(phases)
-    return float(max(np.abs(values[a] - values[b]).max() for a, b in ((0, 1), (0, 2), (1, 2))))
+    routes = zip(
+        _orbit_blocks(tower.system, pt, count),
+        _pair_steps(thetas, count, _block_size(count)),
+        phase_blocks(tower_phase_polynomial(tower, pt), count),
+    )
+    deviation = 0.0
+    for (_, orbit), (_, levels), (_, stream) in routes:
+        hi = np.full(stream.size, constant >> 64, dtype=np.uint64)
+        lo = np.full(stream.size, constant & _MASK64, dtype=np.uint64)
+        for k, (x_hi, x_lo) in zip((0, *top.frequencies), orbit):
+            if k:
+                _add_pairs(hi, lo, *_scaled_pairs(x_hi, x_lo, k))
+        phases = np.empty((3, stream.size))
+        _pair_floats(hi, lo, out=phases[0])
+        *_, (theta_hi, theta_lo) = levels
+        _pair_floats(theta_hi, theta_lo, out=phases[1])
+        phases[2] = stream
+        values = unit_values(_folded(phases))
+        deviation = max(deviation, *(np.abs(values[a] - values[b]).max() for a, b in ((0, 1), (0, 2), (1, 2))))
+    return float(deviation)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from oscillab.sequences import (
     rademacher_sequence,
     write_sequence,
 )
-from oscillab.torus import TimePolynomial
+from oscillab.torus import CharacterObservable, SkewShiftSystem, TimePolynomial, build_tower, verify_factorization
 
 N = 4_000_000
 MB = 1 << 20
@@ -52,6 +52,13 @@ def test_write_sequence_transient_peak(traced_peak, tmp_path):
     # Half a million lines keep the traced formatting quick; a complex copy alone is 8 MB.
     weights = mobius_sequence(N // 8)
     assert traced_peak(write_sequence, tmp_path / "mobius.txt", weights) < 4 * MB
+
+
+def test_verify_factorization_transient_peak(traced_peak):
+    # Three routes of 10^6 + 1 phases as whole arrays traced 91.6 MiB; a block of each is a few MiB.
+    system = SkewShiftSystem(4, 0.6180339887498949)
+    tower = build_tower(system, CharacterObservable((2, -1, 3, 1)))
+    assert traced_peak(verify_factorization, tower, (0.1, 0.2, 0.3, 0.4), 10**6) < 16 * MB
 
 
 def test_mobius_sieve_peak(traced_peak):

@@ -16,9 +16,14 @@ from oscillab.polyphase import (
     PhasePolynomial,
     _difference_steps,
     _fixed_seed_table,
+    _fixed_to_float,
+    _folded,
     _lanes,
+    _pair_floats,
+    _pair_steps,
     _repeated,
     _residue_buckets,
+    _scaled_pairs,
     _seed_pairs,
     binomial_phase_polynomial,
     compose_time_polynomial,
@@ -208,16 +213,37 @@ def test_seed_pairs_match_big_int_table_bit_for_bit(numerators, count, denominat
         assert min(delta, 1 - delta) <= 1e-15, n
 
 
-@settings(max_examples=40, deadline=None)
+def pair_columns(blocks):
+    """The registers of ``_pair_steps`` blocks as Python ints, one list per step."""
+    columns = []
+    for start, rows in blocks:
+        assert start == len(columns)
+        table = []
+        for hi, lo in rows:
+            assert hi.dtype == lo.dtype == np.uint64
+            table.append([(h << 64) | w for h, w in zip(hi.tolist(), lo.tolist())])
+        columns += [list(column) for column in zip(*table)]
+    return columns
+
+
+@settings(max_examples=60, deadline=None)
 @given(
     modulus=st.one_of(st.integers(2, 10**6), st.just(2**128), st.integers(2**128, 2**140)),
     data=st.data(),
 )
 def test_difference_steps_match_binomial_closed_form(modulus, data):
-    """After n steps r_i = sum_j C(n, i - j) r_j(0) mod the modulus, for every register."""
-    start = data.draw(st.lists(st.integers(0, modulus - 1), min_size=1, max_size=9))
-    count = data.draw(st.integers(1, 300))
-    steps = _difference_steps(list(start), count, modulus)
+    """After n steps r_i = sum_j C(n, i - j) r_j(0) mod the modulus, for every register.
+
+    Mod 2^128 the block stepper ``_pair_steps`` must yield the same
+    registers; counts of 1, a block edge +-1 and several blocks are
+    drawn, and registers near the modulus take every carry.
+    """
+    register = st.one_of(st.integers(0, modulus - 1), st.integers(max(0, modulus - 2**66), modulus - 1))
+    start = data.draw(st.lists(register, min_size=1, max_size=9))
+    block = data.draw(st.integers(1, 40))
+    edges = st.sampled_from([1, block - 1, block, block + 1, 3 * block + 2]).filter(lambda c: c >= 1)
+    count = data.draw(st.one_of(st.integers(1, 300), edges))
+    steps = [list(registers) for registers in _difference_steps(list(start), count, modulus)]
     for n, registers in enumerate(steps):
         expected = [
             sum(math.comb(n, i - j) * start[j] for j in range(i + 1)) % modulus
@@ -225,6 +251,76 @@ def test_difference_steps_match_binomial_closed_form(modulus, data):
         ]
         assert registers == expected, n
     assert n == count - 1
+    if modulus == 2**128:
+        assert pair_columns(_pair_steps(start, count, block)) == steps
+
+
+@pytest.mark.parametrize("count", [1, 4, 5, 6, 17])
+def test_pair_steps_take_every_carry(count):
+    """Registers all 2^128 - 1, and a block of 5: every prefix sum and block hand-over carries."""
+    start = [2**128 - 1] * 9
+    steps = [list(registers) for registers in _difference_steps(list(start), count, 2**128)]
+    assert pair_columns(_pair_steps(start, count, 5)) == steps
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    registers=st.lists(st.integers(0, 2**128 - 1), min_size=1, max_size=20),
+    k=st.one_of(st.integers(-(2**31), 2**32 - 1), st.integers(-(2**140), 2**140)),
+)
+@example(registers=[2**128 - 1, 0, 1, 2**64, 2**64 - 1], k=-1)
+@example(registers=[2**128 - 1, 0, 1, 2**64, 2**64 - 1], k=2**128 - 1)
+@example(registers=[2**128 - 1, 3], k=2**96 + 2**32)
+def test_scaled_pairs_match_big_int_product(registers, k):
+    hi = np.array([r >> 64 for r in registers], dtype=np.uint64)
+    lo = np.array([r & (2**64 - 1) for r in registers], dtype=np.uint64)
+    out_hi, out_lo = _scaled_pairs(hi, lo, k)
+    got = [(h << 64) | w for h, w in zip(out_hi.tolist(), out_lo.tolist())]
+    assert got == [(r * k) % 2**128 for r in registers]
+
+
+def one_conversion(value):
+    """hi 2^-64 + lo 2^-128 of a 128-bit fixed-point int, 1.0 folded to 0.0, in plain Python floats."""
+    phase = (value >> 64) * 2.0**-64 + (value & (2**64 - 1)) * 2.0**-128
+    return 0.0 if phase == 1.0 else phase
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(
+    st.one_of(st.integers(0, 2**128 - 1), st.integers(2**128 - 2**75, 2**128 - 1)), min_size=1, max_size=20,
+))
+@example(values=[2**128 - 1, 2**127 + 2**74 + 1, 0, 1])
+def test_fixed_to_float_is_the_pair_conversion(values):
+    """One int converts as its (hi, lo) words do in the stream, and stays below 1."""
+    hi = np.array([v >> 64 for v in values], dtype=np.uint64)
+    lo = np.array([v & (2**64 - 1) for v in values], dtype=np.uint64)
+    pairs = _folded(_pair_floats(hi, lo)).tolist()
+    assert [_fixed_to_float(v) for v in values] == pairs == [one_conversion(v) for v in values]
+    assert all(0.0 <= p < 1.0 for p in pairs)
+
+
+@pytest.mark.parametrize("degree", range(1, 9))
+def test_stream_is_the_one_conversion_of_the_exact_value(degree):
+    """Every sampled phase equals the one conversion of sum_j A_j n^j mod 2^128, bit for bit.
+
+    A_j = 2^128 t_j is an integer for float coefficients.  The samples
+    sit at the lane edges and the block edges of a stream of more than
+    three blocks.
+    """
+    count = 3 * _STREAM_TERMS + 1001
+    rng = np.random.default_rng(degree)
+    coefficients = [float(c) for c in rng.random(degree + 1)]
+    big = [Fraction(c) * 2**128 for c in coefficients]
+    assert all(a.denominator == 1 for a in big)
+    poly = PhasePolynomial(coefficients)
+    stream = phase_stream(poly, count)
+    blocks = list(phase_blocks(poly, count))
+    assert len(blocks) >= 4
+    assert np.array_equal(np.concatenate([phases for _, phases in blocks]).view(np.uint64), stream.view(np.uint64))
+    samples = {n + k for n in (*range(0, count, _lanes(count)), *block_edges(count)) for k in (-1, 0, 1)}
+    for n in sorted(n for n in samples | {count - 1} if 0 <= n < count):
+        exact = sum(int(a) * n**j for j, a in enumerate(big)) % 2**128
+        assert stream[n] == one_conversion(exact), n
 
 
 def block_edges(count):

@@ -331,6 +331,23 @@ def test_write_sequence_bytes_match_line_writer(tmp_path, length):
     assert np.array_equal(back.values.view(np.uint64), values.view(np.uint64))
 
 
+@pytest.mark.parametrize(
+    "length",
+    [1, 256, sequences._WRITE_CHUNK_LINES - 1, sequences._WRITE_CHUNK_LINES + 1],
+)
+def test_write_sequence_int8_lines_match_line_writer(tmp_path, length):
+    """int8 chunks join table lines; every value from -128 to 127 writes as the f-string does."""
+    values = np.resize(np.arange(-128, 128, dtype=np.int8), length)
+    np.random.default_rng(length).shuffle(values)
+    values[:2] = [-128, 127][:length]
+    seq = ComplexSequence(values, f"int8(n={length})")
+    assert seq.values.dtype == np.int8
+    write_sequence(tmp_path / "fast.txt", seq)
+    reference_write_sequence(tmp_path / "ref.txt", seq)
+    assert (tmp_path / "fast.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
+    assert np.array_equal(read_sequence(tmp_path / "fast.txt").values, values.astype(np.complex128))
+
+
 def test_write_sequence_strided_and_integer_values(tmp_path):
     values = mobius_sequence(50).values[::3]
     seq = ComplexSequence(values, "strided")
