@@ -18,7 +18,6 @@ is computed.  A non-invertible a adds a pre-periodic tail of at most
 ``level`` points, met only at the few n with q(n) below its length.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,29 +184,40 @@ def _affine_power(a: int, b: int, t: int, mod: int) -> tuple[int, int]:
     return big_a, big_c
 
 
-def _cycle_from(system: PadicAffineSystem, y: int, level: int) -> np.ndarray:
-    """The cycle y, Ty, ... mod p^level through a periodic point y, as int64.
+def _orbit_blocks(system: PadicAffineSystem, x: int, level: int, size: int):
+    """Blocks of ``size`` orbit points x, Tx, T^2 x, ... mod p^level, in order, without end.
 
-    One point grows to a block of ``_STREAM_TERMS`` by doubling, then
-    each block is the image of the one before under T^B, with T^B's
-    coefficients (A x + C) mod p^level exact in int64 for p^level <=
-    2^26.  The cycle is cut at the first return to y.
+    One point grows to a block by doubling, then each block is the image
+    of the one before under T^size, with T^t's coefficients (A x + C)
+    mod p^level from ``_affine_power``.  A x + C < 2^63 keeps int64
+    exact for p^level <= 2^31; past that the points are Python ints in
+    an object array.
     """
     mod = system.prime**level
     a, b = system.a.value, system.b.value
-    block = np.array([y], dtype=np.int64)
-    while block.size < _STREAM_TERMS:
+    block = np.array([x], dtype=np.int64 if mod <= 1 << 31 else object)
+    while block.size < size:
         big_a, big_c = _affine_power(a, b, block.size, mod)
-        block = np.concatenate((block, (big_a * block + big_c) % mod))
-    big_a, big_c = _affine_power(a, b, block.size, mod)
-    parts, skip = [], 1
+        block = np.concatenate((block, (big_a * block + big_c) % mod))[:size]
+    big_a, big_c = _affine_power(a, b, size, mod)
     while True:
+        yield block
+        block = (big_a * block + big_c) % mod
+
+
+def _cycle_from(system: PadicAffineSystem, y: int, level: int) -> np.ndarray:
+    """The cycle y, Ty, ... mod p^level through a periodic point y, as int64 for p^level <= 2^26.
+
+    ``_orbit_blocks`` of ``_STREAM_TERMS`` points are cut at the first
+    return to y.
+    """
+    parts, skip = [], 1
+    for block in _orbit_blocks(system, y, level, _STREAM_TERMS):
         returns = np.flatnonzero(block[skip:] == y)
         if returns.size:
             parts.append(block[: skip + returns[0]])
             return np.concatenate(parts)
         parts.append(block)
-        block = (big_a * block + big_c) % mod
         skip = 0
 
 
@@ -234,20 +244,33 @@ def orbit_residue_census(
 ) -> dict[int, int]:
     """Visit counts of the orbit in residue classes mod p^level.
 
-    Counts x0, Tx0, ..., T^(steps-1)x0.  For a minimal system the orbit
-    mod p^level is a single cycle of exact length p^level, so over
-    m * p^level steps every class is hit exactly m times.
+    Counts x0, Tx0, ..., T^(steps-1)x0, keyed in increasing residue
+    order.  For a minimal system the orbit mod p^level is a single cycle
+    of exact length p^level, so over m * p^level steps every class is
+    hit exactly m times.  The visits come a ``_STREAM_TERMS`` block at a
+    time from ``_orbit_blocks``, and each block's counts
+    (``np.unique``) are merged into the sorted counts so far, so memory
+    grows with the classes visited, never with p^level.
     """
     if not 0 <= level <= system.precision:
         raise ValueError("level: must be in [0, precision]")
     if steps < 1:
         raise ValueError("steps: must be >= 1")
     x = int(getattr(x0, "value", x0)) % system.prime**level
-    counts: Counter[int] = Counter()
-    for _ in range(steps):
-        counts[x] += 1
-        x = system.step_int(x, level)
-    return dict(counts)
+    size = min(steps, _STREAM_TERMS)
+    blocks = zip(range(0, steps, size), _orbit_blocks(system, x, level, size))
+    keys, counts = np.unique(next(blocks)[1], return_counts=True)
+    for start, block in blocks:
+        values, hits = np.unique(block[: steps - start], return_counts=True)
+        # Merge into the sorted classes so far: add to those seen, insert the rest in order.
+        at = np.searchsorted(keys, values)
+        seen = np.zeros(values.size, dtype=bool)
+        inside = at < keys.size
+        seen[inside] = keys[at[inside]] == values[inside]
+        counts[at[seen]] += hits[seen]
+        new = ~seen
+        keys, counts = np.insert(keys, at[new], values[new]), np.insert(counts, at[new], hits[new])
+    return dict(zip(keys.tolist(), counts.tolist()))
 
 
 def _cycle_positions(q, count: int, cycle_length: int):

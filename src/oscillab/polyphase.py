@@ -25,8 +25,10 @@ paths avoid this:
   per seed.  Mod-1 addition is exact in that representation, so the
   only error is that one 2^-128 truncation per seed (none on the dyadic
   route) plus one float rounding on output: the 1e-9 bound at N = 10^6,
-  d <= 4 is met with orders of magnitude to spare.  ``phase_stream`` is
-  the same stream taken as one block, for callers that keep the array.
+  d <= 4 is met with orders of magnitude to spare.  Streams whose seeds
+  are all multiples of 2^-64 step their high words alone, since their
+  low words stay 0.  ``phase_stream`` is the same stream taken as one
+  block, for callers that keep the array.
   Every fixed-point value becomes a float by the one conversion
   hi * 2^-64 + lo * 2^-128 of its (hi, lo) words (``_pair_floats``,
   ``_fixed_to_float`` for one Python int).
@@ -72,7 +74,9 @@ _INV_2_128 = 2.0 ** -128
 # Lane width of the blocked difference table.  At most lanes * (d + 1)
 # <= 36,864 < 2^32 indices are seeded, by Horner on uint64 pairs or, for
 # non-dyadic denominators, one big-int table; each lane then steps
-# N/lanes times in fixed point, where mod-1 addition is exact.  Lanes are
+# N/lanes times in fixed point, where mod-1 addition is exact: on the
+# high words alone when every seed is a multiple of 2^-64 (floats >=
+# 2^-12, the search's 2^-16 lattice), else on (hi, lo) pairs.  Lanes are
 # N/8, so a stream of 2^15 terms or more has the full 4096 and every
 # block of it but the last holds exactly ``_STREAM_TERMS`` terms.
 _MAX_LANES = 4096
@@ -205,17 +209,20 @@ def _fixed_to_float(fx: int) -> float:
     return 0.0 if value >= 1.0 else value
 
 
-def _pair_floats(hi: np.ndarray, lo: np.ndarray, out=None, scratch=None) -> np.ndarray:
+def _pair_floats(hi: np.ndarray, lo: np.ndarray | None = None, out=None, scratch=None) -> np.ndarray:
     """hi * 2^-64 + lo * 2^-128 for 128-bit fixed-point (hi, lo) words, into ``out`` if given.
 
     The one conversion of fixed-point phases to floats: hi rounds once
     and the sum once more, so a phase is off by at most a unit in its
     last place.  Only a sum just below 2^128 can round up to 1.0, which
     ``_folded`` takes back to 0.0.  ``scratch``, if given, holds lo's
-    part, so that a conversion into ``out`` makes no temporary.
+    part, so that a conversion into ``out`` makes no temporary.  With no
+    ``lo`` (low words all 0) it is hi * 2^-64 alone, the same float,
+    since adding 0.0 to it rounds nothing.
     """
     out = np.multiply(hi, _INV_2_64, out=out)
-    out += np.multiply(lo, _INV_2_128, out=scratch)
+    if lo is not None:
+        out += np.multiply(lo, _INV_2_128, out=scratch)
     return out
 
 
@@ -417,8 +424,12 @@ def phase_blocks(poly: PhasePolynomial, count: int):
     where mod-1 addition is exact, so no rounding accumulates across
     steps.  They are seeded exactly by ``_seed_pairs``, on uint64 pairs
     when every denominator divides 2^128, else from a big-int table with
-    one truncation per seed.  Agrees with ``phase_at`` to well below
-    1e-9 for N <= 10^7 and degree <= 8.
+    one truncation per seed.  When every seed is a multiple of 2^-64
+    (every denominator divides 2^64: float coefficients >= 2^-12, points
+    and shifts on the search's 2^-16 lattice) every low word is 0 and
+    stays 0, so only the high words are stepped, with no carry; the
+    floats are the same, bit for bit.  Agrees with ``phase_at`` to well
+    below 1e-9 for N <= 10^7 and degree <= 8.
 
     Each block holds a whole number of rows of B terms, about
     ``_STREAM_TERMS`` terms, so only the registers and one block are
@@ -464,46 +475,63 @@ def _block_size(count: int, block_terms: int = _STREAM_TERMS) -> int:
     return -(-block_terms // lanes) * lanes
 
 
-def _stepped_blocks(coeffs: tuple[Fraction, ...], count: int, lanes: int, block_rows: int):
-    d = len(coeffs) - 1
-    steps = -(-count // lanes)
+def _register_table(coeffs: tuple[Fraction, ...], rows: int, lanes: int) -> tuple[np.ndarray, ...]:
+    """The seeded difference table of ``_stepped_blocks``: (hi,) when every low word is 0, else (hi, lo).
 
-    # Row i seeds P(i*lanes + r); a row with i >= steps never reaches
-    # row 0, so only the first min(d + 1, steps) rows are seeded.
-    rows = min(d + 1, steps)
+    Row i seeds P(i*lanes + r) and is then differenced along the rows,
+    exact mod 2^128 (a borrow from lo).  Every register is an integer
+    combination of the seeds, so when all seeds are multiples of 2^-64
+    (float coefficients >= 2^-12, points and shifts on the search's
+    2^-16 lattice) all registers are, now and at every step: their low
+    words are 0 and are dropped.
+    """
     hi, lo = (words.reshape(rows, lanes) for words in _seed_pairs(coeffs, rows * lanes))
-
-    # Forward differences along the rows, exact mod 2^128 (borrow from lo).
     for j in range(1, rows):
         for i in range(rows - 1, j - 1, -1):
             borrow = (lo[i] < lo[i - 1]).astype(np.uint64)
             lo[i] -= lo[i - 1]
             hi[i] -= hi[i - 1] + borrow
+    return (hi, lo) if lo.any() else (hi,)
+
+
+def _stepped_blocks(coeffs: tuple[Fraction, ...], count: int, lanes: int, block_rows: int):
+    d = len(coeffs) - 1
+    steps = -(-count // lanes)
+
+    # A row with i >= steps never reaches row 0, so only the first
+    # min(d + 1, steps) rows are seeded.
+    rows = min(d + 1, steps)
+    words = _register_table(coeffs, rows, lanes)
 
     # A step adds row i + 1 to row i for i < rows - 1, from one table into
     # the other, and the two swap; the top row is constant, so it is
     # copied once.  The views and the carry and conversion scratch are
-    # made once per stream, so a step makes no temporary.
-    tables = ((hi, lo), (np.empty_like(hi), np.empty_like(lo)))
-    tables[1][0][-1] = hi[-1]
-    tables[1][1][-1] = lo[-1]
+    # made once per stream, so a step makes no temporary.  Without low
+    # words a step is one addition of the high words, with no carry, and
+    # hi * 2^-64 is the float ``_pair_floats`` makes of (hi, 0).
+    tables = (words, tuple(np.empty_like(w) for w in words))
+    for src, dst in zip(*tables):
+        dst[-1] = src[-1]
     moves = [
-        (src_hi[:-1], src_hi[1:], src_lo[:-1], src_lo[1:], dst_hi[:-1], dst_lo[:-1])
-        for (src_hi, src_lo), (dst_hi, dst_lo) in (tables, tables[::-1])
+        [(src[:-1], src[1:], dst[:-1]) for src, dst in zip(*pair)]
+        for pair in (tables, tables[::-1])
     ]
-    heads = [(table_hi[0], table_lo[0]) for table_hi, table_lo in tables]
-    carry = np.empty((rows - 1, lanes), dtype=bool)
-    scratch = np.empty(lanes)
+    heads = [[w[0] for w in table] for table in tables]
+    carry = scratch = None
+    if len(words) > 1:
+        carry, scratch = np.empty((rows - 1, lanes), dtype=bool), np.empty(lanes)
     current = 0
     for first in range(0, steps, block_rows):
         out = np.empty((min(block_rows, steps - first), lanes), dtype=np.float64)
         for k in range(len(out)):
             if first + k:
-                lower_hi, upper_hi, lower_lo, upper_lo, dst_hi, dst_lo = moves[current]
-                np.add(lower_lo, upper_lo, out=dst_lo)
-                np.less(dst_lo, upper_lo, out=carry)
+                (lower_hi, upper_hi, dst_hi), *low = moves[current]
                 np.add(lower_hi, upper_hi, out=dst_hi)
-                np.add(dst_hi, carry, out=dst_hi)
+                if low:
+                    [(lower_lo, upper_lo, dst_lo)] = low
+                    np.add(lower_lo, upper_lo, out=dst_lo)
+                    np.less(dst_lo, upper_lo, out=carry)
+                    np.add(dst_hi, carry, out=dst_hi)
                 current ^= 1
             _pair_floats(*heads[current], out=out[k], scratch=scratch)
         start = first * lanes

@@ -93,6 +93,40 @@ def test_census_non_minimal_stays_in_class():
     assert orbit_residue_census(system, 0, 1, 9) == {0: 9}
 
 
+def _census_walk(system, x0, level, steps):
+    """Reference census: one ``step_int`` per visit."""
+    counts, x = {}, x0 % system.prime**level
+    for _ in range(steps):
+        counts[x] = counts.get(x, 0) + 1
+        x = system.step_int(x, level)
+    return counts
+
+
+@pytest.mark.parametrize("steps", [1, _STREAM_TERMS - 1, _STREAM_TERMS, _STREAM_TERMS + 1, 3 * _STREAM_TERMS + 7])
+@pytest.mark.parametrize(
+    "p, a, b, precision, level, x0",
+    [
+        (3, 4, 1, 24, 12, 5),  # p does not divide a: a cycle of 3^12 through x0
+        (5, 7, 2, 24, 3, 11),  # a shorter cycle, revisited within each block
+        (3, 6, 1, 24, 9, 12345),  # p | a: a pre-periodic tail onto a fixed point
+        (3, 4, 1, 40, 40, 2),  # 3^40 > 2^63: the visits are Python ints
+    ],
+)
+def test_census_blocks_match_the_step_loop(p, a, b, precision, level, x0, steps):
+    system = PadicAffineSystem.from_ints(p, a, b, precision=precision)
+    census = orbit_residue_census(system, x0, level, steps)
+    assert census == _census_walk(system, x0, level, steps)
+    assert list(census) == sorted(census)
+    assert all(type(k) is int and type(v) is int for k, v in census.items())
+
+
+def test_census_allocates_nothing_per_class(traced_peak):
+    # 2^26 classes as an int64 table would be 512 MiB; ten visits trace about 4 KB.
+    system = PadicAffineSystem.from_ints(2, 5, 1, precision=26)
+    assert orbit_residue_census(system, 0, 26, 10) == {(5**k - 1) // 4: 1 for k in range(10)}
+    assert traced_peak(orbit_residue_census, system, 0, 26, 10) < 64 * 1024
+
+
 def test_minimal_orbits_have_exact_period():
     for p in (3, 5, 7):
         for k in (1, 2, 3):

@@ -1,11 +1,12 @@
 """Phase polynomials, streaming vs the exact oracle, averages, spectra."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oscillab.polyphase import (
@@ -21,6 +22,7 @@ from oscillab.polyphase import (
     _lanes,
     _pair_floats,
     _pair_steps,
+    _register_table,
     _repeated,
     _residue_buckets,
     _scaled_pairs,
@@ -303,24 +305,64 @@ def test_fixed_to_float_is_the_pair_conversion(values):
 def test_stream_is_the_one_conversion_of_the_exact_value(degree):
     """Every sampled phase equals the one conversion of sum_j A_j n^j mod 2^128, bit for bit.
 
-    A_j = 2^128 t_j is an integer for float coefficients.  The samples
-    sit at the lane edges and the block edges of a stream of more than
-    three blocks.
+    A_j = 2^128 t_j is an integer for float coefficients.  Floats >= 2^-12
+    make every A_j a multiple of 2^64, so the stream steps its high words
+    alone; t_1 scaled by 2^-20 has a denominator of 2^73 and takes the
+    (hi, lo) pair step.  A float resolves 2^-64 only below 2^-11, so a
+    third set keeps every phase there: random A_j < 2^(113 - 18 j), whose
+    low words make carries on most steps.  The samples sit at the lane
+    edges and the block edges of a stream of more than three blocks.
     """
     count = 3 * _STREAM_TERMS + 1001
+    assert count < 2**18
+    lanes = _lanes(count)
     rng = np.random.default_rng(degree)
-    coefficients = [float(c) for c in rng.random(degree + 1)]
-    big = [Fraction(c) * 2**128 for c in coefficients]
-    assert all(a.denominator == 1 for a in big)
+    floats = [Fraction(float(c)) * 2**128 for c in rng.random(degree + 1)]
+    bits = random.Random(degree).getrandbits
+    coefficient_sets = (
+        (floats, 1),
+        ([a / 2**20 if j == 1 else a for j, a in enumerate(floats)], 2),
+        ([Fraction(bits(113 - 18 * j) if 18 * j < 113 else 0) for j in range(degree + 1)], 2),
+    )
+    samples = {n + k for n in (*range(0, count, lanes), *block_edges(count)) for k in (-1, 0, 1)}
+    for big, words in coefficient_sets:
+        assert all(a.denominator == 1 for a in big)
+        poly = PhasePolynomial([a / 2**128 for a in big])
+        assert len(_register_table(poly.coefficients, degree + 1, lanes)) == words
+        stream = phase_stream(poly, count)
+        blocks = list(phase_blocks(poly, count))
+        assert len(blocks) >= 4
+        assert np.array_equal(np.concatenate([phases for _, phases in blocks]).view(np.uint64), stream.view(np.uint64))
+        for n in sorted(n for n in samples | {count - 1} if 0 <= n < count):
+            exact = sum(int(a) * n**j for j, a in enumerate(big)) % 2**128
+            assert stream[n] == one_conversion(exact), (big, n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    words=st.lists(st.integers(0, 2**64 - 1), min_size=2, max_size=9),
+    data=st.data(),
+    numerator=st.integers(0, 2**64 - 1),
+    count=st.one_of(st.sampled_from([1, 63, 64, 65, 4095, 4097, 32767, 32769, 65535, 65537]), st.integers(1, 70_000)),
+)
+def test_one_low_bit_takes_the_pair_step(words, data, numerator, count):
+    """One coefficient k/2^65 (k odd) among multiples of 2^-64 puts a low word into the seeds.
+
+    So the stream steps (hi, lo) pairs.  It is matched bit for bit
+    against the big-int ``_fixed_seed_table``, stepped by
+    ``_difference_steps`` mod 2^65, where every value is exact.
+    """
+    j = data.draw(st.integers(0, len(words) - 1), label="j")
+    coefficients = [Fraction(w, 2**64) for w in words]
+    coefficients[j] = Fraction(2 * numerator + 1, 2**65)
     poly = PhasePolynomial(coefficients)
-    stream = phase_stream(poly, count)
-    blocks = list(phase_blocks(poly, count))
-    assert len(blocks) >= 4
-    assert np.array_equal(np.concatenate([phases for _, phases in blocks]).view(np.uint64), stream.view(np.uint64))
-    samples = {n + k for n in (*range(0, count, _lanes(count)), *block_edges(count)) for k in (-1, 0, 1)}
-    for n in sorted(n for n in samples | {count - 1} if 0 <= n < count):
-        exact = sum(int(a) * n**j for j, a in enumerate(big)) % 2**128
-        assert stream[n] == one_conversion(exact), n
+    assume(any(poly.coefficients[1:]))
+    lanes = _lanes(count)
+    rows = min(poly.degree + 1, -(-count // lanes))
+    assert len(_register_table(poly.coefficients, rows, lanes)) == 2
+    exact = [one_conversion(v) for v in _fixed_seed_table(poly.coefficients, count)]
+    assert phase_stream(poly, count).tolist() == exact
+    assert np.concatenate([phases for _, phases in phase_blocks(poly, count)]).tolist() == exact
 
 
 def block_edges(count):
