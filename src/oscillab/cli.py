@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .oscillation import (
+    GRID_BUDGET,
     OscillationReport,
     classify_exact_order,
     estimate_oscillation_profile,
@@ -34,9 +35,7 @@ from .padic import PadicAffineSystem, affine_minimality_check, orbit_residue_cen
 from .polyphase import (
     ErgodicAverageSeries,
     PhasePolynomial,
-    _folded,
     _integer,
-    _pair_floats,
     _validated_checkpoints,
     fourier_bohr_scan,
     geometric_checkpoints,
@@ -237,6 +236,16 @@ def _require(params: dict, name: str, kind, default=_MISSING):
     return _parse(name, params[name], kind)
 
 
+def _grid(params: dict, degree: int, default):
+    """The grid pitch G: a power of two >= 2 with G^(degree + 1) within ``GRID_BUDGET``, else the default."""
+    grid = _require(params, "grid", _int, default=default)
+    if grid is not None and (grid < 2 or grid & (grid - 1)):
+        raise ConfigError("grid: must be a power of two >= 2")
+    if grid is not None and grid ** (degree + 1) > GRID_BUDGET:
+        raise ConfigError(f"grid: G^(d+1) = {grid ** (degree + 1)} exceeds the grid budget {GRID_BUDGET}")
+    return grid
+
+
 def _items(value) -> list:
     """A list/tuple as is, or the nonblank parts of comma-separated text."""
     if isinstance(value, (list, tuple)):
@@ -360,9 +369,7 @@ def _run_estimate_order(config: ExperimentConfig, out: Path) -> list[Path]:
     d_max = _require(config.params, "d-max", _int, default=2)
     if d_max < 1:
         raise ConfigError("d-max: must be >= 1")
-    grid = _require(config.params, "grid", _int, default=None)
-    if grid is not None and (grid < 2 or grid & (grid - 1)):
-        raise ConfigError("grid: must be a power of two >= 2")
+    grid = _grid(config.params, d_max, default=None)
     cps = _checkpoints_or_default(config, n)
     if len(cps) < 3:
         raise ConfigError("checkpoints: at least 3 required")
@@ -397,9 +404,7 @@ def _run_simulate_torus(config: ExperimentConfig, out: Path) -> list[Path]:
     if steps < 1:
         raise ConfigError("steps: must be >= 1")
     rows = []
-    for start, registers in _orbit_blocks(system, x, steps):
-        next(registers)  # alpha
-        coordinates = _folded(np.array([_pair_floats(hi, lo) for hi, lo in registers]))
+    for start, coordinates in _orbit_blocks(system, x, steps):
         rows += zip(range(start, start + coordinates.shape[1]), *coordinates.tolist())
     header = "n," + ",".join(f"x{i + 1}" for i in range(system.dimension))
     return [_write_csv(out / "orbit.csv", header, rows)]
@@ -526,9 +531,7 @@ def _run_lsk_check(config: ExperimentConfig, out: Path) -> list[Path]:
     if min(n_list) < 2:
         # sqrt(N log N) vanishes at N = 1, so the ratio column needs N >= 2.
         raise ConfigError("n-list: entries must be >= 2")
-    grid = _require(params, "grid", _int, default=16)
-    if grid < 2 or grid & (grid - 1):
-        raise ConfigError("grid: must be a power of two >= 2")
+    grid = _grid(params, degree, default=16)
     rows = []
     slopes = {}
     for seed in seeds:

@@ -34,6 +34,7 @@ from .polyphase import (
     _validated_checkpoints,
     _weights,
     phase_blocks,
+    unit_values,
 )
 from .torus import TimePolynomial, _check_nonnegative_times
 
@@ -361,11 +362,8 @@ def padic_weighted_average(
     scaled = ([c / cycle.size for c in q.monomial_coefficients()] for q in qs)
     span = n_max if tail else min(n_max, _period(*scaled))
     streams = [_orbit_indices(q, span, len(tail), cycle.size) for q in qs]
-    # One root per class pays off only when the classes are fewer than the units they serve;
-    # a unit is the table's own expression of its class either way, so the values are the same.
-    roots = np.exp((2j * np.pi / mod) * np.arange(mod)) if mod < span else None
     classes = ((b[0][0], sum(orbit[indices] for _, indices in b) % mod) for b in zip(*streams))
-    units = ((s, np.exp((2j * np.pi / mod) * k) if roots is None else roots[k]) for s, k in classes)
+    units = ((s, unit_values(k / mod)) for s, k in classes)
     stops = [(s, min(s + _STREAM_TERMS, n_max)) for s in range(0, n_max, _STREAM_TERMS)]
     if span < n_max:
         period = np.empty(span, dtype=np.complex128)

@@ -18,20 +18,23 @@ paths avoid this:
   arithmetic.  It is slow and serves as the reference oracle.
 * ``phase_blocks`` emits frac(P(n)) for n = 0..N-1 in blocks of about
   ``_STREAM_TERMS`` terms using blocked forward-difference tables held
-  in 128-bit fixed point.  The seeds are exact: Horner's rule on uint64
-  word pairs when every coefficient denominator divides 2^128 (every
-  float coefficient >= 2^-76), else a Python-integer table of
-  den * P(n) mod den, den the lcm of the denominators, truncated once
-  per seed.  Mod-1 addition is exact in that representation, so the
-  only error is that one 2^-128 truncation per seed (none on the dyadic
-  route) plus one float rounding on output: the 1e-9 bound at N = 10^6,
-  d <= 4 is met with orders of magnitude to spare.  Streams whose seeds
-  are all multiples of 2^-64 step their high words alone, since their
-  low words stay 0.  ``phase_stream`` is the same stream taken as one
-  block, for callers that keep the array.
-  Every fixed-point value becomes a float by the one conversion
-  hi * 2^-64 + lo * 2^-128 of its (hi, lo) words (``_pair_floats``,
-  ``_fixed_to_float`` for one Python int).
+  in 128-bit fixed point; a constant P steps a one-row table.  The
+  seeds are exact: Horner's rule on uint64 word pairs when every
+  coefficient denominator divides 2^128 (every float coefficient >=
+  2^-76), else a Python-integer table of den * P(n) mod den, den the
+  lcm of the denominators, truncated once per seed.  Mod-1 addition is
+  exact in that representation, so the only error is that one 2^-128
+  truncation per seed (none on the dyadic route) plus one float
+  rounding on output: the 1e-9 bound at N = 10^6, d <= 4 is met with
+  orders of magnitude to spare.  Streams whose seeds are all multiples
+  of 2^-64 step their high words alone, since their low words stay 0.
+  ``phase_stream`` is the same stream taken as one block, for callers
+  that keep the array.  ``_register_phases`` steps exact phases on the
+  same recurrence in the same blocks and yields phases of integer
+  combinations of them: the skew-shift orbit and the tower routes of
+  ``torus``.  Every fixed-point value becomes a float by the one
+  conversion hi * 2^-64 + lo * 2^-128 of its (hi, lo) words
+  (``_pair_floats``, ``_fixed_to_float`` for one Python int).
 
 ``unit_values`` turns phases into e(phase) without a complex
 exponential: 4096 * phase splits exactly into an integer k and a rest
@@ -255,7 +258,7 @@ def _difference_steps(registers: list, count: int, modulus: int):
     yielded each time, so read it before the next step.  This scalar
     stepper serves moduli other than 2^128, the big-int seeds of
     ``_fixed_seed_table``; mod 2^128 the same recurrence runs a block at
-    a time on uint64 pairs in ``_pair_steps``.
+    a time on uint64 pairs in ``_pair_steps``, read by ``_register_phases``.
     """
     downward = range(len(registers) - 1, 0, -1)
     for _ in range(count):
@@ -363,6 +366,28 @@ def _block_rows(registers: list, hi: np.ndarray, lo: np.ndarray, last: list):
         yield hi, lo
 
 
+def _register_phases(registers, count: int, combinations):
+    """``(start, phases)``: frac(c + sum_j w_j r_j(n)), n = 0..count-1, a row per combination (c, w).
+
+    The exact phases r_0, ..., r_k step on ``_pair_steps`` in the blocks
+    of ``phase_blocks`` over ``count``.  A combination, a phase c and a
+    list of integer weights w_j, is summed in (hi, lo) words mod 2^128 and
+    converted once, so an entry is ``_fixed_to_float`` of its exact value.
+    """
+    constants = [divmod(_to_fixed(c), 1 << 64) for c, _ in combinations]
+    block = _block_size(count)
+    for start, rows in _pair_steps([_to_fixed(r) for r in registers], count, block):
+        size = min(block, count - start)
+        sums = [tuple(np.full(size, word, dtype=np.uint64) for word in c) for c in constants]
+        for j, (hi, lo) in enumerate(rows):
+            for (sum_hi, sum_lo), (_, w) in zip(sums, combinations):
+                if w[j] == 1:
+                    _add_pairs(sum_hi, sum_lo, hi, lo)
+                elif w[j]:
+                    _add_pairs(sum_hi, sum_lo, *_scaled_pairs(hi, lo, w[j]))
+        yield start, _folded(np.array([_pair_floats(*words) for words in sums]))
+
+
 def _fixed_seed_table(coeffs: tuple[Fraction, ...], count: int) -> list[int]:
     """frac(P(n)) for n = 0..count-1 as 128-bit fixed-point Python ints, for any denominators.
 
@@ -451,22 +476,15 @@ def phase_stream(poly: PhasePolynomial, count: int) -> np.ndarray:
 def _phase_blocks(poly: PhasePolynomial, count: int, block_terms: int):
     """Blocks of whole lane rows, about ``block_terms`` terms each; ``count`` is checked now.
 
-    Every block but the last holds the same number of terms, whether the
-    polynomial is stepped or constant, so streams of different
-    polynomials over one count can be zipped block by block.
+    Every block but the last holds the same number of terms, whatever the
+    polynomial (a constant one steps a one-row table), so streams of
+    different polynomials over one count, and the ``_register_phases``
+    of that count, can be zipped block by block.
     """
     if count < 1:
         raise ValueError("count: must be >= 1")
-    size = _block_size(count, block_terms)
-    coeffs = poly.coefficients
-    if all(c == 0 for c in coeffs[1:]):
-        value = float(coeffs[0]) % 1.0
-        return (
-            (start, np.full(min(size, count - start), value))
-            for start in range(0, count, size)
-        )
     lanes = _lanes(count)
-    return _stepped_blocks(coeffs, count, lanes, size // lanes)
+    return _stepped_blocks(poly.coefficients, count, lanes, _block_size(count, block_terms) // lanes)
 
 
 def _block_size(count: int, block_terms: int = _STREAM_TERMS) -> int:
@@ -797,43 +815,28 @@ def binomial_phase_polynomial(thetas) -> PhasePolynomial:
     return PhasePolynomial(_binomial_to_monomial(exact[::-1]))
 
 
-def _poly_mul(a: list[Fraction], b: tuple[Fraction, ...]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
 def compose_time_polynomial(q_outer: PhasePolynomial, q_inner) -> PhasePolynomial:
     """Monomial expansion of Q(q(z)) reduced mod 1.
 
     ``q_inner`` must take integer values at integers (any object exposing
     ``monomial_coefficients()``, or a bare iterable of exact monomial
-    coefficients).  Reduction of the composed coefficients mod 1 is valid
-    because subtracting integer multiples of z^s never changes values at
-    integer arguments mod 1.
+    coefficients).  The forward differences of the exact values of Q(q(z))
+    at z = 0..D, D = deg Q * deg q, are its binomial coefficients.  Only
+    the monomial ones are reduced mod 1, which is valid because
+    subtracting integer multiples of z^s never changes values at integer
+    arguments mod 1.
     """
     if hasattr(q_inner, "monomial_coefficients"):
         inner = tuple(q_inner.monomial_coefficients())
     else:
         inner = tuple(Fraction(c) for c in q_inner)
-    if not inner:
-        inner = (Fraction(0),)
     outer = q_outer.coefficients
     composed_degree = q_outer.degree * max(len(inner) - 1, 0)
     if composed_degree > MAX_DEGREE:
-        raise ValueError(
-            f"composed degree {composed_degree} exceeds the supported cap {MAX_DEGREE}"
-        )
-    # Horner in the outer coefficients, exact rational arithmetic.
-    result: list[Fraction] = [outer[-1]]
-    for c in reversed(outer[:-1]):
-        result = _poly_mul(result, inner)
-        result[0] += c
-    return PhasePolynomial(result)
+        raise ValueError(f"composed degree {composed_degree} exceeds the supported cap {MAX_DEGREE}")
+    times = (sum(c * z**s for s, c in enumerate(inner)) for z in range(composed_degree + 1))
+    values = [sum(a * t**j for j, a in enumerate(outer)) for t in times]
+    return PhasePolynomial(_binomial_to_monomial(_forward_differences(values)))
 
 
 def _residue_buckets(values: np.ndarray, length: int, modulus: int) -> np.ndarray:

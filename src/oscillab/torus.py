@@ -15,13 +15,12 @@ All tower identities are exact integer/rational statements (frequency
 vectors shift and constants are integer multiples of alpha mod 1).  T
 itself and the tower identity f_j(Tx) = f_{j-1}(x) f_j(x) are the
 difference recurrence r_j += r_{j-1}, on the registers (alpha, x_1, ...,
-x_m) and on the level phases.  Both are stepped by ``_pair_steps`` in
-128-bit fixed point, where mod-1 addition is exact: a block at a time,
-register j is its start value plus prefix sums of register j - 1 over
-(hi, lo) uint64 words.  Every fixed-point phase becomes a float by the
-one conversion hi * 2^-64 + lo * 2^-128 (1.0 folded to 0), so the three
-evaluation routes compared by ``verify_factorization`` agree to float
-resolution, not merely to some drifting tolerance, and ``orbit_point``
+x_m) and on the level phases.  Both are stepped exactly in 128-bit
+fixed point by ``_register_phases``, which converts each combination
+wanted (a coordinate, or c + <k, x>) to floats once, by the conversion
+hi * 2^-64 + lo * 2^-128 (1.0 folded to 0) of every fixed-point phase.
+So the three routes compared by ``verify_factorization`` agree to float
+resolution, not merely to a drifting tolerance, and ``orbit_point``
 matches the stepped orbit bit for bit.
 """
 
@@ -34,19 +33,13 @@ import numpy as np
 
 from .polyphase import (
     _FIXED_MASK,
-    _MASK64,
     ErgodicAverageSeries,
     PhasePolynomial,
-    _add_pairs,
     _binomial_to_monomial,
-    _block_size,
     _fixed_to_float,
-    _folded,
     _forward_differences,
     _integer,
-    _pair_floats,
-    _pair_steps,
-    _scaled_pairs,
+    _register_phases,
     _to_fixed,
     _validated_checkpoints,
     binomial_phase_polynomial,
@@ -112,17 +105,14 @@ def orbit_point(system: SkewShiftSystem, point, n: int) -> tuple[float, ...]:
 
 
 def _orbit_blocks(system: SkewShiftSystem, point, count: int):
-    """``(start, rows)``: registers alpha, x_1, ..., x_m of T^n(x), n = 0..count-1, by blocks.
+    """``(start, coordinates)``: x_1, ..., x_m of T^n(x), n = 0..count-1, an (m, size) array per block.
 
-    T is one step of the difference recurrence, run by ``_pair_steps``
-    on 128-bit fixed-point pairs, where it is exact mod 1, so x_j equals
-    the closed form of ``orbit_point`` to the bit.  ``rows`` yields the
-    registers over the block in that order, as ``_pair_steps`` does; the
-    blocks are those of ``phase_blocks`` over ``count`` terms.
+    T steps (alpha, x_1, ..., x_m) on ``_register_phases``, exactly mod 1,
+    so x_j is the closed form of ``orbit_point`` to the bit.
     """
     x = system.validate_point(point)
-    registers = [_to_fixed(system.alpha), *(_to_fixed(c) for c in x)]
-    return _pair_steps(registers, count, _block_size(count))
+    coordinates = [(0, [int(i == j) for i in range(len(x) + 1)]) for j in range(1, len(x) + 1)]
+    return _register_phases([system.alpha, *x], count, coordinates)
 
 
 @dataclass(frozen=True)
@@ -145,15 +135,9 @@ class CharacterObservable:
                 return i + 1
         return 0
 
-    def phase_fixed(self, point) -> int:
-        acc = 0
-        for k, c in zip(self.frequencies, point):
-            if k:
-                acc += k * _to_fixed(c)
-        return acc & _FIXED_MASK
-
     def evaluate(self, point) -> complex:
-        return complex(np.exp(2j * np.pi * _fixed_to_float(self.phase_fixed(point))))
+        phase = sum(k * _to_fixed(c) for k, c in zip(self.frequencies, point)) & _FIXED_MASK
+        return complex(unit_values(_fixed_to_float(phase)))
 
 
 @dataclass(frozen=True)
@@ -302,36 +286,25 @@ def verify_factorization(tower: QuasiEigenTower, point, n_max: int) -> float:
     steps the level phases theta_0, ..., theta_k by the tower identity
     f_j(Tx) = f_{j-1}(x) f_j(x) and reads the top one; route 3 evaluates
     e(Q(n)) through the monomial expansion of the tower phase polynomial
-    on ``phase_blocks``.  All three run in exact arithmetic mod 1 (128-bit
-    fixed-point pairs), so for a valid tower the returned deviation sits
-    at float-rounding scale.  The routes go block by block side by side,
-    so memory does not grow with ``n_max``.
+    on ``phase_blocks``.  All three run in exact arithmetic mod 1 (routes
+    1 and 2 on ``_register_phases``), so for a valid tower the returned
+    deviation sits at float-rounding scale.  The routes go block by block
+    side by side, so memory does not grow with ``n_max``.
     """
     if n_max < 1:
         raise ValueError("n_max: must be >= 1")
     pt = tower.system.validate_point(point)
     count = n_max + 1
     top = tower.top
-    constant = _to_fixed(top.constant_phase)
-    thetas = [_to_fixed(th) for th in tower_thetas(tower, pt)]
+    thetas = tower_thetas(tower, pt)
     routes = zip(
-        _orbit_blocks(tower.system, pt, count),
-        _pair_steps(thetas, count, _block_size(count)),
+        _register_phases([tower.system.alpha, *pt], count, [(top.constant_phase, (0, *top.frequencies))]),
+        _register_phases(thetas, count, [(0, (0,) * (len(thetas) - 1) + (1,))]),
         phase_blocks(tower_phase_polynomial(tower, pt), count),
     )
     deviation = 0.0
     for (_, orbit), (_, levels), (_, stream) in routes:
-        hi = np.full(stream.size, constant >> 64, dtype=np.uint64)
-        lo = np.full(stream.size, constant & _MASK64, dtype=np.uint64)
-        for k, (x_hi, x_lo) in zip((0, *top.frequencies), orbit):
-            if k:
-                _add_pairs(hi, lo, *_scaled_pairs(x_hi, x_lo, k))
-        phases = np.empty((3, stream.size))
-        _pair_floats(hi, lo, out=phases[0])
-        *_, (theta_hi, theta_lo) = levels
-        _pair_floats(theta_hi, theta_lo, out=phases[1])
-        phases[2] = stream
-        values = unit_values(_folded(phases))
+        values = unit_values(np.concatenate((orbit, levels, stream[None])))
         deviation = max(deviation, *(np.abs(values[a] - values[b]).max() for a, b in ((0, 1), (0, 2), (1, 2))))
     return float(deviation)
 

@@ -287,6 +287,25 @@ def test_simulate_torus_rows_are_the_exact_orbit(tmp_path):
         assert tuple(float(c) for c in cells[1:]) == orbit_point(system, x, n), n
 
 
+def test_simulate_torus_rows_cross_a_block_edge(tmp_path):
+    """70,000 rows span two blocks of the register stream; each is ``orbit_point`` at its n."""
+    out = tmp_path / "st"
+    x = (0.7071067811865476, 0.1)
+    assert run(
+        [
+            "simulate-torus", "--m", "2", "--alpha", "0.618033988749895",
+            "--x", ",".join(map(repr, x)), "--steps", "70000", "--out", str(out),
+        ]
+    ) == 0
+    lines = (out / "orbit.csv").read_text().splitlines()
+    assert len(lines) == 70_001
+    system = SkewShiftSystem(2, 0.618033988749895)
+    for n, line in enumerate(lines[1:]):
+        cells = line.split(",")
+        assert int(cells[0]) == n
+        assert tuple(float(c) for c in cells[1:]) == orbit_point(system, x, n), n
+
+
 def test_simulate_torus_reduces_the_start_point(tmp_path):
     out = tmp_path / "st"
     assert run(
@@ -348,31 +367,35 @@ def test_simulate_padic_leaves_p2_minimality_open(tmp_path):
 
 
 def test_runtime_error_exits_two(tmp_path, capsys):
-    # grid budget blowup happens during computation, after validation
-    status = run(
-        [
-            "lsk-check",
-            "--seeds", "1", "--d", "3",
-            "--n-list", "256", "--grid", "64",
-            "--out", str(tmp_path / "boom"),
-        ]
-    )
+    # --out names a regular file: the run fails making its directory, after validation
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    status = run(["subnormal-check", "--distribution", "rademacher", "--out", str(blocker)])
     assert status == 2
-    assert "budget" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("runtime error:")
 
 
-def test_estimate_order_over_budget_pitch_exits_two(tmp_path, capsys):
-    # 256^3 points at degree 2 exceed the grid budget; no smaller pitch is tried
-    status = run(
-        [
-            "estimate-order",
-            "--generator", "mobius", "--n", "1000", "--d-max", "2",
-            "--grid", "256", "--checkpoints", "250,500,1000",
-            "--out", str(tmp_path / "boom"),
-        ]
-    )
-    assert status == 2
-    assert "budget" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 256^3 points at degree 2 exceed the grid budget; no smaller pitch is tried
+        ["estimate-order", "--generator", "mobius", "--n", "1000", "--d-max", "2",
+         "--grid", "256", "--checkpoints", "250,500,1000"],
+        ["lsk-check", "--seeds", "1", "--d", "3", "--n-list", "256", "--grid", "64"],
+    ],
+    ids=["estimate-order", "lsk-check"],
+)
+def test_over_budget_grid_exits_one(tmp_path, capsys, monkeypatch, argv):
+    """G^(d+1) is known from the flags, so an over-budget grid is refused before any weights are drawn."""
+
+    def no_weights(*args, **kwargs):
+        raise AssertionError("weights drawn before the grid was checked")
+
+    monkeypatch.setattr("oscillab.cli._load_weights", no_weights)
+    monkeypatch.setattr("oscillab.cli.lsk_empirical_sup", no_weights)
+    assert run(argv + ["--out", str(tmp_path / "boom")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid:") and "budget" in err
 
 
 def test_multi_average_descriptor_config(tmp_path):

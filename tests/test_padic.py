@@ -20,7 +20,7 @@ from oscillab.padic import (
     padic_eval_map,
     padic_weighted_average,
 )
-from oscillab.polyphase import _STREAM_TERMS, PhasePolynomial, _average_series, _drift_bound, phase_blocks
+from oscillab.polyphase import _STREAM_TERMS, PhasePolynomial, _average_series, _drift_bound, phase_blocks, unit_values
 from oscillab.sequences import rademacher_sequence
 from oscillab.torus import TimePolynomial
 
@@ -494,7 +494,7 @@ def test_complex_weights_multiply_units_first(n):
     tail, cycle = _orbit_cycle(system, 1, 1)
     assert not tail and cycle.size == 3
     classes = sum(cycle[np.asarray([q(k) for k in range(n)]) % 3] for q in qs) % 3
-    units = np.exp((2j * np.pi / 3) * classes)
+    units = unit_values(classes / 3)
     terms = units * weights
     assert (terms != weights * units).any()
     blocks = ((s, terms[s : s + _STREAM_TERMS]) for s in range(0, n, _STREAM_TERMS))

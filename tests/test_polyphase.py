@@ -15,6 +15,7 @@ from oscillab.polyphase import (
     _UNIT_TERMS,
     ErgodicAverageSeries,
     PhasePolynomial,
+    _block_size,
     _difference_steps,
     _fixed_seed_table,
     _fixed_to_float,
@@ -22,11 +23,13 @@ from oscillab.polyphase import (
     _lanes,
     _pair_floats,
     _pair_steps,
+    _register_phases,
     _register_table,
     _repeated,
     _residue_buckets,
     _scaled_pairs,
     _seed_pairs,
+    _to_fixed,
     binomial_phase_polynomial,
     compose_time_polynomial,
     fourier_bohr_scan,
@@ -38,6 +41,7 @@ from oscillab.polyphase import (
     weighted_exponential_average,
 )
 from oscillab.sequences import ComplexSequence, polynomial_phase_sequence, rademacher_sequence
+from oscillab.torus import TimePolynomial
 
 SQRT2M1 = math.sqrt(2) - 1
 
@@ -263,6 +267,64 @@ def test_pair_steps_take_every_carry(count):
     start = [2**128 - 1] * 9
     steps = [list(registers) for registers in _difference_steps(list(start), count, 2**128)]
     assert pair_columns(_pair_steps(start, count, 5)) == steps
+
+
+_FIXED_REGISTER = st.one_of(st.integers(0, 2**128 - 1), st.integers(2**128 - 2**64, 2**128 - 1))
+_WEIGHT = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-(2**40), -2), st.integers(2**32, 2**70))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    registers=st.lists(_FIXED_REGISTER, min_size=1, max_size=6),
+    data=st.data(),
+    count=st.one_of(
+        st.sampled_from([1, _STREAM_TERMS - 1, _STREAM_TERMS + 1, 3 * _STREAM_TERMS - 1]), st.integers(1, 3000)
+    ),
+)
+@example(registers=[2**128 - 1] * 5, data=None, count=_STREAM_TERMS + 1)
+def test_register_phases_are_the_one_conversion_of_exact_combinations(registers, data, count):
+    """Each phase is ``_fixed_to_float`` of c + sum_j w_j r_j(n) mod 2^128, r_j the ``_pair_steps`` words.
+
+    The references combine the words as Python ints.  Counts of 1, a
+    block +-1 and three blocks are drawn, and the blocks are those of
+    ``phase_blocks`` over the same count.
+    """
+    k = len(registers)
+    if data is None:
+        combinations = [(Fraction(2**128 - 1, 2**128), [1, -1, 2**40, -(2**33), 0]), (Fraction(1, 3), [0] * 4 + [1])]
+    else:
+        constant = st.one_of(_FIXED_REGISTER.map(lambda r: Fraction(r, 2**128)), st.just(Fraction(1, 3)))
+        combination = st.tuples(constant, st.lists(_WEIGHT, min_size=k, max_size=k))
+        combinations = data.draw(st.lists(combination, min_size=1, max_size=3), label="combinations")
+    got = list(_register_phases([Fraction(r, 2**128) for r in registers], count, combinations))
+    expected_starts = [start for start, _ in phase_blocks(PhasePolynomial([0, 0.5]), count)]
+    assert [start for start, _ in got] == expected_starts
+    for (start, phases), (word_start, rows) in zip(got, _pair_steps(registers, count, _block_size(count))):
+        assert word_start == start and phases.shape == (len(combinations), min(_block_size(count), count - start))
+        sums = [np.full(phases.shape[1], _to_fixed(c), dtype=object) for c, _ in combinations]
+        for j, (hi, lo) in enumerate(rows):
+            row = (np.array(hi.tolist(), dtype=object) << 64) | np.array(lo.tolist(), dtype=object)
+            for total, (_, weights) in zip(sums, combinations):
+                total += weights[j] * row
+        for phase_row, total in zip(phases, sums):
+            assert phase_row.tolist() == [_fixed_to_float(v % 2**128) for v in total.tolist()]
+
+
+@pytest.mark.parametrize("pad", [0, 2])
+@pytest.mark.parametrize(
+    "constant",
+    [0.0, 0.1, 2.0**-76, 0.5 - 2.0**-60, 1 - 2.0**-53, Fraction(1, 3), Fraction(2, 3), Fraction(12345, 3**12),
+     Fraction(3**11 + 7, 3**12)],
+)
+def test_constant_streams_are_the_one_conversion(constant, pad):
+    """[c] and [c, 0, 0] step a table like any polynomial: every phase is ``_fixed_to_float(_to_fixed(c))``."""
+    poly = PhasePolynomial([constant] + [0] * pad)
+    value = _fixed_to_float(_to_fixed(constant))
+    for count in (1, 65, _STREAM_TERMS + 1):
+        blocks = list(phase_blocks(poly, count))
+        assert [s for s, _ in blocks[1:]] == block_edges(count)
+        assert np.concatenate([phases for _, phases in blocks]).tolist() == [value] * count
+        assert phase_stream(poly, count).tolist() == [value] * count
 
 
 @settings(max_examples=80, deadline=None)
@@ -669,6 +731,46 @@ def test_compose_agrees_pointwise():
         assert phase_at(composed, n) == pytest.approx(
             phase_at(outer, inner_value), abs=1e-12
         )
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def horner_composition(outer, inner):
+    """Monomial coefficients of Q(q(z)) by Horner's rule in Q's coefficients, exact, unreduced."""
+    result = [outer[-1]]
+    for c in reversed(outer[:-1]):
+        result = _poly_mul(result, inner)
+        result[0] += c
+    return result
+
+
+_OUTER_COEFFICIENT = st.one_of(
+    st.floats(0, 1, exclude_max=True), st.fractions(0, 1, max_denominator=10**6), st.just(Fraction(1, 3))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(outer=st.lists(_OUTER_COEFFICIENT, min_size=1, max_size=5), data=st.data(), bare=st.booleans())
+def test_compose_matches_horner(outer, data, bare):
+    """Composition by forward differences equals Horner's rule, as Fractions, trailing zeros included."""
+    q_outer = PhasePolynomial(outer)
+    inner_degree = data.draw(st.integers(0, 8 // max(q_outer.degree, 1)), label="inner_degree")
+    coefficients = data.draw(st.lists(st.integers(-50, 50), min_size=inner_degree + 1, max_size=inner_degree + 1))
+    if bare:
+        zeros = data.draw(st.integers(0, 8 // max(q_outer.degree, 1) - inner_degree), label="zeros")
+        q_inner, inner = coefficients + [0] * zeros, [Fraction(c) for c in coefficients + [0] * zeros]
+    else:
+        q_inner = TimePolynomial(tuple(coefficients))
+        inner = list(q_inner.monomial_coefficients())
+    composed = compose_time_polynomial(q_outer, q_inner)
+    assert composed == PhasePolynomial(horner_composition(q_outer.coefficients, inner))
+    assert composed.degree == q_outer.degree * (len(inner) - 1)
 
 
 def test_compose_degree_cap():
