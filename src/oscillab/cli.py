@@ -370,6 +370,8 @@ def _run_estimate_order(config: ExperimentConfig, out: Path) -> list[Path]:
     if d_max < 1:
         raise ConfigError("d-max: must be >= 1")
     grid = _grid(config.params, d_max, default=None)
+    if grid is None and d_max > 3:
+        raise ConfigError("grid: --d-max above 3 requires an explicit --grid")
     cps = _checkpoints_or_default(config, n)
     if len(cps) < 3:
         raise ConfigError("checkpoints: at least 3 required")

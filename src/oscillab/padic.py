@@ -11,9 +11,8 @@ every orbit is purely periodic there; a minimal map cycles through all
 p^k residues.  Weighted averages along polynomial times q(n) then only
 need q(n) positioned inside the orbit cycle, never q(n) literal
 iterations.  Those positions q(n) mod L, for a cycle of length L, are
-read off the package's one difference-table stream: ``phase_blocks``
-of q / L gives (q(n) mod L) / L, exactly enough to round back to the
-integer.  On a cycle they repeat with the period of q / L; one period
+integers, stepped exactly in int64 from q's forward differences mod L,
+at any N.  On a cycle they repeat with the period of q / L; one period
 is computed.  A non-invertible a adds a pre-periodic tail of at most
 ``level`` points, met only at the few n with q(n) below its length.
 """
@@ -26,14 +25,11 @@ from .polyphase import (
     _STREAM_TERMS,
     MAX_DEGREE,
     ErgodicAverageSeries,
-    PhasePolynomial,
     _average_series,
-    _drift_bound,
     _period,
     _repeated,
     _validated_checkpoints,
     _weights,
-    phase_blocks,
     unit_values,
 )
 from .torus import TimePolynomial, _check_nonnegative_times
@@ -275,35 +271,41 @@ def orbit_residue_census(
 
 
 def _cycle_positions(q, count: int, cycle_length: int):
-    """Blocks ``(start, q(n) mod L)``, n < count, read off the phase blocks of q / L.
+    """Blocks ``(start, q(n) mod L)``, n < count, of ``_STREAM_TERMS`` terms, stepped in exact integers.
 
-    Exact while the proven margin holds: every phase carries less than
-    ``_drift_bound`` units of 2^-128 of fixed-point error, and float
-    conversion and scaling by L add less than 2^-51 L, so
-    L * (drift + 2^77) <= 2^127 keeps |phase * L - k| below the 1/2
-    that rounding to the integer k tolerates.  Past that envelope (at
-    degree 8 and L = 3^16, beyond about 5 * 10^7 terms) a ValueError is
-    raised before anything is streamed.
+    Row j of a block holds the j-th forward difference of q over the
+    block's n: its first entry, a register, plus the exclusive prefix sum
+    of row j + 1.  The registers start as q's binomial coefficients a_j
+    mod L, up to the last one nonzero mod L, whose row is constant.  With
+    entries below L <= 2^26, one prefix sum of 2^16 terms stays below
+    2^42 and two below 2^58, so int64 stays exact when every other row,
+    and row 0, is reduced mod L.  A cycle after a tail is one point, so
+    there L = 1 and each block is a single ``np.full``.
     """
-    if cycle_length * (_drift_bound(q.degree, count) + (1 << 77)) > 1 << 127:
-        raise ValueError(
-            f"count: {count} terms of a degree-{q.degree} time polynomial on a cycle of "
-            f"length {cycle_length} exceed the exact rounding envelope "
-            "L * (drift bound + 2^77) <= 2^127"
-        )
-    scaled = PhasePolynomial([c / cycle_length for c in q.monomial_coefficients()])
-    return (
-        (start, np.rint(phases * cycle_length).astype(np.int64) % cycle_length)
-        for start, phases in phase_blocks(scaled, count)
-    )
+    registers = [a % cycle_length for a in q.binomial_coefficients]
+    while len(registers) > 1 and not registers[-1]:
+        registers.pop()
+    top = len(registers) - 1
+    for start in range(0, count, _STREAM_TERMS):
+        row = np.full(min(_STREAM_TERMS, count - start), registers[top], dtype=np.int64)
+        for j in range(top - 1, -1, -1):
+            upper, row = row, np.empty_like(row)
+            row[0] = 0
+            np.cumsum(upper[:-1], out=row[1:])
+            row += registers[j]
+            registers[j] = int(row[-1] + upper[-1]) % cycle_length
+            if (top - j) % 2 == 0 or j == 0:
+                row %= cycle_length
+        yield start, row
 
 
 def _orbit_indices(q, count: int, tail_length: int, cycle_length: int):
     """Blocks ``(start, i(q(n)))`` with orbit[i(t)] = T^t x0 for orbit = tail + cycle.
 
-    i(t) = tail_length + (t - tail_length) mod L, read off
-    ``_cycle_positions`` of q - tail_length, except on the runs where
-    q(n) < tail_length, found exactly by forward differences, where i(t) = t.
+    i(t) = tail_length + (t - tail_length) mod L, from the integer
+    positions ``_cycle_positions`` steps for q - tail_length, in the same
+    ``_STREAM_TERMS``-term blocks, except on the runs where q(n) <
+    tail_length, found exactly by forward differences, where i(t) = t.
     Those runs hold at most degree * tail_length points unless q is
     constant.
     """

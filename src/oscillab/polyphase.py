@@ -556,18 +556,6 @@ def _stepped_blocks(coeffs: tuple[Fraction, ...], count: int, lanes: int, block_
         yield start, _folded(out.reshape(-1)[: count - start])
 
 
-def _drift_bound(degree: int, count: int) -> int:
-    """Bound, in units of 2^-128, on the fixed-point error of a stream entry.
-
-    Each seed is truncated by less than one unit, so the j-th difference
-    of a lane's seeds is off by less than 2^j.  Stepping is exact and
-    row m of a lane is sum_j C(m, j) * (j-th difference), so its error
-    is below sum_j C(m, j) 2^j, largest at the last row.
-    """
-    last_row = -(-count // _lanes(count)) - 1
-    return sum(math.comb(last_row, j) << j for j in range(degree + 1))
-
-
 def _period(*coefficient_lists) -> int:
     """q = lcm of the denominators of t_1..t_d of every P given: each P(n + q) - P(n) is an integer."""
     return math.lcm(*(c.denominator for coefficients in coefficient_lists for c in coefficients[1:]))

@@ -398,6 +398,17 @@ def test_over_budget_grid_exits_one(tmp_path, capsys, monkeypatch, argv):
     assert err.startswith("error: grid:") and "budget" in err
 
 
+def test_estimate_order_above_degree_three_needs_grid_before_weights(tmp_path, capsys, monkeypatch):
+    """--d-max 4 has no default pitch: refused before any weights are drawn, naming the flags."""
+    calls = []
+    monkeypatch.setattr("oscillab.cli._load_weights", lambda *args: calls.append(args))
+    argv = ["estimate-order", "--generator", "mobius", "--n", "1000000", "--d-max", "4"]
+    assert run(argv + ["--out", str(tmp_path / "d4")]) == 1
+    assert calls == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid:") and "--grid" in err and "--d-max" in err
+
+
 def test_multi_average_descriptor_config(tmp_path):
     descriptor = {
         "command": "multi-average",

@@ -20,7 +20,7 @@ from oscillab.padic import (
     padic_eval_map,
     padic_weighted_average,
 )
-from oscillab.polyphase import _STREAM_TERMS, PhasePolynomial, _average_series, _drift_bound, phase_blocks, unit_values
+from oscillab.polyphase import _STREAM_TERMS, _average_series, unit_values
 from oscillab.sequences import rademacher_sequence
 from oscillab.torus import TimePolynomial
 
@@ -305,61 +305,46 @@ def test_weighted_average_rejects_classes_above_envelope():
         padic_weighted_average(system, 17, 0, [TimePolynomial.from_power(1)], seq, [10])
 
 
-def test_cycle_positions_exact_at_envelope_edge():
-    """Degree 8, L = 3^16, N = 10^7: every position equals q(n) mod L exactly."""
-    q = TimePolynomial((7, 3, 11, 2, 5, 1, 4, 9, 6))
+_DEGREE_8 = (7, 3, 11, 2, 5, 1, 4, 9, 6)
+
+
+@pytest.mark.parametrize(
+    ("binomials", "count", "cycle_length"),
+    [
+        (_DEGREE_8, 10**7, 3**16),
+        # Every register L - 1 at the largest L allowed: the unreduced rows come nearest 2^58,
+        # and the last two terms fall in a second block.  A power of two divides 2^64, so int64
+        # wraparound would go unseen there; 3^16, the largest odd L allowed, shows it.
+        ((-1,) * 9, _STREAM_TERMS + 2, 2**26),
+        ((-1,) * 9, _STREAM_TERMS + 2, 3**16),
+    ],
+    ids=["degree-8-ten-million-terms", "worst-case-registers", "worst-case-registers-odd"],
+)
+def test_cycle_positions_match_python_ints(binomials, count, cycle_length):
+    """Every position read equals q(n) mod L computed with Python ints."""
+    q = TimePolynomial(binomials)
     assert q.degree == 8
-    count, cycle_length = 10**7, 3**16
     positions = np.concatenate([block for _, block in _cycle_positions(q, count, cycle_length)])
+    assert positions.size == count
     indices = list(range(4096)) + list(range(count - 4096, count))
     indices += random.Random(16).sample(range(count), 200)
     for n in indices:
         assert positions[n] == q(n) % cycle_length, n
 
 
-def test_cycle_positions_refuse_past_rounding_envelope():
-    """Degree 8, L = 3^16: the guard admits counts up to its boundary, refuses one more.
+def test_cycle_positions_exact_at_times_near_10_to_12():
+    """Positions q(n + s) mod L for s = 10^12 at degree 8: integer steps have no rounding limit in N.
 
-    The boundary is found through the guard itself, which raises before
-    any term is streamed, so no 10^8-term stream runs.
+    The shifted polynomial q(n + s) has the integer binomial coefficients
+    b_j = sum_i a_i C(s, i - j) (Vandermonde), so its first terms are
+    positions at times around 10^12 without stepping there.
     """
-    q = TimePolynomial((7, 3, 11, 2, 5, 1, 4, 9, 6))
-    cycle_length = 3**16
-
-    def admitted(count):
-        try:
-            _cycle_positions(q, count, cycle_length)
-        except ValueError as exc:
-            assert "exact rounding envelope" in str(exc)
-            return False
-        return True
-
-    lo, hi = 10**7, 10**9
-    assert admitted(lo) and not admitted(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if admitted(mid) else (lo, mid)
-    # 12,572 full rows of 4096 lanes; one more term starts a row past the margin.
-    assert lo == 12_572 * 4096
-    # A degree-3 stream, as the p-adic benchmark runs, is far inside it.
-    assert _cycle_positions(TimePolynomial.from_power(3), 10**9, cycle_length) is not None
-
-
-def test_drift_bound_covers_observed_error():
-    """The phase error of q / L stays below the bound the guard relies on."""
-    q = TimePolynomial((7, 3, 11, 2, 5, 1, 4, 9, 6))
-    count, cycle_length = 10**6, 3**16
-    scaled = PhasePolynomial([c / cycle_length for c in q.monomial_coefficients()])
-    limit = cycle_length * (_drift_bound(q.degree, count) * 2.0**-128 + 2.0**-51)
-    picks = random.Random(8).sample(range(count), 300) + [count - 1]
-    worst = 0.0
-    for start, phases in phase_blocks(scaled, count):
-        for n in picks:
-            if start <= n < start + phases.size:
-                k = q(n) % cycle_length
-                err = abs(phases[n - start] * cycle_length - k)
-                worst = max(worst, min(err, cycle_length - err))
-    assert worst <= limit < 0.5
+    a, s, cycle_length = _DEGREE_8, 10**12, 3**16
+    q = TimePolynomial(a)
+    shifted = TimePolynomial(tuple(sum(a[i] * math.comb(s, i - j) for i in range(j, 9)) for j in range(9)))
+    [(start, positions)] = _cycle_positions(shifted, 1001, cycle_length)
+    assert start == 0
+    assert positions.tolist() == [q(n + s) % cycle_length for n in range(1001)]
 
 
 def test_weighted_average_streams_across_blocks():
