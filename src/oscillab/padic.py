@@ -17,6 +17,7 @@ is computed.  A non-invertible a adds a pre-periodic tail of at most
 ``level`` points, met only at the few n with q(n) below its length.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,17 +206,20 @@ def _orbit_blocks(system: PadicAffineSystem, x: int, level: int, size: int):
 def _cycle_from(system: PadicAffineSystem, y: int, level: int) -> np.ndarray:
     """The cycle y, Ty, ... mod p^level through a periodic point y, as int64 for p^level <= 2^26.
 
-    ``_orbit_blocks`` of ``_STREAM_TERMS`` points are cut at the first
-    return to y.
+    T^e is a translation for e the order of a, so the cycle length L divides p^(2 level) (p - 1):
+    it is the least divisor t with T^t y = y.  ``_orbit_blocks`` then fill one array of L points.
     """
-    parts, skip = [], 1
-    for block in _orbit_blocks(system, y, level, _STREAM_TERMS):
-        returns = np.flatnonzero(block[skip:] == y)
-        if returns.size:
-            parts.append(block[: skip + returns[0]])
-            return np.concatenate(parts)
-        parts.append(block)
-        skip = 0
+    p, mod = system.prime, system.prime**level
+    divisors = {d for i in range(1, math.isqrt(p - 1) + 1) if (p - 1) % i == 0 for d in (i, (p - 1) // i)}
+    for length in sorted(p**i * d for i in range(2 * level + 1) for d in divisors):
+        big_a, big_c = _affine_power(system.a.value, system.b.value, length, mod)
+        if (big_a * y + big_c) % mod == y:
+            break
+    cycle = np.empty(length, dtype=np.int64)
+    blocks = _orbit_blocks(system, y, level, min(length, _STREAM_TERMS))
+    for start, block in zip(range(0, length, _STREAM_TERMS), blocks):
+        cycle[start : start + _STREAM_TERMS] = block[: length - start]
+    return cycle
 
 
 def _orbit_cycle(system: PadicAffineSystem, x0: int, level: int) -> tuple[list[int], np.ndarray]:

@@ -12,6 +12,7 @@ uniformly and never needs to know.
 """
 
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -251,17 +252,22 @@ def read_sequence(path) -> ComplexSequence:
     stays: it runs when there is no data line, when ``loadtxt`` raises or
     finds other than two columns, and it alone raises
     ``SequenceParseError`` with the offending line.
+
+    ``loadtxt`` gets the path as a ``str``, the one input its C reader
+    reads in chunks (a handle it reads one Python line at a time).  numpy
+    decompresses a ``str`` path by its suffix, so ``.gz``, ``.bz2``, ``.xz``
+    and ``.lzma`` files go to ``_parse_lines``: files are plain text.
     """
     path = Path(path)
     provenance = f"file({path})"
+    plain = os.path.splitext(path)[1] not in (".gz", ".bz2", ".xz", ".lzma")  # numpy's decompressed suffixes
     with path.open("r", encoding="utf-8") as handle:
         skipped = 0
-        for raw in handle:
+        for raw in handle if plain else ():
             line = raw.strip()
             if line and not line.startswith("#"):
-                handle.seek(0)
                 try:
-                    table = np.loadtxt(handle, comments=None, skiprows=skipped, ndmin=2)
+                    table = np.loadtxt(os.fspath(path), encoding="utf-8", comments=None, skiprows=skipped, ndmin=2)
                 except ValueError:
                     pass
                 else:

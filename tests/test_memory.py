@@ -3,7 +3,7 @@
 import numpy as np
 
 from oscillab.oscillation import sup_search
-from oscillab.padic import PadicAffineSystem, padic_weighted_average
+from oscillab.padic import PadicAffineSystem, _orbit_cycle, padic_weighted_average
 from oscillab.polyphase import PhasePolynomial, fourier_bohr_scan, phase_blocks, unit_values, weighted_exponential_average
 from oscillab.probabilistic import Distribution, RandomSequenceSpec, sample
 from oscillab.sequences import (
@@ -118,3 +118,10 @@ def test_padic_level_zero_transient_peak(traced_peak):
     system = PadicAffineSystem.from_ints(3, 4, 1)
     qs = [TimePolynomial.from_power(1)]
     assert traced_peak(padic_weighted_average, system, 0, 0, qs, weights, [10**5, N]) < 16 * MB
+
+
+def test_padic_orbit_cycle_peak(traced_peak):
+    # The level-14 cycle of a minimal system is 3^14 int64 points (36.5 MiB); it is filled in place,
+    # not gathered as blocks and then concatenated, which held it twice (73.0 MiB).
+    system = PadicAffineSystem.from_ints(3, 4, 1)
+    assert traced_peak(_orbit_cycle, system, 12345, 14) <= 3**14 * 8 + 4 * MB

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.lib import _datasource
 
 from oscillab import sequences
 from oscillab.polyphase import _STREAM_TERMS
@@ -304,8 +305,25 @@ def test_read_sequence_one_loadtxt_call(tmp_path):
         values = read_sequence(path).values
     assert values.tolist() == [1 + 2j, 3 + 4j]
     assert loadtxt.call_count == 1
+    # A str path, not a handle: only then does loadtxt's C reader read the file in chunks.
+    assert loadtxt.call_args.args == (str(path),)
+    assert loadtxt.call_args.kwargs["encoding"] == "utf-8"
     assert loadtxt.call_args.kwargs["comments"] is None
     assert loadtxt.call_args.kwargs["skiprows"] == 3
+
+
+def test_read_sequence_compressed_suffixes_read_as_plain_text(tmp_path):
+    """numpy decompresses a str path by suffix; a sequence file is plain text whatever its name."""
+    suffixes = [suffix for suffix in _datasource._file_openers.keys() if suffix]
+    assert {".gz", ".bz2", ".xz", ".lzma"} <= set(suffixes)
+    text = "# header\n1 2\n-0.5 1e-300\nnan -inf\n"
+    (tmp_path / "seq.txt").write_text(text, encoding="utf-8")
+    expected = read_sequence(tmp_path / "seq.txt").values.view(np.uint64).tolist()
+    for name in ["seq", *(f"seq{suffix}" for suffix in suffixes)]:
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        back = read_sequence(tmp_path / name).values
+        assert back.dtype == np.complex128, name
+        assert back.view(np.uint64).tolist() == expected, name
 
 
 @pytest.mark.parametrize(
