@@ -24,8 +24,9 @@ import numpy as np
 
 from . import __version__
 from .oscillation import (
-    GRID_BUDGET,
+    GridBudgetError,
     OscillationReport,
+    _checked_grid,
     classify_exact_order,
     estimate_oscillation_profile,
     refine_local,
@@ -237,13 +238,12 @@ def _require(params: dict, name: str, kind, default=_MISSING):
 
 
 def _grid(params: dict, degree: int, default):
-    """The grid pitch G: a power of two >= 2 with G^(degree + 1) within ``GRID_BUDGET``, else the default."""
+    """The grid pitch G, as ``oscillation._checked_grid`` passes it for ``degree``, else the default."""
     grid = _require(params, "grid", _int, default=default)
-    if grid is not None and (grid < 2 or grid & (grid - 1)):
-        raise ConfigError("grid: must be a power of two >= 2")
-    if grid is not None and grid ** (degree + 1) > GRID_BUDGET:
-        raise ConfigError(f"grid: G^(d+1) = {grid ** (degree + 1)} exceeds the grid budget {GRID_BUDGET}")
-    return grid
+    try:
+        return grid if grid is None else _checked_grid(degree, grid)
+    except (ValueError, GridBudgetError) as exc:
+        raise ConfigError(f"grid: {str(exc).removeprefix('grid_per_dim: ')}") from exc
 
 
 def _items(value) -> list:
@@ -269,8 +269,15 @@ def _int_list(value) -> tuple[int, ...]:
     return tuple(_int(v) for v in _items(value))
 
 
+def _float(value) -> float:
+    """A finite float: nan and +-inf are refused, before they reach exact arithmetic."""
+    if not math.isfinite(number := float(value)):
+        raise ValueError(f"must be finite, got {number}")
+    return number
+
+
 def _float_list(value) -> tuple[float, ...]:
-    return tuple(float(v) for v in _items(value))
+    return tuple(_float(v) for v in _items(value))
 
 
 def _load_weights(params: dict, length: int, seed: int | None) -> ComplexSequence:
@@ -285,7 +292,7 @@ def _load_weights(params: dict, length: int, seed: int | None) -> ComplexSequenc
             raise ConfigError("seed: required for rademacher weights")
         return rademacher_sequence(_parse("seed", actual_seed, _int), length)
     if generator == "polyphase":
-        alpha = _require(params, "alpha", float)
+        alpha = _require(params, "alpha", _float)
         power = _require(params, "power", _int)
         return polynomial_phase_sequence(alpha, power, length)
     if generator == "file":
@@ -386,7 +393,7 @@ def _run_estimate_order(config: ExperimentConfig, out: Path) -> list[Path]:
 
 def _torus_system(params: dict) -> SkewShiftSystem:
     m = _require(params, "m", _int)
-    alpha = _require(params, "alpha", float)
+    alpha = _require(params, "alpha", _float)
     if m < 1:
         raise ConfigError("m: must be >= 1")
     return SkewShiftSystem(m, alpha)
@@ -552,7 +559,7 @@ def _run_lsk_check(config: ExperimentConfig, out: Path) -> list[Path]:
 def _run_subnormal_check(config: ExperimentConfig, out: Path) -> list[Path]:
     params = config.params
     kind = _require(params, "distribution", str)
-    scale = _require(params, "scale", float, default=1.0)
+    scale = _require(params, "scale", _float, default=1.0)
     lambdas = _require(params, "lambdas", _float_list, default=(0.25, 0.5, 1.0, 2.0, 4.0))
     if not lambdas:
         raise ConfigError("lambdas: at least one value required")

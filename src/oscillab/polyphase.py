@@ -19,22 +19,24 @@ paths avoid this:
 * ``phase_blocks`` emits frac(P(n)) for n = 0..N-1 in blocks of about
   ``_STREAM_TERMS`` terms using blocked forward-difference tables held
   in 128-bit fixed point; a constant P steps a one-row table.  The
-  seeds are exact: Horner's rule on uint64 word pairs when every
-  coefficient denominator divides 2^128 (every float coefficient >=
-  2^-76), else a Python-integer table of den * P(n) mod den, den the
-  lcm of the denominators, truncated once per seed.  Mod-1 addition is
-  exact in that representation, so the only error is that one 2^-128
-  truncation per seed (none on the dyadic route) plus one float
-  rounding on output: the 1e-9 bound at N = 10^6, d <= 4 is met with
-  orders of magnitude to spare.  Streams whose seeds are all multiples
-  of 2^-64 step their high words alone, since their low words stay 0.
-  ``phase_stream`` is the same stream taken as one block, for callers
-  that keep the array.  ``_register_phases`` steps exact phases on the
-  same recurrence in the same blocks and yields phases of integer
-  combinations of them: the skew-shift orbit and the tower routes of
-  ``torus``.  Every fixed-point value becomes a float by the one
-  conversion hi * 2^-64 + lo * 2^-128 of its (hi, lo) words
-  (``_pair_floats``, ``_fixed_to_float`` for one Python int).
+  seeds are exact.  With den the lcm of the denominators, the forward
+  differences of den * P at 0 are the registers of the difference
+  recurrence; when each times 2^128 / den is an integer (every float
+  coefficient >= 2^-76, and binomial phases with such thetas) the
+  recurrence runs on uint64 word pairs in one block, else on a
+  Python-integer table of den * P(n) mod den, truncated once per seed.
+  Mod-1 addition is exact in that representation, so the only error is
+  that one 2^-128 truncation per seed (none on the word route) plus one
+  float rounding on output: the 1e-9 bound at N = 10^6, d <= 4 is met
+  with orders of magnitude to spare.  Streams whose seeds are all
+  multiples of 2^-64 step their high words alone, since their low words
+  stay 0.  ``phase_stream`` is the same stream taken as one block, for
+  callers that keep the array.  ``_register_phases`` takes exact phases
+  r_0, ..., r_k on the same recurrence and streams integer combinations
+  of them on the same lane table in the same blocks: the skew-shift
+  orbit and the tower routes of ``torus``.  Every fixed-point value
+  becomes a float by the one conversion hi * 2^-64 + lo * 2^-128 of its
+  (hi, lo) words (``_pair_floats``, ``_fixed_to_float`` for one int).
 
 ``unit_values`` turns phases into e(phase) without a complex
 exponential: 4096 * phase splits exactly into an integer k and a rest
@@ -67,7 +69,6 @@ MAX_DEGREE = 8
 # Phases in [0, 1) as 128-bit fixed-point integers: mod-1 addition is exact.
 _FIXED_BITS = 128
 _FIXED_MASK = (1 << _FIXED_BITS) - 1
-_FIXED_ONE = 1 << _FIXED_BITS
 _MASK64 = (1 << 64) - 1
 _MASK32 = np.uint64((1 << 32) - 1)
 _SHIFT32 = np.uint64(32)
@@ -75,8 +76,8 @@ _INV_2_64 = 2.0 ** -64
 _INV_2_128 = 2.0 ** -128
 
 # Lane width of the blocked difference table.  At most lanes * (d + 1)
-# <= 36,864 < 2^32 indices are seeded, by Horner on uint64 pairs or, for
-# non-dyadic denominators, one big-int table; each lane then steps
+# <= 36,864 < 2^32 indices are seeded, on uint64 pairs or, for
+# non-dyadic seeds, by one big-int table; each lane then steps
 # N/lanes times in fixed point, where mod-1 addition is exact: on the
 # high words alone when every seed is a multiple of 2^-64 (floats >=
 # 2^-12, the search's 2^-16 lattice), else on (hi, lo) pairs.  Lanes are
@@ -257,8 +258,8 @@ def _difference_steps(registers: list, count: int, modulus: int):
     ``modulus``.  The list is updated in place and the same list is
     yielded each time, so read it before the next step.  This scalar
     stepper serves moduli other than 2^128, the big-int seeds of
-    ``_fixed_seed_table``; mod 2^128 the same recurrence runs a block at
-    a time on uint64 pairs in ``_pair_steps``, read by ``_register_phases``.
+    ``_fixed_seed_table``; mod 2^128 the same registers come a row at a
+    time from ``_register_rows``.
     """
     downward = range(len(registers) - 1, 0, -1)
     for _ in range(count):
@@ -325,35 +326,18 @@ def _cumulate_pairs(hi: np.ndarray, lo: np.ndarray) -> None:
     hi += lo < upper
 
 
-def _pair_steps(registers: list, count: int, block: int):
-    """``(start, rows)``: registers of ``_difference_steps`` mod 2^128 at steps 0..count-1, by blocks.
+def _register_rows(registers: list, count: int):
+    """Rows r_0, ..., r_k of ``_difference_steps`` mod 2^128 over steps 0..count-1, count < 2^32.
 
-    ``registers`` are r_0, ..., r_k at step 0 as ints in [0, 2^128).  A
-    block covers steps start..start+size-1, size <= ``block`` < 2^32,
-    and ``rows`` yields r_0, ..., r_k over it in turn, each as uint64
-    arrays (hi, lo) of length size whose entry t is the register at step
-    start + t: the values the scalar stepper yields.  Over a block r_0
-    is constant and row j is r_j(start) plus the exclusive prefix sum of
-    row j - 1, which ``_cumulate_pairs`` makes in place from row j - 1
-    shifted by one.  So every row of every block is written into the
-    same two arrays, and a row must be read before the next is asked
-    for.  The registers at the next block's start are the rows' last
-    entries stepped once more.
+    ``registers`` are r_0, ..., r_k at step 0 as ints in [0, 2^128).  Row
+    j, uint64 arrays (hi, lo) whose entry n is r_j at step n, is r_j(0)
+    plus the exclusive prefix sum of row j - 1, which ``_cumulate_pairs``
+    makes in place from row j - 1 shifted by one.  So every row is
+    written into the same two arrays: read a row before asking for the
+    next; the last row stays in them.
     """
-    hi = np.empty(min(block, count), dtype=np.uint64)
+    hi = np.empty(count, dtype=np.uint64)
     lo = np.empty_like(hi)
-    for start in range(0, count, block):
-        size = min(block, count - start)
-        last = []
-        rows = _block_rows(registers, hi[:size], lo[:size], last)
-        yield start, rows
-        for _ in rows:  # rows left unread still hand their last entries on
-            pass
-        registers = last[:1] + [(r + s) & _FIXED_MASK for r, s in zip(last[1:], last)]
-
-
-def _block_rows(registers: list, hi: np.ndarray, lo: np.ndarray, last: list):
-    """Rows r_0, ..., r_k of one ``_pair_steps`` block, in place in (hi, lo); each row's last entry goes to ``last``."""
     for j, register in enumerate(registers):
         if j:
             hi[1:] = hi[:-1]
@@ -362,79 +346,78 @@ def _block_rows(registers: list, hi: np.ndarray, lo: np.ndarray, last: list):
             _cumulate_pairs(hi, lo)
         else:
             hi[:], lo[:] = divmod(register, 1 << 64)
-        last.append((int(hi[-1]) << 64) | int(lo[-1]))
         yield hi, lo
 
 
 def _register_phases(registers, count: int, combinations):
     """``(start, phases)``: frac(c + sum_j w_j r_j(n)), n = 0..count-1, a row per combination (c, w).
 
-    The exact phases r_0, ..., r_k step on ``_pair_steps`` in the blocks
-    of ``phase_blocks`` over ``count``.  A combination, a phase c and a
-    list of integer weights w_j, is summed in (hi, lo) words mod 2^128 and
-    converted once, so an entry is ``_fixed_to_float`` of its exact value.
+    The exact phases r_0, ..., r_k follow the difference recurrence, so a
+    combination, a phase c and integer weights w_j, is a polynomial of
+    degree <= k in n.  It is summed in (hi, lo) words mod 2^128 at the
+    seed points of the lane table only, from ``_register_rows``, and then
+    steps on ``_stepped_blocks`` in the blocks of ``phase_blocks``: an
+    entry is ``_fixed_to_float`` of its exact value.
     """
-    constants = [divmod(_to_fixed(c), 1 << 64) for c, _ in combinations]
-    block = _block_size(count)
-    for start, rows in _pair_steps([_to_fixed(r) for r in registers], count, block):
-        size = min(block, count - start)
-        sums = [tuple(np.full(size, word, dtype=np.uint64) for word in c) for c in constants]
-        for j, (hi, lo) in enumerate(rows):
-            for (sum_hi, sum_lo), (_, w) in zip(sums, combinations):
-                if w[j] == 1:
-                    _add_pairs(sum_hi, sum_lo, hi, lo)
-                elif w[j]:
-                    _add_pairs(sum_hi, sum_lo, *_scaled_pairs(hi, lo, w[j]))
-        yield start, _folded(np.array([_pair_floats(*words) for words in sums]))
+    size = _seed_count(len(registers) - 1, count)
+    sums = [[np.full(size, word, dtype=np.uint64) for word in divmod(_to_fixed(c), 1 << 64)] for c, _ in combinations]
+    for j, (hi, lo) in enumerate(_register_rows([_to_fixed(r) for r in registers], size)):
+        for (sum_hi, sum_lo), (_, w) in zip(sums, combinations):
+            if w[j]:
+                _add_pairs(sum_hi, sum_lo, *_scaled_pairs(hi, lo, w[j]))
+    for blocks in zip(*(_stepped_blocks(hi, lo, count, _STREAM_TERMS) for hi, lo in sums)):
+        yield blocks[0][0], np.array([phases for _, phases in blocks])
+
+
+def _seed_front(coeffs: tuple[Fraction, ...]) -> tuple[int, list[int]]:
+    """(den, diffs): den the lcm of the denominators, diffs the registers of V(n) = den * P(n) mod den.
+
+    diffs are the forward differences of V at 0 mod den, highest first:
+    r_0, ..., r_d of ``_difference_steps``, whose r_d at step n is V(n).
+    """
+    den = math.lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    values = [sum(a * n**j for j, a in enumerate(ints)) for n in range(len(ints))]
+    return den, [v % den for v in reversed(_forward_differences(values))]
 
 
 def _fixed_seed_table(coeffs: tuple[Fraction, ...], count: int) -> list[int]:
     """frac(P(n)) for n = 0..count-1 as 128-bit fixed-point Python ints, for any denominators.
 
-    With den the lcm of the coefficient denominators, V(n) = den * P(n)
-    mod den is an integer polynomial.  Its forward differences at 0,
-    reduced mod den, step on ``_difference_steps`` (d additions mod den
-    per value) and each value is truncated once, to
+    The registers of ``_seed_front`` step on ``_difference_steps`` (d
+    additions mod den per value) and each value is truncated once, to
     floor(2^128 * V(n) / den).  This is the bit-for-bit reference for
-    the uint64 Horner seeds of ``_seed_pairs``.
+    the uint64 seeds of ``_seed_pairs``.
     """
-    den = math.lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in coeffs]
-    values = [sum(a * n**j for j, a in enumerate(ints)) for n in range(len(ints))]
-    diffs = [v % den for v in reversed(_forward_differences(values))]
+    den, diffs = _seed_front(coeffs)
     return [(regs[-1] << _FIXED_BITS) // den for regs in _difference_steps(diffs, count, den)]
 
 
 def _seed_pairs(coeffs: tuple[Fraction, ...], count: int) -> tuple[np.ndarray, np.ndarray]:
     """frac(P(n)) for n = 0..count-1 in 128-bit fixed point, as high and low uint64 arrays.
 
-    When every denominator divides 2^128, 2^128 * P(n) mod 2^128 is
-    sum_j A_j n^j with integers A_j = 2^128 t_j: Horner's rule on uint64
-    pairs evaluates it exactly for all n < 2^32 at once, each step a
-    ``_times_small`` and an addition with its carry into the high word.
-    Other denominators take the big-int ``_fixed_seed_table``.
+    When 2^128 d / den is an integer for every register d of
+    ``_seed_front``, these are exact registers of 2^128 P(n) mod 2^128,
+    and the last row of ``_register_rows`` is the seeds, all n < 2^32 at
+    once.  That holds when every denominator divides 2^128 (float
+    coefficients >= 2^-76), and for binomial phases with such thetas,
+    whose j! sits only in the monomial basis.  Other fronts (a
+    coefficient 1/3) take the big-int ``_fixed_seed_table``.
     """
-    if any(_FIXED_ONE % c.denominator for c in coeffs):
-        seeds = _fixed_seed_table(coeffs, count)
-        return (
-            np.array([v >> 64 for v in seeds], dtype=np.uint64),
-            np.array([v & _MASK64 for v in seeds], dtype=np.uint64),
-        )
-    n = np.arange(count, dtype=np.uint64)
-    hi = np.zeros(count, dtype=np.uint64)
-    lo = np.zeros(count, dtype=np.uint64)
-    for c in reversed(coeffs):
-        hi, lo = _times_small(hi, lo, n)
-        _add_pairs(hi, lo, *(np.uint64(w) for w in divmod(_to_fixed(c), 1 << 64)))
-    return hi, lo
+    den, diffs = _seed_front(coeffs)
+    if any((d << _FIXED_BITS) % den for d in diffs):
+        seeds = np.array(_fixed_seed_table(coeffs, count), dtype=object)
+        return (seeds >> 64).astype(np.uint64), (seeds & _MASK64).astype(np.uint64)
+    *_, last = _register_rows([(d << _FIXED_BITS) // den for d in diffs], count)
+    return last
 
 
 def _lanes(count: int) -> int:
     """Lane width of the difference table for a stream of ``count`` terms.
 
     count / 8 lanes, so a stream below 2^15 terms steps at most 8 rows:
-    each row is a handful of numpy calls, while uint64 Horner seeds for
-    more lanes cost little.
+    each row is a handful of numpy calls, while uint64 seeds for more
+    lanes cost little.
     """
     return min(_MAX_LANES, max(64, count // 8))
 
@@ -448,8 +431,8 @@ def phase_blocks(poly: PhasePolynomial, count: int):
     registers live in 128-bit fixed point (a pair of uint64 arrays)
     where mod-1 addition is exact, so no rounding accumulates across
     steps.  They are seeded exactly by ``_seed_pairs``, on uint64 pairs
-    when every denominator divides 2^128, else from a big-int table with
-    one truncation per seed.  When every seed is a multiple of 2^-64
+    when the seeds are exact in fixed point, else from a big-int table
+    with one truncation per seed.  When every seed is a multiple of 2^-64
     (every denominator divides 2^64: float coefficients >= 2^-12, points
     and shifts on the search's 2^-16 lattice) every low word is 0 and
     stays 0, so only the high words are stepped, with no carry; the
@@ -474,36 +457,29 @@ def phase_stream(poly: PhasePolynomial, count: int) -> np.ndarray:
 
 
 def _phase_blocks(poly: PhasePolynomial, count: int, block_terms: int):
-    """Blocks of whole lane rows, about ``block_terms`` terms each; ``count`` is checked now.
-
-    Every block but the last holds the same number of terms, whatever the
-    polynomial (a constant one steps a one-row table), so streams of
-    different polynomials over one count, and the ``_register_phases``
-    of that count, can be zipped block by block.
-    """
+    """``_stepped_blocks`` from the seeds of P; ``count`` is checked now, not at the first block."""
     if count < 1:
         raise ValueError("count: must be >= 1")
+    return _stepped_blocks(*_seed_pairs(poly.coefficients, _seed_count(poly.degree, count)), count, block_terms)
+
+
+def _seed_count(degree: int, count: int) -> int:
+    """Seeds of a ``count``-term stream of ``degree``: min(degree + 1, N/lanes) rows; no later row reaches row 0."""
     lanes = _lanes(count)
-    return _stepped_blocks(poly.coefficients, count, lanes, _block_size(count, block_terms) // lanes)
+    return min(degree + 1, -(-count // lanes)) * lanes
 
 
-def _block_size(count: int, block_terms: int = _STREAM_TERMS) -> int:
-    """Terms in every block but the last of a ``count``-term stream: whole lane rows, at least ``block_terms``."""
-    lanes = _lanes(count)
-    return -(-block_terms // lanes) * lanes
+def _register_table(hi: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The difference table of ``_stepped_blocks`` from its seeds: (hi,) when every low word is 0, else (hi, lo).
 
-
-def _register_table(coeffs: tuple[Fraction, ...], rows: int, lanes: int) -> tuple[np.ndarray, ...]:
-    """The seeded difference table of ``_stepped_blocks``: (hi,) when every low word is 0, else (hi, lo).
-
-    Row i seeds P(i*lanes + r) and is then differenced along the rows,
-    exact mod 2^128 (a borrow from lo).  Every register is an integer
-    combination of the seeds, so when all seeds are multiples of 2^-64
-    (float coefficients >= 2^-12, points and shifts on the search's
-    2^-16 lattice) all registers are, now and at every step: their low
-    words are 0 and are dropped.
+    Row i of the seed table holds P(i*lanes + r) in lane r and is then
+    differenced along the rows in place, exact mod 2^128 (a borrow from
+    lo).  Every register is an integer combination of the seeds, so when
+    all seeds are multiples of 2^-64 (float coefficients >= 2^-12, points
+    and shifts on the search's 2^-16 lattice) all registers are, now and
+    at every step: their low words are 0 and are dropped.
     """
-    hi, lo = (words.reshape(rows, lanes) for words in _seed_pairs(coeffs, rows * lanes))
+    rows = len(hi)
     for j in range(1, rows):
         for i in range(rows - 1, j - 1, -1):
             borrow = (lo[i] < lo[i - 1]).astype(np.uint64)
@@ -512,14 +488,20 @@ def _register_table(coeffs: tuple[Fraction, ...], rows: int, lanes: int) -> tupl
     return (hi, lo) if lo.any() else (hi,)
 
 
-def _stepped_blocks(coeffs: tuple[Fraction, ...], count: int, lanes: int, block_rows: int):
-    d = len(coeffs) - 1
-    steps = -(-count // lanes)
+def _stepped_blocks(hi: np.ndarray, lo: np.ndarray, count: int, block_terms: int):
+    """Blocks of the stream seeded by (hi, lo) in rows of ``_lanes(count)``: the one stepper of exact streams.
 
-    # A row with i >= steps never reaches row 0, so only the first
-    # min(d + 1, steps) rows are seeded.
-    rows = min(d + 1, steps)
-    words = _register_table(coeffs, rows, lanes)
+    Every block but the last holds the whole lane rows of at least
+    ``block_terms`` terms, whatever the seeds (a constant polynomial
+    steps a one-row table), so streams over one count, those of
+    ``phase_blocks`` and of ``_register_phases``, zip block by block.
+    """
+    lanes = _lanes(count)
+    steps = -(-count // lanes)
+    block_rows = -(-block_terms // lanes)
+    words = _register_table(hi.reshape(-1, lanes), lo.reshape(-1, lanes))
+    del hi, lo  # so that low words the table dropped are freed
+    rows = len(words[0])
 
     # A step adds row i + 1 to row i for i < rows - 1, from one table into
     # the other, and the two swap; the top row is constant, so it is

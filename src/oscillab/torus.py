@@ -15,13 +15,14 @@ All tower identities are exact integer/rational statements (frequency
 vectors shift and constants are integer multiples of alpha mod 1).  T
 itself and the tower identity f_j(Tx) = f_{j-1}(x) f_j(x) are the
 difference recurrence r_j += r_{j-1}, on the registers (alpha, x_1, ...,
-x_m) and on the level phases.  Both are stepped exactly in 128-bit
-fixed point by ``_register_phases``, which converts each combination
-wanted (a coordinate, or c + <k, x>) to floats once, by the conversion
-hi * 2^-64 + lo * 2^-128 (1.0 folded to 0) of every fixed-point phase.
-So the three routes compared by ``verify_factorization`` agree to float
-resolution, not merely to a drifting tolerance, and ``orbit_point``
-matches the stepped orbit bit for bit.
+x_m) and on the level phases, so each combination wanted (a coordinate,
+or c + <k, x>) is a polynomial in n.  ``_register_phases`` streams it
+exactly in 128-bit fixed point on the lane table of ``phase_blocks`` and
+converts it to floats once, by the conversion hi * 2^-64 + lo * 2^-128
+(1.0 folded to 0) of every fixed-point phase.  So the three routes
+compared by ``verify_factorization`` agree to float resolution, not
+merely to a drifting tolerance, and ``orbit_point`` matches the stepped
+orbit bit for bit.
 """
 
 import bisect

@@ -398,6 +398,37 @@ def test_over_budget_grid_exits_one(tmp_path, capsys, monkeypatch, argv):
     assert err.startswith("error: grid:") and "budget" in err
 
 
+_FINITE_FLAGS = [
+    ("coeffs", ["average", "--generator", "mobius", "--n", "100"], "--coeffs", "0,{}"),
+    ("alpha", ["estimate-order", "--generator", "polyphase", "--power", "2", "--n", "1000",
+               "--checkpoints", "250,500,1000"], "--alpha", "{}"),
+    ("alpha", ["verify-tower", "--m", "2", "--x", "0.1,0.2", "--freqs", "0,1"], "--alpha", "{}"),
+    ("x", ["verify-tower", "--m", "2", "--alpha", "0.3", "--freqs", "0,1"], "--x", "0.1,{}"),
+    ("x", ["simulate-torus", "--m", "2", "--alpha", "0.3", "--steps", "10"], "--x", "{},0.2"),
+    ("scale", ["subnormal-check", "--distribution", "rademacher"], "--scale", "{}"),
+    ("lambdas", ["subnormal-check", "--distribution", "rademacher"], "--lambdas", "1,{}"),
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "field, argv, flag, template", _FINITE_FLAGS, ids=[f"{argv[0]}-{field}" for field, argv, *_ in _FINITE_FLAGS]
+)
+def test_non_finite_floats_exit_one_naming_the_field(tmp_path, capsys, monkeypatch, field, argv, flag, template, value):
+    """nan and +-inf in a float flag are refused before any weights are drawn or anything is computed."""
+
+    def nothing_drawn(*args, **kwargs):
+        raise AssertionError("computed before the float flags were checked")
+
+    for name in ("mobius_sequence", "polynomial_phase_sequence", "verify_factorization", "_orbit_blocks",
+                 "subnormality_margin"):
+        monkeypatch.setattr(f"oscillab.cli.{name}", nothing_drawn)
+    out = tmp_path / "out"
+    assert run(argv + [f"{flag}={template.format(value)}", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field}: must be finite")
+    assert not out.exists() or [p.name for p in out.iterdir()] == []
+
+
 def test_estimate_order_above_degree_three_needs_grid_before_weights(tmp_path, capsys, monkeypatch):
     """--d-max 4 has no default pitch: refused before any weights are drawn, naming the flags."""
     calls = []

@@ -26,8 +26,9 @@ def test_weighted_average_transient_peak(traced_peak):
 
 
 def test_phase_blocks_transient_peak(traced_peak):
-    # 2.25 MiB traced (2.29 with two-word steps): the Horner seeds of 9 x 4096 lanes set the peak;
-    # the high words' two register tables and one 512 KB block follow.  The whole stream would be 8 MB.
+    # 1.63 MiB traced (2.26 with two-word steps): the high words' two register tables and two 512 KB
+    # blocks, the caller's and the next, set the peak; evaluating the seeds of 9 x 4096 lanes takes
+    # 1.13 MiB before them.  The whole stream would be 8 MB.
     poly = PhasePolynomial(np.random.default_rng(8).random(9).tolist())
 
     def drain():

@@ -15,15 +15,14 @@ from oscillab.polyphase import (
     _UNIT_TERMS,
     ErgodicAverageSeries,
     PhasePolynomial,
-    _block_size,
     _difference_steps,
     _fixed_seed_table,
     _fixed_to_float,
     _folded,
     _lanes,
     _pair_floats,
-    _pair_steps,
     _register_phases,
+    _register_rows,
     _register_table,
     _repeated,
     _residue_buckets,
@@ -219,17 +218,13 @@ def test_seed_pairs_match_big_int_table_bit_for_bit(numerators, count, denominat
         assert min(delta, 1 - delta) <= 1e-15, n
 
 
-def pair_columns(blocks):
-    """The registers of ``_pair_steps`` blocks as Python ints, one list per step."""
-    columns = []
-    for start, rows in blocks:
-        assert start == len(columns)
-        table = []
-        for hi, lo in rows:
-            assert hi.dtype == lo.dtype == np.uint64
-            table.append([(h << 64) | w for h, w in zip(hi.tolist(), lo.tolist())])
-        columns += [list(column) for column in zip(*table)]
-    return columns
+def register_columns(rows):
+    """The rows of ``_register_rows`` as Python ints, one list of registers per step."""
+    table = []
+    for hi, lo in rows:
+        assert hi.dtype == lo.dtype == np.uint64
+        table.append([(h << 64) | w for h, w in zip(hi.tolist(), lo.tolist())])
+    return [list(column) for column in zip(*table)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -240,15 +235,12 @@ def pair_columns(blocks):
 def test_difference_steps_match_binomial_closed_form(modulus, data):
     """After n steps r_i = sum_j C(n, i - j) r_j(0) mod the modulus, for every register.
 
-    Mod 2^128 the block stepper ``_pair_steps`` must yield the same
-    registers; counts of 1, a block edge +-1 and several blocks are
-    drawn, and registers near the modulus take every carry.
+    Mod 2^128 the single-block evaluator ``_register_rows`` must yield
+    the same registers; registers near the modulus take every carry.
     """
     register = st.one_of(st.integers(0, modulus - 1), st.integers(max(0, modulus - 2**66), modulus - 1))
     start = data.draw(st.lists(register, min_size=1, max_size=9))
-    block = data.draw(st.integers(1, 40))
-    edges = st.sampled_from([1, block - 1, block, block + 1, 3 * block + 2]).filter(lambda c: c >= 1)
-    count = data.draw(st.one_of(st.integers(1, 300), edges))
+    count = data.draw(st.integers(1, 300))
     steps = [list(registers) for registers in _difference_steps(list(start), count, modulus)]
     for n, registers in enumerate(steps):
         expected = [
@@ -258,15 +250,22 @@ def test_difference_steps_match_binomial_closed_form(modulus, data):
         assert registers == expected, n
     assert n == count - 1
     if modulus == 2**128:
-        assert pair_columns(_pair_steps(start, count, block)) == steps
+        assert register_columns(_register_rows(start, count)) == steps
 
 
 @pytest.mark.parametrize("count", [1, 4, 5, 6, 17])
 def test_pair_steps_take_every_carry(count):
-    """Registers all 2^128 - 1, and a block of 5: every prefix sum and block hand-over carries."""
+    """Registers all 2^128 - 1: every prefix sum of ``_register_rows`` carries in both words."""
     start = [2**128 - 1] * 9
     steps = [list(registers) for registers in _difference_steps(list(start), count, 2**128)]
-    assert pair_columns(_pair_steps(start, count, 5)) == steps
+    assert register_columns(_register_rows(start, count)) == steps
+
+
+def combination_phases(registers, count, combinations):
+    """frac(c + sum_j w_j r_j(n)) per combination, r_j stepped by ``_difference_steps`` mod 2^128: rows of floats."""
+    table = np.array([list(r) for r in _difference_steps(list(registers), count, 2**128)], dtype=object)
+    totals = [_to_fixed(c) + table.dot(np.array(w, dtype=object)) for c, w in combinations]
+    return [[_fixed_to_float(v % 2**128) for v in total.tolist()] for total in totals]
 
 
 _FIXED_REGISTER = st.one_of(st.integers(0, 2**128 - 1), st.integers(2**128 - 2**64, 2**128 - 1))
@@ -283,9 +282,9 @@ _WEIGHT = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-(2**40), -2), st.i
 )
 @example(registers=[2**128 - 1] * 5, data=None, count=_STREAM_TERMS + 1)
 def test_register_phases_are_the_one_conversion_of_exact_combinations(registers, data, count):
-    """Each phase is ``_fixed_to_float`` of c + sum_j w_j r_j(n) mod 2^128, r_j the ``_pair_steps`` words.
+    """Each phase is ``_fixed_to_float`` of c + sum_j w_j r_j(n) mod 2^128, r_j stepped by ``_difference_steps``.
 
-    The references combine the words as Python ints.  Counts of 1, a
+    The references combine the registers as Python ints.  Counts of 1, a
     block +-1 and three blocks are drawn, and the blocks are those of
     ``phase_blocks`` over the same count.
     """
@@ -297,17 +296,10 @@ def test_register_phases_are_the_one_conversion_of_exact_combinations(registers,
         combination = st.tuples(constant, st.lists(_WEIGHT, min_size=k, max_size=k))
         combinations = data.draw(st.lists(combination, min_size=1, max_size=3), label="combinations")
     got = list(_register_phases([Fraction(r, 2**128) for r in registers], count, combinations))
-    expected_starts = [start for start, _ in phase_blocks(PhasePolynomial([0, 0.5]), count)]
-    assert [start for start, _ in got] == expected_starts
-    for (start, phases), (word_start, rows) in zip(got, _pair_steps(registers, count, _block_size(count))):
-        assert word_start == start and phases.shape == (len(combinations), min(_block_size(count), count - start))
-        sums = [np.full(phases.shape[1], _to_fixed(c), dtype=object) for c, _ in combinations]
-        for j, (hi, lo) in enumerate(rows):
-            row = (np.array(hi.tolist(), dtype=object) << 64) | np.array(lo.tolist(), dtype=object)
-            for total, (_, weights) in zip(sums, combinations):
-                total += weights[j] * row
-        for phase_row, total in zip(phases, sums):
-            assert phase_row.tolist() == [_fixed_to_float(v % 2**128) for v in total.tolist()]
+    blocks = [(start, (len(combinations), p.size)) for start, p in phase_blocks(PhasePolynomial([0, 0.5]), count)]
+    assert [(start, phases.shape) for start, phases in got] == blocks
+    phases = np.concatenate([phases for _, phases in got], axis=1)
+    assert phases.tolist() == combination_phases(registers, count, combinations)
 
 
 @pytest.mark.parametrize("pad", [0, 2])
@@ -341,6 +333,12 @@ def test_scaled_pairs_match_big_int_product(registers, k):
     out_hi, out_lo = _scaled_pairs(hi, lo, k)
     got = [(h << 64) | w for h, w in zip(out_hi.tolist(), out_lo.tolist())]
     assert got == [(r * k) % 2**128 for r in registers]
+
+
+def table_words(poly, rows, lanes):
+    """Words per register of the lane table seeded for ``poly``: 1 (high words alone) or 2."""
+    hi, lo = (words.reshape(rows, lanes) for words in _seed_pairs(poly.coefficients, rows * lanes))
+    return len(_register_table(hi, lo))
 
 
 def one_conversion(value):
@@ -390,7 +388,7 @@ def test_stream_is_the_one_conversion_of_the_exact_value(degree):
     for big, words in coefficient_sets:
         assert all(a.denominator == 1 for a in big)
         poly = PhasePolynomial([a / 2**128 for a in big])
-        assert len(_register_table(poly.coefficients, degree + 1, lanes)) == words
+        assert table_words(poly, degree + 1, lanes) == words
         stream = phase_stream(poly, count)
         blocks = list(phase_blocks(poly, count))
         assert len(blocks) >= 4
@@ -421,10 +419,65 @@ def test_one_low_bit_takes_the_pair_step(words, data, numerator, count):
     assume(any(poly.coefficients[1:]))
     lanes = _lanes(count)
     rows = min(poly.degree + 1, -(-count // lanes))
-    assert len(_register_table(poly.coefficients, rows, lanes)) == 2
+    assert table_words(poly, rows, lanes) == 2
     exact = [one_conversion(v) for v in _fixed_seed_table(poly.coefficients, count)]
     assert phase_stream(poly, count).tolist() == exact
     assert np.concatenate([phases for _, phases in phase_blocks(poly, count)]).tolist() == exact
+
+
+def test_binomial_phases_seed_without_the_big_int_table(monkeypatch):
+    """Orders 3-8 with float thetas: k! sits only in the monomial basis, so the seeds stay on uint64 words.
+
+    Their forward differences are 2^128 theta_j, exact in fixed point,
+    while a coefficient 1/3 still reaches ``_fixed_seed_table``.
+    """
+    rng = np.random.default_rng(24)
+    count = 4097
+    polys = [binomial_phase_polynomial(rng.random(k + 1).tolist()) for k in range(3, 9)]
+    # Every monomial expansion keeps a denominator that does not divide 2^128.
+    assert all(any(2**128 % c.denominator for c in poly.coefficients) for poly in polys)
+    expected = [[one_conversion(v) for v in _fixed_seed_table(poly.coefficients, count)] for poly in polys]
+
+    class BigIntTable(Exception):
+        pass
+
+    def refuse(*args):
+        raise BigIntTable
+
+    monkeypatch.setattr("oscillab.polyphase._fixed_seed_table", refuse)
+    for poly, exact in zip(polys, expected):
+        assert phase_stream(poly, count).tolist() == exact
+        assert len(list(phase_blocks(poly, 10**6))) == 16
+    with pytest.raises(BigIntTable):
+        phase_stream(PhasePolynomial([Fraction(1, 3), 0.25]), count)
+
+
+@pytest.mark.parametrize("unit, words", [(2**64, 1), (2**128, 2)], ids=["one-word", "pair"])
+def test_register_streams_step_one_word_on_multiples_of_2_64(monkeypatch, unit, words):
+    """Registers and constants in units of 2^-64 step high words alone; in units of 2^-128, (hi, lo) pairs.
+
+    Either way every phase is the scalar reference's, at counts around
+    the lane widths and the block edges.
+    """
+    tables = []
+
+    def spy(hi, lo):
+        table = _register_table(hi, lo)
+        tables.append(len(table))
+        return table
+
+    monkeypatch.setattr("oscillab.polyphase._register_table", spy)
+    rng = random.Random(unit)
+    step = 2**128 // unit  # odd multiples of 1/unit, so a pair stream's low words are not all 0
+    fixed = [(rng.getrandbits(128) // step | 1) * step for _ in range(4)]
+    constant = Fraction(rng.getrandbits(64), 2**64)
+    combinations = [(constant, [0, 1, 0, 0]), (0, [1, -2, 3, 1]), (constant, [0, 0, 5, -1])]
+    registers = [Fraction(r, 2**128) for r in fixed]
+    for count in (1, 63, 64, 65, 4095, 4097, 65535, 65536, 65537):
+        tables.clear()
+        got = np.concatenate([p for _, p in _register_phases(registers, count, combinations)], axis=1)
+        assert tables == [words] * len(combinations), count
+        assert got.tolist() == combination_phases(fixed, count, combinations), count
 
 
 def block_edges(count):
