@@ -18,7 +18,7 @@ paths avoid this:
   arithmetic.  It is slow and serves as the reference oracle.
 * ``phase_blocks`` emits frac(P(n)) for n = 0..N-1 in blocks of about
   ``_STREAM_TERMS`` terms using blocked forward-difference tables held
-  in 128-bit fixed point; a constant P steps a one-row table.  The
+  in 128-bit fixed point; a constant P is one row, never stepped.  The
   seeds are exact.  With den the lcm of the denominators, the forward
   differences of den * P at 0 are the registers of the difference
   recurrence; when each times 2^128 / den is an integer (every float
@@ -30,21 +30,24 @@ paths avoid this:
   float rounding on output: the 1e-9 bound at N = 10^6, d <= 4 is met
   with orders of magnitude to spare.  Streams whose seeds are all
   multiples of 2^-64 step their high words alone, since their low words
-  stay 0.  ``phase_stream`` is the same stream taken as one block, for
-  callers that keep the array.  ``_register_phases`` takes exact phases
+  stay 0.  ``_stepped_blocks`` yields each block's fixed-point words,
+  and ``phase_stream`` converts them straight into one array.
+  ``_register_phases`` takes exact phases
   r_0, ..., r_k on the same recurrence and streams integer combinations
   of them on the same lane table in the same blocks: the skew-shift
   orbit and the tower routes of ``torus``.  Every fixed-point value
   becomes a float by the one conversion hi * 2^-64 + lo * 2^-128 of its
   (hi, lo) words (``_pair_floats``, ``_fixed_to_float`` for one int).
 
-``unit_values`` turns phases into e(phase) without a complex
-exponential: 4096 * phase splits exactly into an integer k and a rest
-r in [0, 1), so e(phase) is the table root e(k / 4096) times e(r / 4096),
-whose angle is below 1.6e-3 and takes a degree-5 Taylor series (off by
-under 2e-20).  Values agree with ``np.exp`` to about 1e-15, and the
-input is worked through in 2^13-term pieces so that the scratch of a
-piece stays in cache.
+``_turned`` makes e(phase) without a complex exponential, as a table
+root e(k / 4096) times a degree-5 Taylor series in the residual angle,
+below 1.6e-3 (off by under 2e-20).  Two front ends give it k and the
+angle: ``unit_values`` from float phases, and ``_word_units`` from a
+stream's words, with k = hi >> 52 and the low 52 bits of hi as the
+angle; the weighted averages and ``polynomial_phase_sequence`` take
+the latter, so their phases never become floats.  Values agree with
+``np.exp`` to about 1e-15, and come in 2^13-term pieces whose scratch
+stays in cache.
 
 Every long consumer (weighted and multiple ergodic averages, p-adic
 averages, the residue fold of the spectrum scan) works block by block:
@@ -94,6 +97,9 @@ _STREAM_TERMS = 1 << 16
 # by i, -1 and -i, so e(j / 4) are exact.
 _ROOT_COUNT = 1 << 12
 _ROOT_STEP = 2 * math.pi / _ROOT_COUNT
+_INDEX_SHIFT = np.uint64(64 - 12)
+_ANGLE_MASK = np.uint64((1 << 52) - 1)
+_WORD_ANGLE = _ROOT_STEP * 2.0**-52
 _QUARTER_ROOTS = np.exp((1j * _ROOT_STEP) * np.arange(_ROOT_COUNT // 4))
 _ROOTS = np.concatenate([_QUARTER_ROOTS, 1j * _QUARTER_ROOTS, -_QUARTER_ROOTS, -1j * _QUARTER_ROOTS])
 
@@ -107,7 +113,9 @@ _UNIT_TERMS = 1 << 13
 
 
 def _reduced(value) -> Fraction:
-    """Value as an exact Fraction reduced into [0, 1)."""
+    """Value as an exact Fraction reduced into [0, 1); nan and +-inf raise a ValueError."""
+    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
     f = value if isinstance(value, Fraction) else Fraction(value)
     return f % 1
 
@@ -213,20 +221,20 @@ def _fixed_to_float(fx: int) -> float:
     return 0.0 if value >= 1.0 else value
 
 
-def _pair_floats(hi: np.ndarray, lo: np.ndarray | None = None, out=None, scratch=None) -> np.ndarray:
+def _pair_floats(hi: np.ndarray, lo: np.ndarray | None = None, out=None) -> np.ndarray:
     """hi * 2^-64 + lo * 2^-128 for 128-bit fixed-point (hi, lo) words, into ``out`` if given.
 
     The one conversion of fixed-point phases to floats: hi rounds once
     and the sum once more, so a phase is off by at most a unit in its
     last place.  Only a sum just below 2^128 can round up to 1.0, which
-    ``_folded`` takes back to 0.0.  ``scratch``, if given, holds lo's
-    part, so that a conversion into ``out`` makes no temporary.  With no
-    ``lo`` (low words all 0) it is hi * 2^-64 alone, the same float,
-    since adding 0.0 to it rounds nothing.
+    ``_folded`` takes back to 0.0.  With no ``lo`` (low words all 0) it
+    is hi * 2^-64 alone, the same float, since adding 0.0 to it rounds
+    nothing.  lo's part is added in ``_UNIT_TERMS``-term pieces, so that its temporaries stay in cache.
     """
     out = np.multiply(hi, _INV_2_64, out=out)
     if lo is not None:
-        out += np.multiply(lo, _INV_2_128, out=scratch)
+        for i in range(0, lo.size, _UNIT_TERMS):
+            out[i : i + _UNIT_TERMS] += lo[i : i + _UNIT_TERMS] * _INV_2_128
     return out
 
 
@@ -268,10 +276,12 @@ def _difference_steps(registers: list, count: int, modulus: int):
             registers[j] = (registers[j] + registers[j - 1]) % modulus
 
 
-def _add_pairs(hi: np.ndarray, lo: np.ndarray, b_hi, b_lo) -> None:
-    """(hi, lo) += (b_hi, b_lo) mod 2^128 in place, the low words' carry taken into the high word."""
-    lo += b_lo
-    hi += b_hi + (lo < b_lo)
+def _add_words(a, b, out, carry=None) -> None:
+    """out = a + b mod 2^128 for words (hi,) or (hi, lo), lo's carry into hi; ``out`` may be ``a``, not ``b``."""
+    np.add(a[0], b[0], out=out[0])
+    if len(out) > 1:
+        np.add(a[1], b[1], out=out[1])
+        np.add(out[0], np.less(out[1], b[1], out=carry), out=out[0])
 
 
 def _times_small(hi, lo, n) -> tuple[np.ndarray, np.ndarray]:
@@ -302,20 +312,23 @@ def _scaled_pairs(hi, lo, k: int) -> tuple[np.ndarray, np.ndarray]:
         out_hi, out_lo = (out_hi << _SHIFT32) | (out_lo >> _SHIFT32), out_lo << _SHIFT32
         digit = (magnitude >> shift) & 0xFFFFFFFF
         if digit:
-            _add_pairs(out_hi, out_lo, *_times_small(hi, lo, np.uint64(digit)))
+            _add_words((out_hi, out_lo), _times_small(hi, lo, np.uint64(digit)), (out_hi, out_lo))
     if k < 0:
         out_hi, out_lo = ~out_hi + (out_lo == 0), ~out_lo + np.uint64(1)
     return out_hi, out_lo
 
 
-def _cumulate_pairs(hi: np.ndarray, lo: np.ndarray) -> None:
-    """Running sums of a row of 128-bit (hi, lo) pairs, in place, exact mod 2^128.
+def _cumulate_pairs(hi: np.ndarray, lo: np.ndarray | None) -> None:
+    """Running sums of a row of 128-bit (hi, lo) pairs, in place, exact mod 2^128; of hi alone if ``lo`` is None.
 
     ``np.cumsum`` wraps hi mod 2^64, as a high word should.  The low
     words are summed as 32-bit halves, which cannot overflow for fewer
     than 2^32 terms, and the upper halves' sum is shifted into place
     with its overflow and carry going to hi.
     """
+    if lo is None:
+        np.cumsum(hi, out=hi)
+        return
     upper = np.cumsum(lo >> _SHIFT32)
     np.bitwise_and(lo, _MASK32, out=lo)
     np.cumsum(lo, out=lo)
@@ -334,8 +347,10 @@ def _register_rows(registers: list, count: int):
     plus the exclusive prefix sum of row j - 1, which ``_cumulate_pairs``
     makes in place from row j - 1 shifted by one.  So every row is
     written into the same two arrays: read a row before asking for the
-    next; the last row stays in them.
+    next; the last row stays in them.  When every register is a multiple
+    of 2^64 the low words stay 0, and only the high words are summed.
     """
+    one_word = not any(r & _MASK64 for r in registers)
     hi = np.empty(count, dtype=np.uint64)
     lo = np.empty_like(hi)
     for j, register in enumerate(registers):
@@ -343,7 +358,7 @@ def _register_rows(registers: list, count: int):
             hi[1:] = hi[:-1]
             lo[1:] = lo[:-1]
             hi[0], lo[0] = divmod(register, 1 << 64)
-            _cumulate_pairs(hi, lo)
+            _cumulate_pairs(hi, None if one_word else lo)
         else:
             hi[:], lo[:] = divmod(register, 1 << 64)
         yield hi, lo
@@ -364,9 +379,9 @@ def _register_phases(registers, count: int, combinations):
     for j, (hi, lo) in enumerate(_register_rows([_to_fixed(r) for r in registers], size)):
         for (sum_hi, sum_lo), (_, w) in zip(sums, combinations):
             if w[j]:
-                _add_pairs(sum_hi, sum_lo, *_scaled_pairs(hi, lo, w[j]))
-    for blocks in zip(*(_stepped_blocks(hi, lo, count, _STREAM_TERMS) for hi, lo in sums)):
-        yield blocks[0][0], np.array([phases for _, phases in blocks])
+                _add_words((sum_hi, sum_lo), _scaled_pairs(hi, lo, w[j]), (sum_hi, sum_lo))
+    for blocks in zip(*(_stepped_blocks(hi, lo, count) for hi, lo in sums)):
+        yield blocks[0][0], _folded(np.array([_pair_floats(*words) for _, words in blocks]))
 
 
 def _seed_front(coeffs: tuple[Fraction, ...]) -> tuple[int, list[int]]:
@@ -443,24 +458,22 @@ def phase_blocks(poly: PhasePolynomial, count: int):
     ``_STREAM_TERMS`` terms, so only the registers and one block are
     alive at a time.  The blocks are fresh arrays the caller may keep.
     """
-    return _phase_blocks(poly, count, _STREAM_TERMS)
+    return ((start, _folded(_pair_floats(*words))) for start, words in _phase_words(poly, count))
 
 
 def phase_stream(poly: PhasePolynomial, count: int) -> np.ndarray:
-    """frac(P(n)) for n = 0..count-1 as one array: ``phase_blocks`` with one block.
-
-    The block spans the whole stream, so the rows are stepped straight
-    into the returned array, with no second buffer and no copy.
-    """
-    [(_, phases)] = _phase_blocks(poly, count, count)
+    """frac(P(n)) for n = 0..count-1 as one array: the blocks of ``phase_blocks``, converted straight into it."""
+    phases = np.empty(count)
+    for start, words in _phase_words(poly, count):
+        _folded(_pair_floats(*words, out=phases[start : start + words[0].size]))
     return phases
 
 
-def _phase_blocks(poly: PhasePolynomial, count: int, block_terms: int):
+def _phase_words(poly: PhasePolynomial, count: int):
     """``_stepped_blocks`` from the seeds of P; ``count`` is checked now, not at the first block."""
     if count < 1:
         raise ValueError("count: must be >= 1")
-    return _stepped_blocks(*_seed_pairs(poly.coefficients, _seed_count(poly.degree, count)), count, block_terms)
+    return _stepped_blocks(*_seed_pairs(poly.coefficients, _seed_count(poly.degree, count)), count)
 
 
 def _seed_count(degree: int, count: int) -> int:
@@ -488,54 +501,46 @@ def _register_table(hi: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, ...]:
     return (hi, lo) if lo.any() else (hi,)
 
 
-def _stepped_blocks(hi: np.ndarray, lo: np.ndarray, count: int, block_terms: int):
-    """Blocks of the stream seeded by (hi, lo) in rows of ``_lanes(count)``: the one stepper of exact streams.
+def _stepped_blocks(hi: np.ndarray, lo: np.ndarray, count: int):
+    """``(start, words)`` blocks of the stream seeded by (hi, lo), rows of ``_lanes(count)``: the one exact stepper.
 
+    ``words``, (hi,) when every low word is 0 else (hi, lo), are the
+    block's fixed-point phases, in buffers the next block overwrites.
     Every block but the last holds the whole lane rows of at least
-    ``block_terms`` terms, whatever the seeds (a constant polynomial
-    steps a one-row table), so streams over one count, those of
-    ``phase_blocks`` and of ``_register_phases``, zip block by block.
+    ``_STREAM_TERMS`` terms, so streams over one count (``phase_blocks``,
+    ``_register_phases``) zip block by block.
     """
     lanes = _lanes(count)
     steps = -(-count // lanes)
-    block_rows = -(-block_terms // lanes)
-    words = _register_table(hi.reshape(-1, lanes), lo.reshape(-1, lanes))
+    block_rows = min(steps, -(-_STREAM_TERMS // lanes))
+    table = _register_table(hi.reshape(-1, lanes), lo.reshape(-1, lanes))
     del hi, lo  # so that low words the table dropped are freed
-    rows = len(words[0])
+    rows = len(table[0])
 
-    # A step adds row i + 1 to row i for i < rows - 1, from one table into
-    # the other, and the two swap; the top row is constant, so it is
-    # copied once.  The views and the carry and conversion scratch are
-    # made once per stream, so a step makes no temporary.  Without low
-    # words a step is one addition of the high words, with no carry, and
-    # hi * 2^-64 is the float ``_pair_floats`` makes of (hi, 0).
-    tables = (words, tuple(np.empty_like(w) for w in words))
-    for src, dst in zip(*tables):
-        dst[-1] = src[-1]
-    moves = [
-        [(src[:-1], src[1:], dst[:-1]) for src, dst in zip(*pair)]
-        for pair in (tables, tables[::-1])
-    ]
-    heads = [[w[0] for w in table] for table in tables]
-    carry = scratch = None
-    if len(words) > 1:
-        carry, scratch = np.empty((rows - 1, lanes), dtype=bool), np.empty(lanes)
+    # The head register (the phases) steps into the block's rows, each from
+    # the row before (row -1: the last of the block before); every row
+    # starts as the head, so a constant (one row) is never stepped.  The
+    # registers below step from one table into the other, which swap; the
+    # constant last row is copied once.  A step makes no temporary.
+    heads = tuple(np.repeat(w[:1], block_rows, axis=0) for w in table)
+    head_rows = [tuple(h[k] for h in heads) for k in range(block_rows)]
+    below = tuple(w[1:] for w in table), tuple(np.empty_like(w[1:]) for w in table)
+    for src, dst in zip(*below):
+        dst[-1:] = src[-1:]
+    pairs = (below, below[::-1]) if rows > 1 else ()
+    moves = [([w[:-1] for w in s], [w[1:] for w in s], [w[:-1] for w in d], [w[0] for w in s]) for s, d in pairs]
+    carry = np.empty_like(table[0], dtype=bool)
     current = 0
     for first in range(0, steps, block_rows):
-        out = np.empty((min(block_rows, steps - first), lanes), dtype=np.float64)
-        for k in range(len(out)):
-            if first + k:
-                (lower_hi, upper_hi, dst_hi), *low = moves[current]
-                np.add(lower_hi, upper_hi, out=dst_hi)
-                if low:
-                    [(lower_lo, upper_lo, dst_lo)] = low
-                    np.add(lower_lo, upper_lo, out=dst_lo)
-                    np.less(dst_lo, upper_lo, out=carry)
-                    np.add(dst_hi, carry, out=dst_hi)
+        size = min(block_rows, steps - first)
+        for k in range(1 if first == 0 else 0, size if rows > 1 else 0):
+            lower, upper, dst, top = moves[current]
+            _add_words(head_rows[k - 1], top, head_rows[k], carry[0])
+            if rows > 2:
+                _add_words(lower, upper, dst, carry[2:])
                 current ^= 1
-            _pair_floats(*heads[current], out=out[k], scratch=scratch)
         start = first * lanes
-        yield start, _folded(out.reshape(-1)[: count - start])
+        yield start, tuple(h[:size].reshape(-1)[: count - start] for h in heads)
 
 
 def _period(*coefficient_lists) -> int:
@@ -561,15 +566,12 @@ def unit_values(phases) -> np.ndarray:
 
     x = 4096 * phase and k = floor(x) are exact in floats, so
     e(phase) = R[k mod 4096] * e(r / 4096) with r = x - k in [0, 1) also
-    exact.  The root R comes from the table ``_ROOTS``; the residual
-    angle theta = 2 pi r / 4096 is below 1.6e-3, where
-    cos = 1 - theta^2/2 + theta^4/24 and sin = theta - theta^3/6 +
-    theta^5/120 are off by under 2e-20.  What is left is float rounding:
-    values agree with ``np.exp(2j * pi * phase)`` to about 1e-15 on
-    [-1, 1), and their moduli are within 1e-15 of 1.  Every value depends
-    on its phase alone, not on its place in the array or the array's
-    size, and phases that differ by an integer give the same values bit
-    for bit as long as both are exact floats.
+    exact (``_float_front``, then ``_turned``).  Values agree with
+    ``np.exp(2j * pi * phase)`` to about 1e-15 on [-1, 1), and their
+    moduli are within 1e-15 of 1.  Every value depends on its phase
+    alone, not on its place in the array or the array's size, and phases
+    that differ by an integer give the same values bit for bit as long
+    as both are exact floats.
 
     The input is worked through in ``_UNIT_TERMS`` = 2^13-term pieces
     written into the one preallocated result, so a piece's scratch stays
@@ -580,38 +582,72 @@ def unit_values(phases) -> np.ndarray:
     """
     phases = np.asarray(phases, dtype=np.float64)
     values = np.empty(phases.shape, dtype=np.complex128)
-    src = phases.reshape(-1)
-    dst = values.reshape(-1)
-    size = min(src.size, _UNIT_TERMS)
-    scratch = [np.empty(size) for _ in range(4)]
-    scratch += [np.empty(size, dtype=np.intp)] + [np.empty(size, dtype=np.complex128) for _ in range(2)]
     # For finite phases below 2^51 no step is invalid; for others the cast of k is.
     try:
         with np.errstate(invalid="raise"):
-            for start in range(0, src.size, _UNIT_TERMS):
-                stop = min(src.size, start + _UNIT_TERMS)
-                _unit_piece(src[start:stop], dst[start:stop], scratch)
+            _by_pieces(_float_front, phases.reshape(-1), values.reshape(-1))
     except FloatingPointError:
         raise ValueError("phases: must be finite with magnitude below 2^51") from None
     return values
 
 
-def _unit_piece(phases: np.ndarray, out: np.ndarray, scratch) -> None:
-    """Write e(phases) into ``out`` by the table method of ``unit_values``."""
-    x, k, theta2, cos, index, roots, turn = (a[: phases.size] for a in scratch)
+def _word_units(hi: np.ndarray, out=None) -> np.ndarray:
+    """e(hi * 2^-64) for the high words of fixed-point phases, into ``out`` if given: ``unit_values``' table.
+
+    ``_word_front`` reads the root index and angle off hi: the float front
+    end's, bit for bit, when hi * 2^-64 is an exact float.  A low word
+    would move e(phase) by under 3.4e-19, so it is not read.
+    """
+    out = np.empty(hi.size, dtype=np.complex128) if out is None else out
+    _by_pieces(_word_front, hi, out)
+    return out
+
+
+def _by_pieces(front, src: np.ndarray, dst: np.ndarray) -> None:
+    """e(.) of 1-D ``src`` into ``dst`` by pieces of ``_UNIT_TERMS``; ``front`` puts root index and angle in scratch."""
+    size = min(src.size, _UNIT_TERMS)
+    scratch = [np.empty(size) for _ in range(4)]
+    scratch += [np.empty(size, dtype=np.intp)] + [np.empty(size, dtype=np.complex128) for _ in range(2)]
+    for start in range(0, src.size, _UNIT_TERMS):
+        stop = min(src.size, start + _UNIT_TERMS)
+        piece = [a[: stop - start] for a in scratch]
+        front(src[start:stop], piece)
+        _turned(dst[start:stop], piece)
+
+
+def _float_front(phases: np.ndarray, scratch) -> None:
+    """Root index k mod 4096 and angle 2 pi r / 4096 of float phases, 4096 * phase = k + r."""
+    x, k, _, _, index, _, _ = scratch
     np.multiply(phases, float(_ROOT_COUNT), out=x)
     np.floor(x, out=k)
     np.subtract(x, k, out=x)
     index[...] = k
     np.bitwise_and(index, _ROOT_COUNT - 1, out=index)
-    np.take(_ROOTS, index, out=roots)
-    theta = np.multiply(x, _ROOT_STEP, out=x)
+    np.multiply(x, _ROOT_STEP, out=x)
+
+
+def _word_front(hi: np.ndarray, scratch) -> None:
+    """Root index hi >> 52 and angle (hi mod 2^52) * _ROOT_STEP * 2^-52 of high words."""
+    theta, bits, _, _, index, _, _ = scratch
+    np.right_shift(hi, _INDEX_SHIFT, out=index.view(np.uint64))
+    np.bitwise_and(hi, _ANGLE_MASK, out=bits.view(np.uint64))
+    np.multiply(bits.view(np.int64), _WORD_ANGLE, out=theta)
+
+
+def _turned(out: np.ndarray, scratch) -> None:
+    """Write R[index] * e(theta / 2 pi) into ``out``: R from ``_ROOTS``, cos and sin of theta < 1.6e-3 by series.
+
+    The degree-5 series are off by under 2e-20, so what is left is float rounding.
+    """
+    theta, sin, theta2, cos, index, roots, turn = scratch
+    # Every index is in [0, 4096), so "clip" changes none; unlike "raise", it writes ``roots`` unbuffered.
+    np.take(_ROOTS, index, out=roots, mode="clip")
     np.multiply(theta, theta, out=theta2)
     np.multiply(theta2, 1 / 24, out=cos)
     cos -= 0.5
     cos *= theta2
     cos += 1.0
-    sin = np.multiply(theta2, 1 / 120, out=k)
+    np.multiply(theta2, 1 / 120, out=sin)
     sin -= 1 / 6
     sin *= theta2
     sin *= theta
@@ -737,16 +773,15 @@ def weighted_exponential_average(
 ) -> ErgodicAverageSeries:
     """Partial averages (1/N) sum c_n e(P(n)) at the given checkpoints.
 
-    Single pass over the blocks of ``phase_blocks``: each block's terms
-    are its weights times e(phase), summed as ``_average_series``
-    describes, so results are deterministic.
+    Single pass over the blocks of ``phase_blocks``: each block's units
+    e(P(n)) are read off its high words (``_word_units``) and its
+    weights multiplied into them in place; the terms are summed as
+    ``_average_series`` describes, so results are deterministic.
     """
     values = _weights(seq)
     cps = _validated_checkpoints(checkpoints, len(values))
-    terms = (
-        (start, values[start : start + phases.size] * unit_values(phases))
-        for start, phases in phase_blocks(poly, cps[-1])
-    )
+    units = ((start, _word_units(hi)) for start, (hi, *_) in _phase_words(poly, cps[-1]))
+    terms = ((start, np.multiply(u, values[start : start + u.size], out=u)) for start, u in units)
     return _average_series(terms, cps)
 
 

@@ -23,10 +23,10 @@ from .polyphase import (
     MAX_DEGREE,
     PhasePolynomial,
     _average_series,
+    _phase_words,
     _repeated,
     _validated_checkpoints,
-    phase_blocks,
-    unit_values,
+    _word_units,
 )
 
 _SEED_LIMIT = 1 << 64
@@ -189,8 +189,8 @@ def rademacher_sequence(seed: int, n: int) -> ComplexSequence:
 def polynomial_phase_sequence(alpha, power: int, n: int) -> ComplexSequence:
     """c_i = e(i^power * alpha) for i = 0..n-1.
 
-    Phases come from the exact difference-table stream, so every value
-    has modulus 1 up to float rounding of the final exponential.
+    Values are read off the exact difference-table stream's high words
+    (``_word_units``), so every value has modulus 1 up to float rounding.
     """
     if power < 1:
         raise ValueError("power: must be >= 1")
@@ -199,8 +199,8 @@ def polynomial_phase_sequence(alpha, power: int, n: int) -> ComplexSequence:
     if n < 1:
         raise ValueError("n: must be >= 1")
     values = np.empty(n, dtype=np.complex128)
-    for start, phases in phase_blocks(PhasePolynomial.monomial(alpha, power), n):
-        values[start : start + phases.size] = unit_values(phases)
+    for start, (hi, *_) in _phase_words(PhasePolynomial.monomial(alpha, power), n):
+        _word_units(hi, out=values[start : start + hi.size])
     return ComplexSequence(values, f"polyphase(alpha={alpha!r}, power={power}, n={n})")
 
 

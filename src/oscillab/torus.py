@@ -65,10 +65,15 @@ class SkewShiftSystem:
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension: must be >= 1")
-        object.__setattr__(self, "alpha", float(self.alpha) % 1.0)
+        alpha = float(self.alpha)
+        if not math.isfinite(alpha):
+            raise ValueError(f"alpha: must be finite, got {alpha!r}")
+        object.__setattr__(self, "alpha", alpha % 1.0)
 
     def validate_point(self, point) -> tuple[float, ...]:
         pt = tuple(float(c) % 1.0 for c in point)
+        if not all(map(math.isfinite, pt)):
+            raise ValueError("point: coordinates must be finite")
         if len(pt) != self.dimension:
             raise ValueError(
                 f"point: expected {self.dimension} coordinates, got {len(pt)}"

@@ -15,12 +15,15 @@ from oscillab.polyphase import (
     _UNIT_TERMS,
     ErgodicAverageSeries,
     PhasePolynomial,
+    _average_series,
+    _cumulate_pairs,
     _difference_steps,
     _fixed_seed_table,
     _fixed_to_float,
     _folded,
     _lanes,
     _pair_floats,
+    _phase_words,
     _register_phases,
     _register_rows,
     _register_table,
@@ -29,6 +32,7 @@ from oscillab.polyphase import (
     _scaled_pairs,
     _seed_pairs,
     _to_fixed,
+    _word_units,
     binomial_phase_polynomial,
     compose_time_polynomial,
     fourier_bohr_scan,
@@ -71,6 +75,14 @@ def test_phase_polynomial_degree_cap():
         PhasePolynomial([0.0] * 10)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, np.float64("inf"), np.float32("nan")])
+def test_phase_polynomial_refuses_non_finite_coefficients(bad):
+    with pytest.raises(ValueError, match="finite"):
+        PhasePolynomial([0, bad])
+    with pytest.raises(ValueError, match="finite"):
+        PhasePolynomial.monomial(bad, 2)
+
+
 def test_phase_stream_alternation():
     poly = PhasePolynomial([0, 0.5])
     assert phase_stream(poly, 6).tolist() == [0.0, 0.5, 0.0, 0.5, 0.0, 0.5]
@@ -89,6 +101,13 @@ def test_phase_just_below_one_is_zero_on_every_path():
     assert phase_at(stepped, 1) == 0.0
     assert phase_stream(constant, 3).tolist() == [0.0, 0.0, 0.0]
     assert phase_stream(stepped, 4)[1::2].tolist() == [0.0, 0.0]
+    # The word route reads the high word, here up to 2^64 - 1, and never folds: e(phase) is within 1e-15 of 1.
+    top = PhasePolynomial([1 - Fraction(1, 2**64)])
+    assert [words[0].tolist() for _, words in _phase_words(top, 3)] == [[2**64 - 1] * 3]
+    assert abs(_word_units(np.array([2**64 - 1], dtype=np.uint64))[0] - 1) <= 1e-15
+    for poly, weights in ((constant, [1, 1, 1, 1]), (top, [1, 1, 1, 1]), (stepped, [0, 2, 0, 2])):
+        averages = weighted_exponential_average(np.array(weights), poly, [2, 4]).averages
+        assert np.abs(averages - 1).max() <= 1e-15, poly
 
 
 def test_phase_stream_matches_oracle_quadratic():
@@ -218,6 +237,20 @@ def test_seed_pairs_match_big_int_table_bit_for_bit(numerators, count, denominat
         assert min(delta, 1 - delta) <= 1e-15, n
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    highs=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=9),
+    count=st.one_of(st.integers(1, 3000), st.integers(1, _SEED_ROWS_MAX)),
+)
+@example(highs=[2**64 - 1] * 9, count=_SEED_ROWS_MAX)
+def test_one_word_seeds_match_big_int_table_bit_for_bit(highs, count):
+    """Coefficients in units of 2^-64 seed on high words alone, bit for bit the big-int table's seeds."""
+    poly = PhasePolynomial([Fraction(h, 2**64) for h in highs])
+    hi, lo = _seed_pairs(poly.coefficients, count)
+    assert not lo.any()
+    assert [h << 64 for h in hi.tolist()] == _fixed_seed_table(poly.coefficients, count)
+
+
 def register_columns(rows):
     """The rows of ``_register_rows`` as Python ints, one list of registers per step."""
     table = []
@@ -251,6 +284,21 @@ def test_difference_steps_match_binomial_closed_form(modulus, data):
     assert n == count - 1
     if modulus == 2**128:
         assert register_columns(_register_rows(start, count)) == steps
+
+
+@pytest.mark.parametrize("count", [1, 4, 5, 6, 17])
+def test_one_word_register_rows_match_the_scalar_steps(monkeypatch, count):
+    """Registers that are multiples of 2^64 are summed on their high words alone, every high word wrapping."""
+    summed = _cumulate_pairs
+
+    def high_words_only(hi, lo):
+        assert lo is None, "the low words were summed"
+        summed(hi, lo)
+
+    monkeypatch.setattr("oscillab.polyphase._cumulate_pairs", high_words_only)
+    start = [2**128 - 2**64] * 9
+    steps = [list(registers) for registers in _difference_steps(list(start), count, 2**128)]
+    assert register_columns(_register_rows(start, count)) == steps
 
 
 @pytest.mark.parametrize("count", [1, 4, 5, 6, 17])
@@ -546,6 +594,61 @@ def test_constant_and_stepped_streams_share_block_edges(count):
     assert stepped == constant
     assert [s for s, _ in stepped[1:]] == block_edges(count)
     assert sum(size for _, size in stepped) == count
+
+
+def block_reference(values, poly, cps):
+    """The float route: ``values * unit_values(phase_stream(...))``, summed by ``_average_series`` in the stream's blocks."""
+    count = cps[-1]
+    terms = values[:count] * unit_values(phase_stream(poly, count))
+    starts = [0] + block_edges(count)
+    stops = starts[1:] + [count]
+    return _average_series(((a, terms[a:b]) for a, b in zip(starts, stops)), tuple(cps)).averages
+
+
+@pytest.mark.parametrize("degree", range(9))
+def test_word_units_average_is_the_float_route_bit_for_bit(degree):
+    """Float coefficients in [0, 1) are multiples of 2^-53, so hi * 2^-64 is an exact float.
+
+    There the words' root index and angle are those of the float phase,
+    and the averages of int8 and of real weights match the float route
+    bit for bit, at block edges and one-term last blocks included.
+    """
+    rng = np.random.default_rng(100 + degree)
+    poly = PhasePolynomial([float(c) for c in rng.random(degree + 1)])
+    for count in (1, 65, 4097, 65537, 3 * _STREAM_TERMS + 1001):
+        cps = sorted({1, count // 3 + 1, *block_edges(count)[:2], count})
+        for values in (rademacher_sequence(degree + 7, count).values, rng.normal(size=count)):
+            got = weighted_exponential_average(values, poly, cps).averages
+            assert np.array_equal(got.view(np.uint64), block_reference(values, poly, cps).view(np.uint64)), count
+
+
+@pytest.mark.parametrize(
+    "coefficients", [[0.3, 2.0**-70, 0.1], [Fraction(1, 3), 0.25, Fraction(2, 7)], [Fraction(1, 3)]],
+)
+def test_word_units_match_numpy_exp_on_pair_streams(coefficients):
+    """Streams stepped on (hi, lo) pairs: the units read off hi alone are within 1e-15 of np.exp."""
+    poly = PhasePolynomial(coefficients)
+    count = _STREAM_TERMS + 4097
+    phases = np.concatenate([p for _, p in phase_blocks(poly, count)])
+    units = np.concatenate([_word_units(hi) for _, (hi, _) in _phase_words(poly, count)])  # two words a block
+    assert np.abs(units - _exp_reference(phases)).max() <= 1e-15
+    series = weighted_exponential_average(np.ones(count), poly, [100, count])
+    assert np.abs(series.averages - [units[:100].mean(), units.mean()]).max() <= 1e-15
+
+
+def test_constant_streams_are_never_stepped(monkeypatch):
+    """A one-row table fills each block's words from its head row: no addition runs, whatever the count."""
+
+    def refuse(*args):
+        raise AssertionError("a constant stream was stepped")
+
+    monkeypatch.setattr("oscillab.polyphase._add_words", refuse)
+    for constant in (0.25, Fraction(1, 3)):
+        poly = PhasePolynomial([constant])
+        for count in (1, 65537, 3 * _STREAM_TERMS + 5):
+            assert phase_stream(poly, count).tolist() == [_fixed_to_float(_to_fixed(constant))] * count
+    series = weighted_exponential_average(np.ones(70_000), PhasePolynomial.zero(), [70_000])
+    assert series.averages.tolist() == [1.0]
 
 
 def _exp_reference(phases):

@@ -42,6 +42,14 @@ def random_tower(rng, max_dim=4):
     return system, build_tower(system, CharacterObservable(tuple(freqs)))
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_skew_shift_refuses_non_finite_alpha_and_points(bad):
+    with pytest.raises(ValueError, match="alpha"):
+        SkewShiftSystem(2, bad)
+    with pytest.raises(ValueError, match="point"):
+        SkewShiftSystem(2, 0.25).validate_point((0.1, bad))
+
+
 def test_orbit_identity_at_zero():
     system = SkewShiftSystem(3, 0.37)
     x = (0.1, 0.2, 0.3)
