@@ -19,10 +19,8 @@ from .oscillation import (
 )
 from .padic import (
     PadicAffineSystem,
-    PadicNumber,
     affine_minimality_check,
     orbit_residue_census,
-    padic_eval_map,
     padic_weighted_average,
 )
 from .polyphase import (
@@ -65,6 +63,5 @@ from .torus import (
     multiple_ergodic_average,
     orbit_point,
     tower_phase_polynomial,
-    tower_product,
     verify_factorization,
 )

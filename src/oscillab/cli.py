@@ -33,6 +33,7 @@ from .oscillation import (
     report_to_json,
 )
 from .padic import PadicAffineSystem, affine_minimality_check, orbit_residue_census
+from .padic import _orbit_blocks as _padic_orbit_blocks
 from .polyphase import (
     ErgodicAverageSeries,
     PhasePolynomial,
@@ -493,20 +494,17 @@ def _run_simulate_padic(config: ExperimentConfig, out: Path) -> list[Path]:
     steps = _require(config.params, "steps", _int)
     if steps < 1:
         raise ConfigError("steps: must be >= 1")
-    rows = []
-    x = x0 % system.prime**system.precision
-    for n in range(steps):
-        rows.append((n, x))
-        x = system.step_int(x, system.precision)
+    blocks = _padic_orbit_blocks(system, x0, system.precision, steps)
+    rows = (row for start, block in blocks for row in enumerate(block.tolist(), start))
     try:
-        minimal = affine_minimality_check(system.a.value, system.b.value, system.prime)
+        minimal = affine_minimality_check(system.a, system.b, system.prime)
     except ValueError:
         minimal = None
     info = {
         "p": system.prime,
         "precision": system.precision,
-        "a": system.a.value,
-        "b": system.b.value,
+        "a": system.a,
+        "b": system.b,
         "minimal": minimal,
     }
     return [

@@ -1,7 +1,7 @@
-"""Fixed-precision arithmetic on p-adic integers and affine orbit averages.
+"""Affine maps of Z_p on plain ints mod p^K, and their orbit averages.
 
-Elements of Z_p are kept to K base-p digits, i.e. as integers mod p^K,
-and every operation is exact in that ring.  The affine map x -> ax + b
+An element of Z_p is kept to K base-p digits as a Python int mod p^K,
+so every operation is exact in that ring.  The affine map x -> ax + b
 is 1-Lipschitz: the result mod p^j depends only on x mod p^j for every
 j <= K, so truncation commutes with iteration and orbits can be
 advanced at exactly the digit level an observable needs.
@@ -27,6 +27,7 @@ from .polyphase import (
     MAX_DEGREE,
     ErgodicAverageSeries,
     _average_series,
+    _integer,
     _period,
     _repeated,
     _validated_checkpoints,
@@ -65,97 +66,43 @@ def is_prime(n: int) -> bool:
 
 
 def _check_prime(p: int) -> int:
-    p = int(p)
+    p = _integer(p, "prime")
     if not is_prime(p):
         raise ValueError(f"prime: {p} is not prime")
     return p
 
 
 @dataclass(frozen=True)
-class PadicNumber:
-    """Element of Z_p to ``precision`` base-p digits (exact mod p^precision)."""
+class PadicAffineSystem:
+    """The map Tx = ax + b on Z_p, with a and b held as ints mod p^precision."""
 
     prime: int
-    precision: int
-    value: int
+    a: int
+    b: int
+    precision: int = DEFAULT_PRECISION
 
     def __post_init__(self):
-        p = _check_prime(self.prime)
-        if self.precision < 1:
+        p, precision = _check_prime(self.prime), _integer(self.precision, "precision")
+        if precision < 1:
             raise ValueError("precision: must be >= 1")
-        object.__setattr__(self, "prime", p)
-        object.__setattr__(self, "value", int(self.value) % p**self.precision)
-
-    @property
-    def digits(self) -> tuple[int, ...]:
-        """Base-p digits, least significant first."""
-        out = []
-        v = self.value
-        for _ in range(self.precision):
-            out.append(v % self.prime)
-            v //= self.prime
-        return tuple(out)
-
-    def truncate(self, level: int) -> int:
-        if not 0 <= level <= self.precision:
-            raise ValueError("level: must be in [0, precision]")
-        return self.value % self.prime**level
-
-    def _match(self, other: "PadicNumber") -> None:
-        if (self.prime, self.precision) != (other.prime, other.precision):
-            raise ValueError(
-                "operands: mismatched (p, K): "
-                f"({self.prime}, {self.precision}) vs ({other.prime}, {other.precision})"
-            )
-
-    def __add__(self, other: "PadicNumber") -> "PadicNumber":
-        self._match(other)
-        return PadicNumber(self.prime, self.precision, self.value + other.value)
-
-    def __mul__(self, other: "PadicNumber") -> "PadicNumber":
-        self._match(other)
-        return PadicNumber(self.prime, self.precision, self.value * other.value)
-
-
-@dataclass(frozen=True)
-class PadicAffineSystem:
-    """The map Tx = ax + b on Z_p at fixed precision."""
-
-    a: PadicNumber
-    b: PadicNumber
-
-    def __post_init__(self):
-        self.a._match(self.b)
+        mod = p**precision
+        for name, value in (
+            ("prime", p),
+            ("precision", precision),
+            ("a", _integer(self.a, "a") % mod),
+            ("b", _integer(self.b, "b") % mod),
+        ):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_ints(
         cls, prime: int, a: int, b: int, precision: int = DEFAULT_PRECISION
     ) -> "PadicAffineSystem":
-        return cls(
-            PadicNumber(prime, precision, a), PadicNumber(prime, precision, b)
-        )
-
-    @property
-    def prime(self) -> int:
-        return self.a.prime
-
-    @property
-    def precision(self) -> int:
-        return self.a.precision
-
-    def step(self, x: PadicNumber) -> PadicNumber:
-        self.a._match(x)
-        return self.a * x + self.b
+        return cls(prime, a, b, precision)
 
     def step_int(self, x: int, level: int) -> int:
         """One step at digit level `level` (exact by 1-Lipschitz compatibility)."""
-        mod = self.prime**level
-        return (self.a.value * x + self.b.value) % mod
-
-
-def padic_eval_map(system: PadicAffineSystem, x: PadicNumber) -> PadicNumber:
-    """a*x + b mod p^K; mismatched (p, K) raises."""
-    return system.step(x)
+        return (self.a * x + self.b) % self.prime**level
 
 
 def affine_minimality_check(a: int, b: int, p: int) -> bool:
@@ -182,8 +129,8 @@ def _affine_power(a: int, b: int, t: int, mod: int) -> tuple[int, int]:
     return big_a, big_c
 
 
-def _orbit_blocks(system: PadicAffineSystem, x: int, level: int, size: int):
-    """Blocks of ``size`` orbit points x, Tx, T^2 x, ... mod p^level, in order, without end.
+def _orbit_blocks(system: PadicAffineSystem, x: int, level: int, count: int):
+    """``(start, points)``: T^n x mod p^level for n < count, in blocks of ``_STREAM_TERMS`` points.
 
     One point grows to a block by doubling, then each block is the image
     of the one before under T^size, with T^t's coefficients (A x + C)
@@ -192,15 +139,16 @@ def _orbit_blocks(system: PadicAffineSystem, x: int, level: int, size: int):
     an object array.
     """
     mod = system.prime**level
-    a, b = system.a.value, system.b.value
-    block = np.array([x], dtype=np.int64 if mod <= 1 << 31 else object)
+    size = min(count, _STREAM_TERMS)
+    block = np.array([x % mod], dtype=np.int64 if mod <= 1 << 31 else object)
     while block.size < size:
-        big_a, big_c = _affine_power(a, b, block.size, mod)
+        big_a, big_c = _affine_power(system.a, system.b, block.size, mod)
         block = np.concatenate((block, (big_a * block + big_c) % mod))[:size]
-    big_a, big_c = _affine_power(a, b, size, mod)
-    while True:
-        yield block
-        block = (big_a * block + big_c) % mod
+    big_a, big_c = _affine_power(system.a, system.b, size, mod)
+    for start in range(0, count, size):
+        if start:
+            block = (big_a * block + big_c) % mod
+        yield start, block[: count - start]
 
 
 def _cycle_from(system: PadicAffineSystem, y: int, level: int) -> np.ndarray:
@@ -212,13 +160,12 @@ def _cycle_from(system: PadicAffineSystem, y: int, level: int) -> np.ndarray:
     p, mod = system.prime, system.prime**level
     divisors = {d for i in range(1, math.isqrt(p - 1) + 1) if (p - 1) % i == 0 for d in (i, (p - 1) // i)}
     for length in sorted(p**i * d for i in range(2 * level + 1) for d in divisors):
-        big_a, big_c = _affine_power(system.a.value, system.b.value, length, mod)
+        big_a, big_c = _affine_power(system.a, system.b, length, mod)
         if (big_a * y + big_c) % mod == y:
             break
     cycle = np.empty(length, dtype=np.int64)
-    blocks = _orbit_blocks(system, y, level, min(length, _STREAM_TERMS))
-    for start, block in zip(range(0, length, _STREAM_TERMS), blocks):
-        cycle[start : start + _STREAM_TERMS] = block[: length - start]
+    for start, block in _orbit_blocks(system, y, level, length):
+        cycle[start : start + block.size] = block
     return cycle
 
 
@@ -231,7 +178,7 @@ def _orbit_cycle(system: PadicAffineSystem, x0: int, level: int) -> tuple[list[i
     ``level`` steps, and the cycle is that one point.
     """
     x = x0 % system.prime**level
-    if system.a.value % system.prime:
+    if system.a % system.prime:
         return [], _cycle_from(system, x, level)
     tail = []
     while (following := system.step_int(x, level)) != x:
@@ -257,12 +204,10 @@ def orbit_residue_census(
         raise ValueError("level: must be in [0, precision]")
     if steps < 1:
         raise ValueError("steps: must be >= 1")
-    x = int(getattr(x0, "value", x0)) % system.prime**level
-    size = min(steps, _STREAM_TERMS)
-    blocks = zip(range(0, steps, size), _orbit_blocks(system, x, level, size))
+    blocks = _orbit_blocks(system, _integer(x0, "x0"), level, steps)
     keys, counts = np.unique(next(blocks)[1], return_counts=True)
-    for start, block in blocks:
-        values, hits = np.unique(block[: steps - start], return_counts=True)
+    for _, block in blocks:
+        values, hits = np.unique(block, return_counts=True)
         # Merge into the sorted classes so far: add to those seen, insert the rest in order.
         at = np.searchsorted(keys, values)
         seen = np.zeros(values.size, dtype=bool)
@@ -362,7 +307,7 @@ def padic_weighted_average(
     mod = system.prime**level
     if mod > (1 << 26):
         raise ValueError("level: p^level observable classes exceed the supported size")
-    tail, cycle = _orbit_cycle(system, int(getattr(x0, "value", x0)), level)
+    tail, cycle = _orbit_cycle(system, _integer(x0, "x0"), level)
     orbit = np.concatenate((np.asarray(tail, dtype=np.int64), cycle)) if tail else cycle
     # With no tail, q_j(n) mod L repeats with the period of q_j / L, and so do the units with their lcm.
     scaled = ([c / cycle.size for c in q.monomial_coefficients()] for q in qs)

@@ -243,33 +243,6 @@ def build_tower(system: SkewShiftSystem, char: CharacterObservable) -> QuasiEige
     return QuasiEigenTower(system, tuple(levels))
 
 
-def tower_product(a: QuasiEigenTower, b: QuasiEigenTower) -> QuasiEigenTower:
-    """Level-wise product of two towers (the group law).
-
-    The shorter tower is padded below with trivial levels: its own
-    bottom constant keeps dividing to the identity, so the padded chain
-    still satisfies every level identity, and therefore so does the
-    product.
-    """
-    if a.system != b.system:
-        raise ValueError("towers must live on the same system")
-    length = max(len(a.levels), len(b.levels))
-    zero = (0,) * a.system.dimension
-
-    def padded(t: QuasiEigenTower):
-        pad = length - len(t.levels)
-        return tuple(TowerLevel(Fraction(0), zero) for _ in range(pad)) + t.levels
-
-    levels = tuple(
-        TowerLevel(
-            (la.constant_phase + lb.constant_phase) % 1,
-            tuple(x + y for x, y in zip(la.frequencies, lb.frequencies)),
-        )
-        for la, lb in zip(padded(a), padded(b))
-    )
-    return QuasiEigenTower(a.system, levels)
-
-
 def tower_thetas(tower: QuasiEigenTower, point) -> tuple[Fraction, ...]:
     """Level phases theta_j = phase of f_j at the base point, j = 0..k."""
     pt = tower.system.validate_point(point)

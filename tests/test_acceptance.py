@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oscillab.oscillation import grid_sup_average, refine_local
+from oscillab.oscillation import refine_local, sup_search
 from oscillab.padic import PadicAffineSystem, orbit_residue_census, padic_weighted_average
 from oscillab.polyphase import (
     PhasePolynomial,
@@ -43,7 +43,6 @@ from oscillab.torus import (
     TimePolynomial,
     build_tower,
     multiple_ergodic_average,
-    tower_product,
     verify_factorization,
 )
 
@@ -87,9 +86,7 @@ def test_criterion_2_exact_order_example(d):
 
     sups = {}
     for n in (n_small, n_large):
-        grid_value, grid_coeffs = grid_sup_average(seq, d, 16, n)
-        refined, _ = refine_local(seq, d, grid_coeffs, n, initial_step=1.0 / 16)
-        sups[n] = refined
+        sups[n] = sup_search(seq, d, n, 16).sup
     assert sups[n_large] <= 0.1
     assert sups[n_large] < sups[n_small]
 
@@ -216,9 +213,7 @@ def test_criterion_7_cross_module_consistency():
         spec = RandomSequenceSpec(Distribution("rademacher"), seed, n)
         seq = sample(spec)
         (_, sup), = lsk_empirical_sup(spec, degree, [n], 8)
-        grid_value, grid_coeffs = grid_sup_average(seq, degree, 8, n)
-        refined, _ = refine_local(seq, degree, grid_coeffs, n, initial_step=1.0 / 8)
-        worst = max(worst, abs(sup / n - refined))
+        worst = max(worst, abs(sup / n - sup_search(seq, degree, n, 8).sup))
     assert worst <= 1e-10
     report("criterion 7 (cross-module oracle)", f"max discrepancy {worst:.2e}")
 
@@ -247,19 +242,18 @@ def test_criterion_8_exact_invariants_batch():
         avg = (values * unit_values(phase_stream(poly, count))).sum() / count
         assert abs(avg) <= np.abs(values).sum() / count + 1e-12
 
-    # tower group closure
+    # tower group closure: the tower of e(<k1 + k2, x>)
     for _ in range(1000):
         m = int(rng.integers(1, 5))
         system = SkewShiftSystem(m, GOLDEN)
-        pair = []
-        for _ in range(2):
-            freqs = [int(v) for v in rng.integers(-3, 4, m)]
-            if not any(freqs):
-                freqs[-1] = 1
-            pair.append(build_tower(system, CharacterObservable(tuple(freqs))))
-        product = tower_product(pair[0], pair[1])
-        assert product.is_valid()
-        assert product.order <= max(pair[0].order, pair[1].order)
+        while True:
+            k1, k2 = (tuple(int(v) for v in rng.integers(-3, 4, m)) for _ in range(2))
+            total = tuple(a + b for a, b in zip(k1, k2))
+            if any(k1) and any(k2) and any(total):
+                break
+        t1, t2, summed = (build_tower(system, CharacterObservable(k)) for k in (k1, k2, total))
+        assert summed.is_valid()
+        assert summed.order <= max(t1.order, t2.order)
 
     # p-adic truncation commutation
     for _ in range(1000):

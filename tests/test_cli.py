@@ -352,6 +352,25 @@ def test_simulate_padic_rows_follow_step_int(tmp_path):
     assert info == {"p": 3, "precision": 40, "a": 4, "b": 1, "minimal": True}
 
 
+@pytest.mark.parametrize(
+    "p, a, b, precision, x0",
+    [(3, 4, 1, 19, 5), (2, 5, 3, 31, 7), (3, 4, 1, 40, -7)],
+    ids=["int64", "int64-at-2^31", "object"],
+)
+def test_simulate_padic_rows_cross_a_block_boundary(tmp_path, p, a, b, precision, x0):
+    """70,000 steps span two orbit blocks: int64 points up to p^K = 2^31, Python ints past it."""
+    out = tmp_path / "sp"
+    argv = ["simulate-padic", "--p", str(p), "--a", str(a), "--b", str(b), "--precision", str(precision)]
+    assert run(argv + [f"--x0={x0}", "--steps", "70000", "--out", str(out)]) == 0
+    lines = (out / "padic_orbit.csv").read_text().splitlines()
+    assert len(lines) == 70001
+    system = PadicAffineSystem.from_ints(p, a, b, precision=precision)
+    x = x0 % p**precision
+    for n, line in enumerate(lines[1:]):
+        assert line == f"{n},{x}"
+        x = system.step_int(x, precision)
+
+
 def test_simulate_padic_leaves_p2_minimality_open(tmp_path):
     out = tmp_path / "sp2"
     assert run(

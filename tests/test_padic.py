@@ -1,4 +1,4 @@
-"""Digit-exact p-adic arithmetic, minimality, censuses, cylinder averages."""
+"""Affine maps of Z_p on ints mod p^K: minimality, censuses, cylinder averages."""
 
 import cmath
 import math
@@ -12,12 +12,10 @@ from hypothesis import strategies as st
 from oscillab import padic
 from oscillab.padic import (
     PadicAffineSystem,
-    PadicNumber,
     _cycle_positions,
     _orbit_cycle,
     affine_minimality_check,
     orbit_residue_census,
-    padic_eval_map,
     padic_weighted_average,
 )
 from oscillab.polyphase import _STREAM_TERMS, _average_series, unit_values
@@ -27,40 +25,58 @@ from oscillab.torus import TimePolynomial
 
 def test_eval_map_example():
     system = PadicAffineSystem.from_ints(3, 4, 1, precision=4)
-    x = PadicNumber(3, 4, 5)
-    assert padic_eval_map(system, x).value == 21
+    assert system.step_int(5, 4) == 21
 
 
 def test_eval_map_identity():
     system = PadicAffineSystem.from_ints(5, 1, 0, precision=6)
     for value in (0, 3, 5**6 - 1):
-        x = PadicNumber(5, 6, value)
-        assert padic_eval_map(system, x).value == value
+        assert system.step_int(value, 6) == value
 
 
 def test_truncation_compatibility_single_digit():
     system = PadicAffineSystem.from_ints(3, 4, 1, precision=1)
-    a = padic_eval_map(system, PadicNumber(3, 1, 5))
-    b = padic_eval_map(system, PadicNumber(3, 1, 2))
-    assert a.value == b.value
+    assert system.step_int(5, 1) == system.step_int(2, 1)
 
 
-def test_eval_map_mismatch_rejected():
-    system = PadicAffineSystem.from_ints(3, 4, 1, precision=4)
-    with pytest.raises(ValueError):
-        padic_eval_map(system, PadicNumber(3, 5, 1))
-    with pytest.raises(ValueError):
-        padic_eval_map(system, PadicNumber(5, 4, 1))
+def test_padic_system_validation():
+    with pytest.raises(ValueError, match="prime: 4 is not prime"):
+        PadicAffineSystem.from_ints(4, 1, 1)
+    with pytest.raises(ValueError, match="precision: must be >= 1"):
+        PadicAffineSystem.from_ints(3, 1, 1, precision=0)
+    system = PadicAffineSystem.from_ints(3, -1, 3**4 + 2, precision=4)
+    assert (system.prime, system.a, system.b, system.precision) == (3, 80, 2, 4)
+    assert system == PadicAffineSystem(3, 80, 2, 4)
 
 
-def test_padic_number_validation():
-    with pytest.raises(ValueError):
-        PadicNumber(4, 3, 1)  # 4 is not prime
-    with pytest.raises(ValueError):
-        PadicNumber(3, 0, 1)
-    x = PadicNumber(3, 4, 21)
-    assert x.digits == (0, 1, 2, 0)
-    assert x.truncate(2) == 3
+@pytest.mark.parametrize(
+    "field, call",
+    [
+        ("a", lambda: PadicAffineSystem.from_ints(3, 4.9, 1)),
+        ("b", lambda: PadicAffineSystem.from_ints(3, 4, 1.5)),
+        ("prime", lambda: PadicAffineSystem.from_ints(3.5, 4, 1)),
+        ("prime", lambda: affine_minimality_check(4, 1, 2.5)),
+        ("x0", lambda: orbit_residue_census(PadicAffineSystem.from_ints(3, 4, 1), 2.7, 1, 9)),
+        (
+            "x0",
+            lambda: padic_weighted_average(
+                PadicAffineSystem.from_ints(3, 4, 1), 1, 2.7, [TimePolynomial.from_power(1)], np.ones(9), [9]
+            ),
+        ),
+    ],
+    ids=["a", "b", "prime", "prime-minimality", "x0-census", "x0-average"],
+)
+def test_non_integral_input_is_refused_naming_the_field(field, call):
+    """A fractional a, b, prime or x0 raises instead of being truncated."""
+    with pytest.raises(ValueError, match=f"^{field}: expected an integer"):
+        call()
+
+
+def test_integral_floats_and_numpy_ints_are_accepted():
+    system = PadicAffineSystem.from_ints(np.int64(3), 4.0, np.int32(1))
+    assert (system.prime, system.a, system.b) == (3, 4, 1)
+    assert all(type(v) is int for v in (system.prime, system.a, system.b, system.precision))
+    assert orbit_residue_census(system, 2.0, 1, 9) == orbit_residue_census(system, np.int64(2), 1, 9)
 
 
 def test_minimality_criterion():
@@ -190,9 +206,9 @@ def test_truncation_commutes_with_map():
         K = 6
         a, b, xv = (int(v) for v in rng.integers(0, p**K, 3))
         system = PadicAffineSystem.from_ints(p, a, b, precision=K)
-        stepped = system.step(PadicNumber(p, K, xv))
+        stepped = system.step_int(xv, K)
         for j in range(1, K + 1):
-            assert stepped.truncate(j) == system.step_int(xv % p**j, j)
+            assert stepped % p**j == system.step_int(xv % p**j, j)
 
 
 def test_full_cycle_character_sums_vanish():

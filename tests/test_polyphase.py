@@ -1014,3 +1014,54 @@ def test_repeated_is_the_period_indexed_mod_q(q, start, data, dtype):
     assert out.dtype == period.dtype and out.shape == (length,)
     assert out.tobytes() == expected.tobytes()
     assert not np.shares_memory(out, period)
+
+
+_SENTINEL = np.uint64(0xA5A5_A5A5_A5A5_A5A5)
+
+
+def _sentinel_blocks(stepped_blocks):
+    """``_stepped_blocks`` yielding copies of each block's words, overwritten with a sentinel at the next request."""
+
+    def blocks(*args):
+        for start, words in stepped_blocks(*args):
+            copies = tuple(w.copy() for w in words)
+            yield start, copies
+            for w in copies:
+                w.fill(_SENTINEL)
+
+    return blocks
+
+
+@pytest.mark.parametrize(
+    "coefficient, words",
+    [(0.3, 1), (1e-5, 2), (Fraction(1, 3), 2)],
+    ids=["one-word", "two-word", "big-int"],
+)
+def test_every_consumer_reads_a_block_before_the_next(monkeypatch, coefficient, words):
+    """Blocks are views the next block overwrites; no consumer may keep one, so overwriting changes nothing."""
+    from oscillab import polyphase
+    from oscillab.torus import CharacterObservable, SkewShiftSystem, build_tower, verify_factorization
+
+    count = 2 * _STREAM_TERMS + 777
+    poly = PhasePolynomial([0.125, coefficient, 0.7])
+    _, first = next(_phase_words(poly, count))
+    assert len(first) == words
+    seq = rademacher_sequence(5, count)
+    tower = build_tower(SkewShiftSystem(3, float(coefficient)), CharacterObservable((1, 0, 2)))
+
+    def results():
+        blocks = list(phase_blocks(poly, count))
+        return (
+            [start for start, _ in blocks],
+            np.concatenate([phases for _, phases in blocks]),
+            phase_stream(poly, count),
+            weighted_exponential_average(seq, poly, [1000, _STREAM_TERMS + 1, count]).averages,
+            polynomial_phase_sequence(coefficient, 2, count).values,
+            verify_factorization(tower, (0.1, 0.2, 0.3), count),
+        )
+
+    expected = results()
+    assert len(expected[0]) > 1
+    monkeypatch.setattr(polyphase, "_stepped_blocks", _sentinel_blocks(polyphase._stepped_blocks))
+    for got, want in zip(results(), expected):
+        assert np.array_equal(got, want)

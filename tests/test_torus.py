@@ -20,7 +20,6 @@ from oscillab.torus import (
     multiple_ergodic_average,
     orbit_point,
     tower_phase_polynomial,
-    tower_product,
     tower_thetas,
     verify_factorization,
 )
@@ -235,40 +234,55 @@ def test_verify_factorization_top_constant_is_a_global_phase():
     assert verify_factorization(tower, x, 1000) <= 1e-9
 
 
-def test_tower_product_group_closure():
+def frequency_pair(rng, m):
+    """Two nonzero frequency vectors in [-3, 3]^m whose sum is nonzero too."""
+    while True:
+        k1, k2 = (tuple(int(v) for v in rng.integers(-3, 4, m)) for _ in range(2))
+        if any(k1) and any(k2) and any(a + b for a, b in zip(k1, k2)):
+            return k1, k2
+
+
+def test_summed_frequency_tower_closure():
+    """The tower of e(<k1 + k2, x>) is valid and no longer than the longer of the two."""
     rng = np.random.default_rng(11)
     for _ in range(200):
         m = int(rng.integers(1, 5))
         system = SkewShiftSystem(m, GOLDEN)
-        freqs = []
-        for _ in range(2):
-            f = [int(v) for v in rng.integers(-3, 4, m)]
-            if not any(f):
-                f[-1] = 1
-            freqs.append(tuple(f))
-        t1 = build_tower(system, CharacterObservable(freqs[0]))
-        t2 = build_tower(system, CharacterObservable(freqs[1]))
-        product = tower_product(t1, t2)
-        assert product.is_valid()
-        assert product.order <= max(t1.order, t2.order)
-        assert product.top.frequencies == tuple(
-            a + b for a, b in zip(freqs[0], freqs[1])
+        k1, k2 = frequency_pair(rng, m)
+        total = tuple(a + b for a, b in zip(k1, k2))
+        t1, t2, summed = (build_tower(system, CharacterObservable(k)) for k in (k1, k2, total))
+        assert summed.is_valid()
+        assert summed.order <= max(t1.order, t2.order)
+        assert summed.top.frequencies == total
+
+
+def exact_value(poly: PhasePolynomial, n: int) -> Fraction:
+    return sum(c * n**j for j, c in enumerate(poly.coefficients))
+
+
+def test_summed_frequency_tower_phase_is_the_sum():
+    """Q for k1 + k2 equals Q for k1 plus Q for k2 mod 1 at every integer, exactly.
+
+    The thetas are reduced mod 1 level by level, so the monomial coefficients
+    may differ by those of an integer-valued polynomial; the values at
+    n = 0..degree are exact rationals, and their differences being integers
+    makes the difference integer-valued everywhere.
+    """
+    rng = np.random.default_rng(12)
+    cases = [(3, (1, 2, 0), (0, -1, 1), (0.12, 0.34, 0.56))]
+    for _ in range(200):
+        m = int(rng.integers(1, 5))
+        cases.append((m, *frequency_pair(rng, m), tuple(float(v) for v in rng.random(m))))
+    for m, k1, k2, x in cases:
+        system = SkewShiftSystem(m, GOLDEN)
+        total = tuple(a + b for a, b in zip(k1, k2))
+        p1, p2, summed = (
+            tower_phase_polynomial(build_tower(system, CharacterObservable(k)), x) for k in (k1, k2, total)
         )
-
-
-def test_tower_product_evaluates_to_product():
-    system = SkewShiftSystem(3, GOLDEN)
-    t1 = build_tower(system, CharacterObservable((1, 2, 0)))
-    t2 = build_tower(system, CharacterObservable((0, -1, 1)))
-    product = tower_product(t1, t2)
-    x = (0.12, 0.34, 0.56)
-    p1 = tower_phase_polynomial(t1, x)
-    p2 = tower_phase_polynomial(t2, x)
-    pp = tower_phase_polynomial(product, x)
-    for n in range(50):
-        combined = (phase_at(p1, n) + phase_at(p2, n)) % 1.0
-        delta = abs(phase_at(pp, n) - combined) % 1.0
-        assert min(delta, 1 - delta) <= 1e-12
+        degree = max(p1.degree, p2.degree)
+        assert summed.degree <= degree
+        for n in range(degree + 1):
+            assert (exact_value(summed, n) - exact_value(p1, n) - exact_value(p2, n)).denominator == 1
 
 
 def test_time_polynomial_basics():
