@@ -13,6 +13,7 @@ minimal log-log SVG decay plot.
 
 import argparse
 import ctypes
+import itertools
 import json
 import math
 import sys
@@ -170,7 +171,9 @@ def emit_report(value, fmt: str, path) -> Path:
     path = Path(path)
     if isinstance(value, ErgodicAverageSeries):
         if fmt == "csv":
-            path.write_text(value.to_csv(), encoding="utf-8")
+            # abs of each complex128 scalar: np.abs over the array can differ in the last bit.
+            rows = ((n, a.real, a.imag, abs(a)) for n, a in zip(value.checkpoints, value.averages))
+            _write_csv(path, "n,re,im,modulus", "%d,%.17g,%.17g,%.17g", rows)
         elif fmt == "svg":
             curve = ("average", list(value.checkpoints), [max(m, 1e-300) for m in value.moduli])
             path.write_text(_svg_plot([curve], "n", "modulus"), encoding="utf-8")
@@ -201,18 +204,22 @@ def _write_json(path: Path, payload) -> Path:
     return path
 
 
-def _write_csv(path: Path, header: str, rows) -> Path:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_csv_cell(cell) for cell in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+# Rows per ``%``-format call of ``_write_csv``.
+_CSV_CHUNK_ROWS = 1 << 14
+
+
+def _write_csv(path: Path, header: str, row_format: str, rows) -> Path:
+    """Write ``header`` and a ``row_format`` line per row, each chunk of rows by one ``%``-format call.
+
+    Every CSV is written here, floats as ``%.17g`` (which round-trips
+    float64) and ints as ``%d``; only a chunk of ``rows`` is held at once.
+    """
+    rows = iter(rows)
+    with path.open("w", encoding="utf-8") as handle:
+        handle.write(header + "\n")
+        while chunk := list(itertools.islice(rows, _CSV_CHUNK_ROWS)):
+            handle.write(((row_format + "\n") * len(chunk)) % tuple(itertools.chain.from_iterable(chunk)))
     return path
-
-
-def _csv_cell(cell) -> str:
-    if isinstance(cell, float):
-        return f"{cell:.17g}"
-    return str(cell)
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +362,7 @@ def _run_scan_spectrum(config: ExperimentConfig, out: Path) -> list[Path]:
         raise ConfigError("grid-size: must be a power of two with --refine")
     seq = _load_weights(config.params, n, config.seed)
     scan = fourier_bohr_scan(seq, m, n)
-    rows = [(f"{freq:.17g}", modulus) for freq, modulus in scan]
-    paths = [_write_csv(out / "spectrum.csv", "frequency,modulus", rows)]
+    paths = [_write_csv(out / "spectrum.csv", "frequency,modulus", "%.17g,%.17g", scan)]
     if refine:
         top_freq, top_mod = scan[0]
         refined, coeffs = refine_local(
@@ -413,11 +419,10 @@ def _run_simulate_torus(config: ExperimentConfig, out: Path) -> list[Path]:
     steps = _require(config.params, "steps", _int)
     if steps < 1:
         raise ConfigError("steps: must be >= 1")
-    rows = []
-    for start, coordinates in _orbit_blocks(system, x, steps):
-        rows += zip(range(start, start + coordinates.shape[1]), *coordinates.tolist())
+    blocks = _orbit_blocks(system, x, steps)
+    rows = itertools.chain.from_iterable(zip(itertools.count(start), *block.tolist()) for start, block in blocks)
     header = "n," + ",".join(f"x{i + 1}" for i in range(system.dimension))
-    return [_write_csv(out / "orbit.csv", header, rows)]
+    return [_write_csv(out / "orbit.csv", header, "%d" + ",%.17g" * system.dimension, rows)]
 
 
 def _run_verify_tower(config: ExperimentConfig, out: Path) -> list[Path]:
@@ -495,7 +500,7 @@ def _run_simulate_padic(config: ExperimentConfig, out: Path) -> list[Path]:
     if steps < 1:
         raise ConfigError("steps: must be >= 1")
     blocks = _padic_orbit_blocks(system, x0, system.precision, steps)
-    rows = (row for start, block in blocks for row in enumerate(block.tolist(), start))
+    rows = itertools.chain.from_iterable(enumerate(block.tolist(), start) for start, block in blocks)
     try:
         minimal = affine_minimality_check(system.a, system.b, system.prime)
     except ValueError:
@@ -508,7 +513,7 @@ def _run_simulate_padic(config: ExperimentConfig, out: Path) -> list[Path]:
         "minimal": minimal,
     }
     return [
-        _write_csv(out / "padic_orbit.csv", "n,value", rows),
+        _write_csv(out / "padic_orbit.csv", "n,value", "%d,%d", rows),
         _write_json(out / "padic_system.json", info),
     ]
 
@@ -519,8 +524,7 @@ def _run_census(config: ExperimentConfig, out: Path) -> list[Path]:
     level = _require(config.params, "level", _int)
     steps = _require(config.params, "steps", _int)
     census = orbit_residue_census(system, x0, level, steps)
-    rows = [(residue, count) for residue, count in sorted(census.items())]
-    return [_write_csv(out / "census.csv", "residue,count", rows)]
+    return [_write_csv(out / "census.csv", "residue,count", "%d,%d", sorted(census.items()))]
 
 
 def _run_lsk_check(config: ExperimentConfig, out: Path) -> list[Path]:
@@ -549,7 +553,7 @@ def _run_lsk_check(config: ExperimentConfig, out: Path) -> list[Path]:
             rows.append((seed, degree, n, sup, ratio))
         slopes[seed] = growth_exponent(sups) if len(sups) >= 3 else None
     return [
-        _write_csv(out / "lsk.csv", "seed,d,n,sup,ratio", rows),
+        _write_csv(out / "lsk.csv", "seed,d,n,sup,ratio", "%d,%d,%d,%.17g,%.17g", rows),
         _write_json(out / "lsk_slopes.json", {str(k): v for k, v in slopes.items()}),
     ]
 
@@ -568,7 +572,7 @@ def _run_subnormal_check(config: ExperimentConfig, out: Path) -> list[Path]:
     margins = subnormality_margin(dist, lambdas)
     verdict = all(margin >= 0 for _, margin in margins)
     return [
-        _write_csv(out / "subnormal.csv", "lambda,margin", margins),
+        _write_csv(out / "subnormal.csv", "lambda,margin", "%.17g,%.17g", margins),
         _write_json(out / "subnormal.json", {"subnormal_on_grid": verdict}),
     ]
 

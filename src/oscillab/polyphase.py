@@ -32,12 +32,13 @@ paths avoid this:
   multiples of 2^-64 step their high words alone, since their low words
   stay 0.  ``_stepped_blocks`` yields each block's fixed-point words,
   and ``phase_stream`` converts them straight into one array.
-  ``_register_phases`` takes exact phases
-  r_0, ..., r_k on the same recurrence and streams integer combinations
-  of them on the same lane table in the same blocks: the skew-shift
-  orbit and the tower routes of ``torus``.  Every fixed-point value
-  becomes a float by the one conversion hi * 2^-64 + lo * 2^-128 of its
-  (hi, lo) words (``_pair_floats``, ``_fixed_to_float`` for one int).
+  ``_register_phases`` takes fronts of exact registers r_0, ..., r_k of
+  the same recurrence, seeds each from its own registers as the word
+  seeds are, and streams its last register on the same lane table in
+  the same blocks: the skew-shift orbit and the tower routes of
+  ``torus``.  Every fixed-point value becomes a float by the one
+  conversion hi * 2^-64 + lo * 2^-128 of its (hi, lo) words
+  (``_pair_floats``, ``_fixed_to_float`` for one int).
 
 ``_turned`` makes e(phase) without a complex exponential, as a table
 root e(k / 4096) times a degree-5 Taylor series in the residual angle,
@@ -265,9 +266,10 @@ def _difference_steps(registers: list, count: int, modulus: int):
     is constant and r_k after n steps is sum_j C(n, k - j) r_j mod
     ``modulus``.  The list is updated in place and the same list is
     yielded each time, so read it before the next step.  This scalar
-    stepper serves moduli other than 2^128, the big-int seeds of
-    ``_fixed_seed_table``; mod 2^128 the same registers come a row at a
-    time from ``_register_rows``.
+    stepper serves the few steps of a big int: the seeds of
+    ``_fixed_seed_table`` mod den, and T applied to a point for
+    n = 0..m mod 2^128 in ``torus.verify_factorization``.  Mod 2^128 the
+    last register over many steps comes from ``_register_seeds`` instead.
     """
     downward = range(len(registers) - 1, 0, -1)
     for _ in range(count):
@@ -276,46 +278,12 @@ def _difference_steps(registers: list, count: int, modulus: int):
             registers[j] = (registers[j] + registers[j - 1]) % modulus
 
 
-def _add_words(a, b, out, carry=None) -> None:
+def _add_words(a, b, out, carry) -> None:
     """out = a + b mod 2^128 for words (hi,) or (hi, lo), lo's carry into hi; ``out`` may be ``a``, not ``b``."""
     np.add(a[0], b[0], out=out[0])
     if len(out) > 1:
         np.add(a[1], b[1], out=out[1])
         np.add(out[0], np.less(out[1], b[1], out=carry), out=out[0])
-
-
-def _times_small(hi, lo, n) -> tuple[np.ndarray, np.ndarray]:
-    """(hi, lo) * n mod 2^128 for n < 2^32, an array or an np.uint64.
-
-    The low word is multiplied in 32-bit halves, whose products fit 64
-    bits, and their high parts and carry go into the high word.
-    Scalars are np.uint64, since numpy 1.x makes uint64 with Python ints
-    float64.
-    """
-    low = (lo & _MASK32) * n
-    mid = (lo >> _SHIFT32) * n
-    lo = low + (mid << _SHIFT32)
-    return hi * n + (mid >> _SHIFT32) + (lo < low), lo
-
-
-def _scaled_pairs(hi, lo, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(hi, lo) * k mod 2^128 for any integer k.
-
-    Horner's rule over the 32-bit digits of |k| mod 2^128, one
-    ``_times_small`` per digit (a single one for |k| < 2^32), then the
-    two's complement for k < 0.
-    """
-    magnitude = abs(k) & _FIXED_MASK
-    top = max(0, magnitude.bit_length() - 1) // 32 * 32
-    out_hi, out_lo = _times_small(hi, lo, np.uint64(magnitude >> top))
-    for shift in range(top - 32, -1, -32):
-        out_hi, out_lo = (out_hi << _SHIFT32) | (out_lo >> _SHIFT32), out_lo << _SHIFT32
-        digit = (magnitude >> shift) & 0xFFFFFFFF
-        if digit:
-            _add_words((out_hi, out_lo), _times_small(hi, lo, np.uint64(digit)), (out_hi, out_lo))
-    if k < 0:
-        out_hi, out_lo = ~out_hi + (out_lo == 0), ~out_lo + np.uint64(1)
-    return out_hi, out_lo
 
 
 def _cumulate_pairs(hi: np.ndarray, lo: np.ndarray | None) -> None:
@@ -339,48 +307,40 @@ def _cumulate_pairs(hi: np.ndarray, lo: np.ndarray | None) -> None:
     hi += lo < upper
 
 
-def _register_rows(registers: list, count: int):
-    """Rows r_0, ..., r_k of ``_difference_steps`` mod 2^128 over steps 0..count-1, count < 2^32.
+def _register_seeds(registers: list, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The last register r_k of ``_difference_steps`` mod 2^128 at steps 0..count-1, count < 2^32, as (hi, lo) words.
 
     ``registers`` are r_0, ..., r_k at step 0 as ints in [0, 2^128).  Row
-    j, uint64 arrays (hi, lo) whose entry n is r_j at step n, is r_j(0)
-    plus the exclusive prefix sum of row j - 1, which ``_cumulate_pairs``
-    makes in place from row j - 1 shifted by one.  So every row is
-    written into the same two arrays: read a row before asking for the
-    next; the last row stays in them.  When every register is a multiple
-    of 2^64 the low words stay 0, and only the high words are summed.
+    j, whose entry n is r_j at step n, is r_j(0) plus the exclusive prefix
+    sum of row j - 1, which ``_cumulate_pairs`` makes in place over row
+    j - 1 shifted by one.  When every register is a multiple of 2^64 the
+    low words stay 0, and only the high words are summed.
     """
     one_word = not any(r & _MASK64 for r in registers)
     hi = np.empty(count, dtype=np.uint64)
     lo = np.empty_like(hi)
-    for j, register in enumerate(registers):
-        if j:
-            hi[1:] = hi[:-1]
-            lo[1:] = lo[:-1]
-            hi[0], lo[0] = divmod(register, 1 << 64)
-            _cumulate_pairs(hi, None if one_word else lo)
-        else:
-            hi[:], lo[:] = divmod(register, 1 << 64)
-        yield hi, lo
+    hi[:], lo[:] = divmod(registers[0], 1 << 64)
+    for register in registers[1:]:
+        hi[1:] = hi[:-1]
+        lo[1:] = lo[:-1]
+        hi[0], lo[0] = divmod(register, 1 << 64)
+        _cumulate_pairs(hi, None if one_word else lo)
+    return hi, lo
 
 
-def _register_phases(registers, count: int, combinations):
-    """``(start, phases)``: frac(c + sum_j w_j r_j(n)), n = 0..count-1, a row per combination (c, w).
+def _register_phases(fronts, count: int):
+    """``(start, phases)``: frac(r_k(n)), n = 0..count-1, for each front r_0, ..., r_k, a row per front.
 
-    The exact phases r_0, ..., r_k follow the difference recurrence, so a
-    combination, a phase c and integer weights w_j, is a polynomial of
-    degree <= k in n.  It is summed in (hi, lo) words mod 2^128 at the
-    seed points of the lane table only, from ``_register_rows``, and then
-    steps on ``_stepped_blocks`` in the blocks of ``phase_blocks``: an
-    entry is ``_fixed_to_float`` of its exact value.
+    A front is the registers of ``_difference_steps`` at step 0 as 128-bit
+    fixed-point ints, so r_k(n) = sum_j C(n, k - j) r_j mod 2^128 is a
+    polynomial of degree <= k in n.  It is seeded by ``_register_seeds``,
+    as the word seeds of ``_seed_pairs`` are, and steps on
+    ``_stepped_blocks`` in the blocks of ``phase_blocks``, which depend on
+    ``count`` alone, so fronts of any lengths zip.  An entry is
+    ``_fixed_to_float`` of its exact value.
     """
-    size = _seed_count(len(registers) - 1, count)
-    sums = [[np.full(size, word, dtype=np.uint64) for word in divmod(_to_fixed(c), 1 << 64)] for c, _ in combinations]
-    for j, (hi, lo) in enumerate(_register_rows([_to_fixed(r) for r in registers], size)):
-        for (sum_hi, sum_lo), (_, w) in zip(sums, combinations):
-            if w[j]:
-                _add_words((sum_hi, sum_lo), _scaled_pairs(hi, lo, w[j]), (sum_hi, sum_lo))
-    for blocks in zip(*(_stepped_blocks(hi, lo, count) for hi, lo in sums)):
+    streams = [_stepped_blocks(*_register_seeds(front, _seed_count(len(front) - 1, count)), count) for front in fronts]
+    for blocks in zip(*streams):
         yield blocks[0][0], _folded(np.array([_pair_floats(*words) for _, words in blocks]))
 
 
@@ -413,18 +373,17 @@ def _seed_pairs(coeffs: tuple[Fraction, ...], count: int) -> tuple[np.ndarray, n
 
     When 2^128 d / den is an integer for every register d of
     ``_seed_front``, these are exact registers of 2^128 P(n) mod 2^128,
-    and the last row of ``_register_rows`` is the seeds, all n < 2^32 at
-    once.  That holds when every denominator divides 2^128 (float
-    coefficients >= 2^-76), and for binomial phases with such thetas,
-    whose j! sits only in the monomial basis.  Other fronts (a
+    and ``_register_seeds`` evaluates them at all n < 2^32 at once.
+    That holds when every denominator divides 2^128 (float coefficients
+    >= 2^-76), and for binomial phases with such thetas, whose j! sits
+    only in the monomial basis.  Other fronts (a
     coefficient 1/3) take the big-int ``_fixed_seed_table``.
     """
     den, diffs = _seed_front(coeffs)
     if any((d << _FIXED_BITS) % den for d in diffs):
         seeds = np.array(_fixed_seed_table(coeffs, count), dtype=object)
         return (seeds >> 64).astype(np.uint64), (seeds & _MASK64).astype(np.uint64)
-    *_, last = _register_rows([(d << _FIXED_BITS) // den for d in diffs], count)
-    return last
+    return _register_seeds([(d << _FIXED_BITS) // den for d in diffs], count)
 
 
 def _lanes(count: int) -> int:
@@ -728,14 +687,6 @@ class ErgodicAverageSeries:
     @property
     def moduli(self) -> np.ndarray:
         return np.abs(self.averages)
-
-    def to_csv(self) -> str:
-        lines = ["n,re,im,modulus"]
-        for n, a in zip(self.checkpoints, self.averages):
-            lines.append(
-                f"{n},{a.real:.17g},{a.imag:.17g},{abs(a):.17g}"
-            )
-        return "\n".join(lines) + "\n"
 
 
 def _average_series(blocks, cps: tuple[int, ...]) -> ErgodicAverageSeries:

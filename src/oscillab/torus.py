@@ -15,14 +15,16 @@ All tower identities are exact integer/rational statements (frequency
 vectors shift and constants are integer multiples of alpha mod 1).  T
 itself and the tower identity f_j(Tx) = f_{j-1}(x) f_j(x) are the
 difference recurrence r_j += r_{j-1}, on the registers (alpha, x_1, ...,
-x_m) and on the level phases, so each combination wanted (a coordinate,
-or c + <k, x>) is a polynomial in n.  ``_register_phases`` streams it
-exactly in 128-bit fixed point on the lane table of ``phase_blocks`` and
-converts it to floats once, by the conversion hi * 2^-64 + lo * 2^-128
-(1.0 folded to 0) of every fixed-point phase.  So the three routes
-compared by ``verify_factorization`` agree to float resolution, not
-merely to a drifting tolerance, and ``orbit_point`` matches the stepped
-orbit bit for bit.
+x_m) and on the level phases: the last register of a front (alpha, x_1,
+..., x_j) or (theta_0, ..., theta_j) is a polynomial in n, and so is
+c + <k, T^n x>, whose front is the forward differences of its values at
+n = 0..m.  ``_register_phases`` streams each front exactly in 128-bit
+fixed point on the lane table of ``phase_blocks`` and converts it to
+floats once, by the conversion hi * 2^-64 + lo * 2^-128 (1.0 folded to
+0) of every fixed-point phase.  So the three routes compared by
+``verify_factorization`` agree to float resolution, not merely to a
+drifting tolerance, and ``orbit_point`` matches the stepped orbit bit
+for bit.
 """
 
 import bisect
@@ -37,6 +39,7 @@ from .polyphase import (
     ErgodicAverageSeries,
     PhasePolynomial,
     _binomial_to_monomial,
+    _difference_steps,
     _fixed_to_float,
     _forward_differences,
     _integer,
@@ -113,12 +116,12 @@ def orbit_point(system: SkewShiftSystem, point, n: int) -> tuple[float, ...]:
 def _orbit_blocks(system: SkewShiftSystem, point, count: int):
     """``(start, coordinates)``: x_1, ..., x_m of T^n(x), n = 0..count-1, an (m, size) array per block.
 
-    T steps (alpha, x_1, ..., x_m) on ``_register_phases``, exactly mod 1,
-    so x_j is the closed form of ``orbit_point`` to the bit.
+    Coordinate j streams the front (alpha, x_1, ..., x_j) of T's
+    registers on ``_register_phases``, exactly mod 1, so x_j is the
+    closed form of ``orbit_point`` to the bit.
     """
-    x = system.validate_point(point)
-    coordinates = [(0, [int(i == j) for i in range(len(x) + 1)]) for j in range(1, len(x) + 1)]
-    return _register_phases([system.alpha, *x], count, coordinates)
+    registers = [_to_fixed(c) for c in (system.alpha, *system.validate_point(point))]
+    return _register_phases([registers[: j + 1] for j in range(1, len(registers))], count)
 
 
 @dataclass(frozen=True)
@@ -260,30 +263,37 @@ def tower_phase_polynomial(tower: QuasiEigenTower, point) -> PhasePolynomial:
 def verify_factorization(tower: QuasiEigenTower, point, n_max: int) -> float:
     """Max pairwise distance of the three evaluation routes over n <= n_max.
 
-    Route 1 evaluates the top character on the orbit, T stepped on the
-    registers (alpha, x_1, ..., x_m), as c + sum_j k_j x_j; route 2
-    steps the level phases theta_0, ..., theta_k by the tower identity
+    Route 1 evaluates the top character c + sum_j k_j x_j on the orbit:
+    T applied exactly to x for n = 0..m gives its values there, and their
+    forward differences are the front of that degree-<= m polynomial, so
+    the route needs T alone, not the tower.  Route 2 steps the level
+    phases theta_0, ..., theta_k by the tower identity
     f_j(Tx) = f_{j-1}(x) f_j(x) and reads the top one; route 3 evaluates
     e(Q(n)) through the monomial expansion of the tower phase polynomial
     on ``phase_blocks``.  All three run in exact arithmetic mod 1 (routes
     1 and 2 on ``_register_phases``), so for a valid tower the returned
-    deviation sits at float-rounding scale.  The routes go block by block
-    side by side, so memory does not grow with ``n_max``.
+    deviation is 0.0 or at float-rounding scale.  The routes go block by
+    block side by side, so memory does not grow with ``n_max``.
     """
     if n_max < 1:
         raise ValueError("n_max: must be >= 1")
     pt = tower.system.validate_point(point)
     count = n_max + 1
     top = tower.top
-    thetas = tower_thetas(tower, pt)
-    routes = zip(
-        _register_phases([tower.system.alpha, *pt], count, [(top.constant_phase, (0, *top.frequencies))]),
-        _register_phases(thetas, count, [(0, (0,) * (len(thetas) - 1) + (1,))]),
-        phase_blocks(tower_phase_polynomial(tower, pt), count),
-    )
+    # c + <k, T^n x> at n = 0..m, T applied in place to its registers (alpha, x_1, ..., x_m).
+    registers = [_to_fixed(c) for c in (tower.system.alpha, *pt)]
+    characters = [
+        _to_fixed(top.constant_phase) + sum(k * x for k, x in zip(top.frequencies, orbit[1:]))
+        for orbit in _difference_steps(registers, len(registers), _FIXED_MASK + 1)
+    ]
+    fronts = [
+        [v & _FIXED_MASK for v in reversed(_forward_differences(characters))],
+        [_to_fixed(theta) for theta in tower_thetas(tower, pt)],
+    ]
+    routes = zip(_register_phases(fronts, count), phase_blocks(tower_phase_polynomial(tower, pt), count))
     deviation = 0.0
-    for (_, orbit), (_, levels), (_, stream) in routes:
-        values = unit_values(np.concatenate((orbit, levels, stream[None])))
+    for (_, phases), (_, stream) in routes:
+        values = unit_values(np.concatenate((phases, stream[None])))
         deviation = max(deviation, *(np.abs(values[a] - values[b]).max() for a, b in ((0, 1), (0, 2), (1, 2))))
     return float(deviation)
 

@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,9 @@ import pytest
 from oscillab.cli import (
     COMMANDS,
     ExperimentConfig,
+    _CSV_CHUNK_ROWS,
     _SUBCOMMAND_FLAGS,
+    _write_csv,
     build_parser,
     emit_report,
     main,
@@ -304,6 +307,42 @@ def test_simulate_torus_rows_cross_a_block_edge(tmp_path):
         cells = line.split(",")
         assert int(cells[0]) == n
         assert tuple(float(c) for c in cells[1:]) == orbit_point(system, x, n), n
+
+
+def test_simulate_torus_rows_are_the_exact_orbit_on_inexact_inputs(tmp_path):
+    """alpha = 1e-25 and x_i near 2^-90 are not multiples of 2^-128: both routes truncate them once, alike.
+
+    So across the block edge of 70,000 rows each row is still
+    ``orbit_point`` at its n, bit for bit.
+    """
+    out = tmp_path / "st"
+    alpha = 1e-25
+    x = (2.0**-90 / 3, 0.3, 2.0**-90 * 5 / 7)
+    assert all(2**128 % Fraction(c).denominator for c in (alpha, x[0], x[2]))
+    assert run(
+        [
+            "simulate-torus", "--m", "3", "--alpha", repr(alpha),
+            "--x", ",".join(map(repr, x)), "--steps", "70000", "--out", str(out),
+        ]
+    ) == 0
+    lines = (out / "orbit.csv").read_text().splitlines()
+    assert len(lines) == 70_001
+    system = SkewShiftSystem(3, alpha)
+    for n, line in enumerate(lines[1:]):
+        cells = line.split(",")
+        assert int(cells[0]) == n
+        assert tuple(float(c) for c in cells[1:]) == orbit_point(system, x, n), n
+
+
+def test_csv_rows_are_the_cell_formats_across_chunks(tmp_path):
+    """One ``%``-format per chunk writes each cell as ``str`` of an int and ``.17g`` of a float, as cell by cell."""
+    values = [0.0, -0.0, 0.1, 1e-300, -2.5e300, float("inf"), float("nan"), np.float64(1 / 3), 2**-1074]
+    ints = [0, -7, 2**64 + 1, -(3**50), np.int64(-(2**63))]
+    count = 2 * _CSV_CHUNK_ROWS + 3
+    rows = [(n, ints[n % len(ints)], values[n % len(values)]) for n in range(count)]
+    path = _write_csv(tmp_path / "rows.csv", "n,int,float", "%d,%d,%.17g", iter(rows))
+    expected = ["n,int,float", *(f"{n},{i},{v:.17g}" for n, i, v in rows)]
+    assert path.read_text() == "\n".join(expected) + "\n"
 
 
 def test_simulate_torus_reduces_the_start_point(tmp_path):

@@ -25,11 +25,10 @@ from oscillab.polyphase import (
     _pair_floats,
     _phase_words,
     _register_phases,
-    _register_rows,
+    _register_seeds,
     _register_table,
     _repeated,
     _residue_buckets,
-    _scaled_pairs,
     _seed_pairs,
     _to_fixed,
     _word_units,
@@ -251,13 +250,19 @@ def test_one_word_seeds_match_big_int_table_bit_for_bit(highs, count):
     assert [h << 64 for h in hi.tolist()] == _fixed_seed_table(poly.coefficients, count)
 
 
-def register_columns(rows):
-    """The rows of ``_register_rows`` as Python ints, one list of registers per step."""
-    table = []
-    for hi, lo in rows:
+def seeded_rows(start, count):
+    """Rows r_0, ..., r_k of the last registers of ``_register_seeds`` on each prefix of ``start``, as Python ints."""
+    rows = []
+    for j in range(len(start)):
+        hi, lo = _register_seeds(start[: j + 1], count)
         assert hi.dtype == lo.dtype == np.uint64
-        table.append([(h << 64) | w for h, w in zip(hi.tolist(), lo.tolist())])
-    return [list(column) for column in zip(*table)]
+        rows.append([(h << 64) | w for h, w in zip(hi.tolist(), lo.tolist())])
+    return rows
+
+
+def scalar_rows(start, count):
+    """Rows r_0, ..., r_k of ``_difference_steps`` mod 2^128 over steps 0..count-1."""
+    return [list(row) for row in zip(*(list(registers) for registers in _difference_steps(list(start), count, 2**128)))]
 
 
 @settings(max_examples=60, deadline=None)
@@ -268,8 +273,9 @@ def register_columns(rows):
 def test_difference_steps_match_binomial_closed_form(modulus, data):
     """After n steps r_i = sum_j C(n, i - j) r_j(0) mod the modulus, for every register.
 
-    Mod 2^128 the single-block evaluator ``_register_rows`` must yield
-    the same registers; registers near the modulus take every carry.
+    Mod 2^128 the single-block evaluator ``_register_seeds`` must give
+    the last register of every prefix of the start registers, that is
+    every register; registers near the modulus take every carry.
     """
     register = st.one_of(st.integers(0, modulus - 1), st.integers(max(0, modulus - 2**66), modulus - 1))
     start = data.draw(st.lists(register, min_size=1, max_size=9))
@@ -283,11 +289,11 @@ def test_difference_steps_match_binomial_closed_form(modulus, data):
         assert registers == expected, n
     assert n == count - 1
     if modulus == 2**128:
-        assert register_columns(_register_rows(start, count)) == steps
+        assert seeded_rows(start, count) == [list(row) for row in zip(*steps)]
 
 
 @pytest.mark.parametrize("count", [1, 4, 5, 6, 17])
-def test_one_word_register_rows_match_the_scalar_steps(monkeypatch, count):
+def test_one_word_register_seeds_match_the_scalar_steps(monkeypatch, count):
     """Registers that are multiples of 2^64 are summed on their high words alone, every high word wrapping."""
     summed = _cumulate_pairs
 
@@ -297,57 +303,48 @@ def test_one_word_register_rows_match_the_scalar_steps(monkeypatch, count):
 
     monkeypatch.setattr("oscillab.polyphase._cumulate_pairs", high_words_only)
     start = [2**128 - 2**64] * 9
-    steps = [list(registers) for registers in _difference_steps(list(start), count, 2**128)]
-    assert register_columns(_register_rows(start, count)) == steps
+    assert seeded_rows(start, count) == scalar_rows(start, count)
 
 
 @pytest.mark.parametrize("count", [1, 4, 5, 6, 17])
 def test_pair_steps_take_every_carry(count):
-    """Registers all 2^128 - 1: every prefix sum of ``_register_rows`` carries in both words."""
-    start = [2**128 - 1] * 9
-    steps = [list(registers) for registers in _difference_steps(list(start), count, 2**128)]
-    assert register_columns(_register_rows(start, count)) == steps
+    """Registers all 2^128 - 1: every prefix sum of ``_register_seeds`` carries in both words.
+
+    A low word in the last register alone takes the pair step too.
+    """
+    for start in ([2**128 - 1] * 9, [2**128 - 2**64] * 8 + [1]):
+        assert seeded_rows(start, count) == scalar_rows(start, count)
 
 
-def combination_phases(registers, count, combinations):
-    """frac(c + sum_j w_j r_j(n)) per combination, r_j stepped by ``_difference_steps`` mod 2^128: rows of floats."""
-    table = np.array([list(r) for r in _difference_steps(list(registers), count, 2**128)], dtype=object)
-    totals = [_to_fixed(c) + table.dot(np.array(w, dtype=object)) for c, w in combinations]
-    return [[_fixed_to_float(v % 2**128) for v in total.tolist()] for total in totals]
+def front_phases(fronts, count):
+    """frac(r_k(n)) per front r_0, ..., r_k, stepped by ``_difference_steps`` mod 2^128: rows of floats."""
+    return [[_fixed_to_float(r[-1]) for r in _difference_steps(list(front), count, 2**128)] for front in fronts]
 
 
 _FIXED_REGISTER = st.one_of(st.integers(0, 2**128 - 1), st.integers(2**128 - 2**64, 2**128 - 1))
-_WEIGHT = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-(2**40), -2), st.integers(2**32, 2**70))
 
 
 @settings(max_examples=25, deadline=None)
 @given(
-    registers=st.lists(_FIXED_REGISTER, min_size=1, max_size=6),
-    data=st.data(),
+    fronts=st.lists(st.lists(_FIXED_REGISTER, min_size=1, max_size=6), min_size=1, max_size=3),
     count=st.one_of(
         st.sampled_from([1, _STREAM_TERMS - 1, _STREAM_TERMS + 1, 3 * _STREAM_TERMS - 1]), st.integers(1, 3000)
     ),
 )
-@example(registers=[2**128 - 1] * 5, data=None, count=_STREAM_TERMS + 1)
-def test_register_phases_are_the_one_conversion_of_exact_combinations(registers, data, count):
-    """Each phase is ``_fixed_to_float`` of c + sum_j w_j r_j(n) mod 2^128, r_j stepped by ``_difference_steps``.
+@example(fronts=[[2**128 - 1] * 5, [_to_fixed(Fraction(1, 3))], [2**128 - 1, 0, 2**64]], count=_STREAM_TERMS + 1)
+def test_register_phases_are_the_one_conversion_of_exact_fronts(fronts, count):
+    """Each row is ``_fixed_to_float`` of its front's last register r_k(n), stepped by ``_difference_steps``.
 
-    The references combine the registers as Python ints.  Counts of 1, a
-    block +-1 and three blocks are drawn, and the blocks are those of
-    ``phase_blocks`` over the same count.
+    Fronts of different lengths seed tables of different depths, and
+    still zip block by block: counts of 1, a block +-1 and three blocks
+    are drawn, and the blocks are those of ``phase_blocks`` over the same
+    count.
     """
-    k = len(registers)
-    if data is None:
-        combinations = [(Fraction(2**128 - 1, 2**128), [1, -1, 2**40, -(2**33), 0]), (Fraction(1, 3), [0] * 4 + [1])]
-    else:
-        constant = st.one_of(_FIXED_REGISTER.map(lambda r: Fraction(r, 2**128)), st.just(Fraction(1, 3)))
-        combination = st.tuples(constant, st.lists(_WEIGHT, min_size=k, max_size=k))
-        combinations = data.draw(st.lists(combination, min_size=1, max_size=3), label="combinations")
-    got = list(_register_phases([Fraction(r, 2**128) for r in registers], count, combinations))
-    blocks = [(start, (len(combinations), p.size)) for start, p in phase_blocks(PhasePolynomial([0, 0.5]), count)]
+    got = list(_register_phases(fronts, count))
+    blocks = [(start, (len(fronts), p.size)) for start, p in phase_blocks(PhasePolynomial([0, 0.5]), count)]
     assert [(start, phases.shape) for start, phases in got] == blocks
     phases = np.concatenate([phases for _, phases in got], axis=1)
-    assert phases.tolist() == combination_phases(registers, count, combinations)
+    assert phases.tolist() == front_phases(fronts, count)
 
 
 @pytest.mark.parametrize("pad", [0, 2])
@@ -365,22 +362,6 @@ def test_constant_streams_are_the_one_conversion(constant, pad):
         assert [s for s, _ in blocks[1:]] == block_edges(count)
         assert np.concatenate([phases for _, phases in blocks]).tolist() == [value] * count
         assert phase_stream(poly, count).tolist() == [value] * count
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    registers=st.lists(st.integers(0, 2**128 - 1), min_size=1, max_size=20),
-    k=st.one_of(st.integers(-(2**31), 2**32 - 1), st.integers(-(2**140), 2**140)),
-)
-@example(registers=[2**128 - 1, 0, 1, 2**64, 2**64 - 1], k=-1)
-@example(registers=[2**128 - 1, 0, 1, 2**64, 2**64 - 1], k=2**128 - 1)
-@example(registers=[2**128 - 1, 3], k=2**96 + 2**32)
-def test_scaled_pairs_match_big_int_product(registers, k):
-    hi = np.array([r >> 64 for r in registers], dtype=np.uint64)
-    lo = np.array([r & (2**64 - 1) for r in registers], dtype=np.uint64)
-    out_hi, out_lo = _scaled_pairs(hi, lo, k)
-    got = [(h << 64) | w for h, w in zip(out_hi.tolist(), out_lo.tolist())]
-    assert got == [(r * k) % 2**128 for r in registers]
 
 
 def table_words(poly, rows, lanes):
@@ -518,14 +499,14 @@ def test_register_streams_step_one_word_on_multiples_of_2_64(monkeypatch, unit, 
     rng = random.Random(unit)
     step = 2**128 // unit  # odd multiples of 1/unit, so a pair stream's low words are not all 0
     fixed = [(rng.getrandbits(128) // step | 1) * step for _ in range(4)]
-    constant = Fraction(rng.getrandbits(64), 2**64)
-    combinations = [(constant, [0, 1, 0, 0]), (0, [1, -2, 3, 1]), (constant, [0, 0, 5, -1])]
-    registers = [Fraction(r, 2**128) for r in fixed]
+    constant = rng.getrandbits(64) << 64
+    # Each front ends in an odd multiple of 1/unit: its value at n = 0.
+    fronts = [fixed[:1], fixed[:2], fixed, [constant, fixed[1], fixed[3]]]
     for count in (1, 63, 64, 65, 4095, 4097, 65535, 65536, 65537):
         tables.clear()
-        got = np.concatenate([p for _, p in _register_phases(registers, count, combinations)], axis=1)
-        assert tables == [words] * len(combinations), count
-        assert got.tolist() == combination_phases(fixed, count, combinations), count
+        got = np.concatenate([p for _, p in _register_phases(fronts, count)], axis=1)
+        assert tables == [words] * len(fronts), count
+        assert got.tolist() == front_phases(fronts, count), count
 
 
 def block_edges(count):
@@ -982,9 +963,11 @@ def test_geometric_checkpoints():
     assert geometric_checkpoints(5, 5) == (5,)
 
 
-def test_series_csv_format():
+def test_series_csv_format(tmp_path):
+    from oscillab.cli import emit_report
+
     series = ErgodicAverageSeries((2, 4), np.array([0.5 + 0j, 0.25j]))
-    lines = series.to_csv().strip().splitlines()
+    lines = emit_report(series, "csv", tmp_path / "series.csv").read_text().splitlines()
     assert lines[0] == "n,re,im,modulus"
     assert lines[1].startswith("2,0.5,0,")
 

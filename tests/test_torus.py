@@ -234,6 +234,26 @@ def test_verify_factorization_top_constant_is_a_global_phase():
     assert verify_factorization(tower, x, 1000) <= 1e-9
 
 
+@pytest.mark.parametrize(
+    "x, freqs",
+    [
+        ((0.1, 0.2, 0.3), (0, 0, 1)),
+        ((0.1, 0.2, 0.3, 0.4), (0, 0, 0, 1)),
+        ((0.1, 0.2, 0.3, 0.4, 0.5), (0, 0, 0, 0, 1)),
+        ((0.1, 0.2, 0.3, 0.4), (1, -2, 3, 1)),
+    ],
+    ids=["readme", "top-4", "top-5", "mixed-4"],
+)
+def test_verify_factorization_is_exactly_zero_on_exact_inputs(x, freqs):
+    """Float inputs >= 2^-76 are exact in 128-bit fixed point, and so are the thetas and route 1's front.
+
+    So the three routes step one exact value each and convert it alike:
+    the deviation is 0.0, not merely small, at n_max = 10^5.
+    """
+    tower = build_tower(SkewShiftSystem(len(x), 0.618033988749895), CharacterObservable(freqs))
+    assert verify_factorization(tower, x, 10**5) == 0.0
+
+
 def frequency_pair(rng, m):
     """Two nonzero frequency vectors in [-3, 3]^m whose sum is nonzero too."""
     while True:
