@@ -12,9 +12,9 @@ p^k residues.  Weighted averages along polynomial times q(n) then only
 need q(n) positioned inside the orbit cycle, never q(n) literal
 iterations.  Those positions q(n) mod L, for a cycle of length L, are
 integers, stepped exactly in int64 from q's forward differences mod L,
-at any N.  On a cycle they repeat with the period of q / L; one period
-is computed.  A non-invertible a adds a pre-periodic tail of at most
-``level`` points, met only at the few n with q(n) below its length.
+at any N.  On a cycle they repeat with the period of q / L, and the
+weights are summed onto one period of units.  A non-invertible a adds a
+pre-periodic tail of at most ``level`` points, met at the few n with q(n) in it.
 """
 
 import math
@@ -26,10 +26,8 @@ from .polyphase import (
     _STREAM_TERMS,
     MAX_DEGREE,
     ErgodicAverageSeries,
-    _average_series,
     _integer,
     _period,
-    _repeated,
     _validated_checkpoints,
     _weights,
     unit_values,
@@ -152,10 +150,10 @@ def _orbit_blocks(system: PadicAffineSystem, x: int, level: int, count: int):
 
 
 def _cycle_from(system: PadicAffineSystem, y: int, level: int) -> np.ndarray:
-    """The cycle y, Ty, ... mod p^level through a periodic point y, as int64 for p^level <= 2^26.
+    """The cycle y, Ty, ... mod p^level through a periodic point y, as int32 for p^level <= 2^26.
 
     T^e is a translation for e the order of a, so the cycle length L divides p^(2 level) (p - 1):
-    it is the least divisor t with T^t y = y.  ``_orbit_blocks`` then fill one array of L points.
+    it is the least divisor t with T^t y = y.  ``_orbit_blocks`` fill it, stepping in int64 (A y overflows int32).
     """
     p, mod = system.prime, system.prime**level
     divisors = {d for i in range(1, math.isqrt(p - 1) + 1) if (p - 1) % i == 0 for d in (i, (p - 1) // i)}
@@ -163,7 +161,7 @@ def _cycle_from(system: PadicAffineSystem, y: int, level: int) -> np.ndarray:
         big_a, big_c = _affine_power(system.a, system.b, length, mod)
         if (big_a * y + big_c) % mod == y:
             break
-    cycle = np.empty(length, dtype=np.int64)
+    cycle = np.empty(length, dtype=np.int32)
     for start, block in _orbit_blocks(system, y, level, length):
         cycle[start : start + block.size] = block
     return cycle
@@ -184,7 +182,7 @@ def _orbit_cycle(system: PadicAffineSystem, x0: int, level: int) -> tuple[list[i
     while (following := system.step_int(x, level)) != x:
         tail.append(x)
         x = following
-    return tail, np.array([x], dtype=np.int64)
+    return tail, np.array([x], dtype=np.int32)
 
 
 def orbit_residue_census(
@@ -261,8 +259,8 @@ def _orbit_indices(q, count: int, tail_length: int, cycle_length: int):
     a = q.binomial_coefficients
     shifted = TimePolynomial((a[0] - tail_length,) + a[1:])
     low_runs = shifted.negative_runs(count)
-    for start, positions in _cycle_positions(shifted, count, cycle_length):
-        indices = positions + tail_length
+    for start, indices in _cycle_positions(shifted, count, cycle_length):
+        indices += tail_length  # each block of positions is a new array
         stop = start + indices.size
         for lo, hi in low_runs:
             lo, hi = max(lo, start), min(hi, stop)
@@ -271,6 +269,28 @@ def _orbit_indices(q, count: int, tail_length: int, cycle_length: int):
                     [q(n) for n in range(lo, hi)] if q.degree else q(0)
                 )
         yield start, indices
+
+
+def _folded(values, lo: int, hi: int, start: int, stop: int, width: int):
+    """``(offset, sums)``: sums[i] of values[n], lo <= n < hi, at n mod width = start + offset + i.
+
+    Over the columns start..stop - 1 that some n meets, in int64 for integer weights.  Rows first..last - 1
+    lie inside [lo, hi): a strided view summed over axis 0 (numpy casts in buffers, so scratch stays
+    small).  Only rows first - 1 and last can meet [lo, hi) in part; they are added on their own.
+    """
+    first, last = -((start - lo) // width), (hi - stop) // width + 1
+    cuts = [(max(lo, k * width + start), min(hi, k * width + stop), k * width + start) for k in {first - 1, last}]
+    cuts = [(a, b, a - origin) for a, b, origin in cuts if a < b]
+    offset = 0 if first < last else min(column for _, _, column in cuts)
+    end = stop - start if first < last else max(column + b - a for a, b, column in cuts)
+    folded = np.zeros(end - offset, np.result_type(values, np.int64))
+    if first < last:
+        window = values[first * width + start : (last - 1) * width + stop]
+        rows = np.lib.stride_tricks.sliding_window_view(window, stop - start)[::width]
+        np.add.reduce(rows, axis=0, dtype=folded.dtype, out=folded)
+    for a, b, column in cuts:
+        folded[column - offset : column - offset + b - a] += values[a:b]
+    return offset, folded
 
 
 def padic_weighted_average(
@@ -286,7 +306,10 @@ def padic_weighted_average(
     The observable is the cylinder character of the first ``level``
     digits (level 0 is the constant 1, on a one-point cycle).  Orbit
     values are read from the orbit's cycle mod p^level, which is exact
-    because truncation commutes with the map.
+    because truncation commutes with the map.  The units repeat with a
+    period P, so each checkpoint interval sums u_r B_r over r < W, the
+    least multiple of P >= 2^16 (capped at N; N on a tail), with B_r its
+    weights at n = r mod W (``_folded``), by numpy's pairwise sum, not BLAS.
     """
     if not 0 <= level <= system.precision:
         raise ValueError("level: must be in [0, precision]")
@@ -308,20 +331,18 @@ def padic_weighted_average(
     if mod > (1 << 26):
         raise ValueError("level: p^level observable classes exceed the supported size")
     tail, cycle = _orbit_cycle(system, _integer(x0, "x0"), level)
-    orbit = np.concatenate((np.asarray(tail, dtype=np.int64), cycle)) if tail else cycle
+    orbit = np.concatenate((np.asarray(tail, dtype=cycle.dtype), cycle)) if tail else cycle
     # With no tail, q_j(n) mod L repeats with the period of q_j / L, and so do the units with their lcm.
     scaled = ([c / cycle.size for c in q.monomial_coefficients()] for q in qs)
-    span = n_max if tail else min(n_max, _period(*scaled))
-    streams = [_orbit_indices(q, span, len(tail), cycle.size) for q in qs]
-    classes = ((b[0][0], sum(orbit[indices] for _, indices in b) % mod) for b in zip(*streams))
-    units = ((s, unit_values(k / mod)) for s, k in classes)
-    stops = [(s, min(s + _STREAM_TERMS, n_max)) for s in range(0, n_max, _STREAM_TERMS)]
-    if span < n_max:
-        period = np.empty(span, dtype=np.complex128)
-        for start, unit in units:
-            period[start : start + unit.size] = unit
-        units = ((s, _repeated(period, s, e)) for s, e in stops)
-    # Stops are the streams' own blocks.  Every units block is a new array, so each product is written
-    # into it as units * weights: one factor order, and so one last bit of complex products, at any size.
-    products = ((s, np.multiply(unit, values[s:e], out=unit)) for (s, e), (_, unit) in zip(stops, units))
-    return _average_series(products, cps)
+    period = n_max if tail else _period(*scaled)
+    width = min(n_max, -(-_STREAM_TERMS // period) * period)
+    sums = np.zeros(len(cps), dtype=np.complex128)
+    for blocks in zip(*(_orbit_indices(q, width, len(tail), cycle.size) for q in qs)):
+        units = unit_values(np.sum([orbit[indices] for _, indices in blocks], axis=0, dtype=np.int64) % mod / mod)
+        start, stop = blocks[0][0], blocks[0][0] + units.size
+        for i, (lo, hi) in enumerate(zip((0,) + cps[:-1], cps)):
+            # The interval meets the block's columns at lo, or else first at the next n = start mod W.
+            if (lo - start) % width < stop - start or lo + (start - lo) % width < hi:
+                offset, folded = _folded(values, lo, hi, start, stop, width)
+                sums[i] += np.add.reduce(units[offset : offset + folded.size] * folded)
+    return ErgodicAverageSeries(cps, np.cumsum(sums) / np.asarray(cps, dtype=np.float64))

@@ -270,16 +270,20 @@ def verify_factorization(tower: QuasiEigenTower, point, n_max: int) -> float:
     phases theta_0, ..., theta_k by the tower identity
     f_j(Tx) = f_{j-1}(x) f_j(x) and reads the top one; route 3 evaluates
     e(Q(n)) through the monomial expansion of the tower phase polynomial
-    on ``phase_blocks``.  All three run in exact arithmetic mod 1 (routes
-    1 and 2 on ``_register_phases``), so for a valid tower the returned
-    deviation is 0.0 or at float-rounding scale.  The routes go block by
-    block side by side, so memory does not grow with ``n_max``.
+    on ``phase_blocks``.  All three see alpha and x truncated to 128-bit
+    fixed point once and run in exact arithmetic mod 1 (routes 1 and 2 on
+    ``_register_phases``), so a valid tower deviates by 0.0.  The routes
+    go block by block side by side, so memory does not grow with ``n_max``.
     """
     if n_max < 1:
         raise ValueError("n_max: must be >= 1")
-    pt = tower.system.validate_point(point)
     count = n_max + 1
     top = tower.top
+    # alpha and x truncated once; a lower level's constant, k_1 alpha of the level above, moves with alpha.
+    drop = Fraction(tower.system.alpha) - Fraction(_to_fixed(tower.system.alpha), _FIXED_MASK + 1)
+    pt = tuple(Fraction(_to_fixed(c), _FIXED_MASK + 1) for c in tower.system.validate_point(point))
+    lifts = [upper.frequencies[0] for upper in tower.levels[1:]] + [0]
+    thetas = [(level.phase_fraction(pt) - k * drop) % 1 for level, k in zip(tower.levels, lifts)]
     # c + <k, T^n x> at n = 0..m, T applied in place to its registers (alpha, x_1, ..., x_m).
     registers = [_to_fixed(c) for c in (tower.system.alpha, *pt)]
     characters = [
@@ -288,9 +292,9 @@ def verify_factorization(tower: QuasiEigenTower, point, n_max: int) -> float:
     ]
     fronts = [
         [v & _FIXED_MASK for v in reversed(_forward_differences(characters))],
-        [_to_fixed(theta) for theta in tower_thetas(tower, pt)],
+        [_to_fixed(theta) for theta in thetas],
     ]
-    routes = zip(_register_phases(fronts, count), phase_blocks(tower_phase_polynomial(tower, pt), count))
+    routes = zip(_register_phases(fronts, count), phase_blocks(binomial_phase_polynomial(thetas), count))
     deviation = 0.0
     for (_, phases), (_, stream) in routes:
         values = unit_values(np.concatenate((phases, stream[None])))

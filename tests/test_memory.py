@@ -98,10 +98,21 @@ def test_padic_average_transient_peak(traced_peak):
     weights = rademacher_sequence(3, N)
     system = PadicAffineSystem.from_ints(3, 4, 1)
     qs = [TimePolynomial.from_power(3), TimePolynomial.from_power(1)]
-    # One period of units (3^12 = 531,441, 8.5 MB) and the cycle (4.3 MB) are most of this;
-    # streaming every term through a 3^12-root table traced 20.3 MiB, and this keeps within 1 MiB of it.
+    # The int32 cycle (3^12 points, 2.0 MiB) and one 2^16-term block of positions, units and class sums
+    # of the weights traced 8.6 MiB; one period of complex units (8.5 MB) repeated against the weights
+    # traced 19.7 MiB.
     peak = traced_peak(padic_weighted_average, system, 12, 12345, qs, weights, [10**5, N])
-    assert peak < 21.3 * MB
+    assert peak < 9.6 * MB
+
+
+def test_padic_average_at_the_envelope_holds_the_cycle_and_one_block(traced_peak):
+    # Level 14 (3^14 = 4,782,969 classes) with N = 6 * 10^6 past the period: the int32 cycle is 18.2 MiB
+    # and the rest is one block's scratch.  A complex period of units and an int64 cycle traced 117 MiB.
+    weights = rademacher_sequence(3, 6 * 10**6)
+    system = PadicAffineSystem.from_ints(3, 4, 1)
+    qs = [TimePolynomial.from_power(3), TimePolynomial.from_power(1)]
+    peak = traced_peak(padic_weighted_average, system, 14, 12345, qs, weights, [10**5, 6 * 10**6])
+    assert peak <= 3**14 * 4 + 8 * MB
 
 
 def test_padic_average_builds_no_root_table_past_the_terms(traced_peak):
@@ -122,7 +133,7 @@ def test_padic_level_zero_transient_peak(traced_peak):
 
 
 def test_padic_orbit_cycle_peak(traced_peak):
-    # The level-14 cycle of a minimal system is 3^14 int64 points (36.5 MiB); it is filled in place,
-    # not gathered as blocks and then concatenated, which held it twice (73.0 MiB).
+    # The level-14 cycle of a minimal system is 3^14 int32 points (18.2 MiB); it is filled in place,
+    # not gathered as blocks and then concatenated, which held it twice.
     system = PadicAffineSystem.from_ints(3, 4, 1)
-    assert traced_peak(_orbit_cycle, system, 12345, 14) <= 3**14 * 8 + 4 * MB
+    assert traced_peak(_orbit_cycle, system, 12345, 14) <= 3**14 * 4 + 4 * MB

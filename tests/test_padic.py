@@ -18,7 +18,7 @@ from oscillab.padic import (
     orbit_residue_census,
     padic_weighted_average,
 )
-from oscillab.polyphase import _STREAM_TERMS, _average_series, unit_values
+from oscillab.polyphase import _STREAM_TERMS
 from oscillab.sequences import rademacher_sequence
 from oscillab.torus import TimePolynomial
 
@@ -182,7 +182,7 @@ def test_orbit_cycle_matches_dict_walk(p, a, b, level, x0):
     tail, cycle = _orbit_cycle(system, x0, level)
     ref_tail, ref_cycle = _dict_walk(system, x0, level)
     assert tail == ref_tail
-    assert cycle.dtype == np.int64
+    assert cycle.dtype == np.int32
     assert cycle.tolist() == ref_cycle
 
 
@@ -424,11 +424,13 @@ _AROUND_THE_PERIOD = [
 
 
 @pytest.mark.parametrize(("p", "a", "b", "level", "x0", "qs", "period"), _AROUND_THE_PERIOD)
-def test_average_around_the_period_matches_term_by_term(p, a, b, level, x0, qs, period, monkeypatch):
+def test_average_around_the_period_matches_term_by_term(p, a, b, level, x0, qs, period):
     """N at P - 1, P, P + 1, 2P + 1 and 2^16 +- 1, against orbit positions q(n) mod L computed exactly.
 
-    The same averages with the repeat switched off, every unit streamed,
-    agree bit for bit, complex weights included.
+    The weights are folded onto W, the least multiple of P that is at
+    least 2^16, so swapping two integer weights W apart inside one
+    checkpoint interval leaves every class sum, and the output bytes,
+    unchanged.
     """
     system = PadicAffineSystem.from_ints(p, a, b)
     mod = p**level
@@ -458,48 +460,85 @@ def test_average_around_the_period_matches_term_by_term(p, a, b, level, x0, qs, 
         series = padic_weighted_average(system, level, x0, qs, weights[:n], cps)
         reference = np.cumsum(np.add.reduceat(terms[:n], [0] + cps[:-1])) / np.asarray(cps)
         assert np.abs(series.averages - reference).max() <= 1e-12, n
-        with monkeypatch.context() as patched:
-            patched.setattr(padic, "_period", lambda *coefficients: 2**62)
-            streamed = padic_weighted_average(system, level, x0, qs, weights[:n], cps)
-        assert series.averages.tobytes() == streamed.averages.tobytes(), n
+
+    if period:
+        width = -(-(2**16) // period) * period
+        n = 2 * width + 3
+        integers = rng.integers(-50, 50, n).astype(np.int8)
+        integers[[5, 5 + width]] = (7, -3)
+        cps = [1, n - 1, n]
+        series = padic_weighted_average(system, level, x0, qs, integers, cps)
+        integers[[5, 5 + width]] = integers[[5 + width, 5]]
+        swapped = padic_weighted_average(system, level, x0, qs, integers, cps)
+        assert series.averages.tobytes() == swapped.averages.tobytes()
 
 
 @pytest.mark.parametrize("a", [4, 3])
 def test_level_zero_averages_the_weights_themselves(a):
-    """Level 0 is a one-point cycle with unit 1: the averages of the weights made complex, bit for bit."""
+    """Level 0 is a one-point cycle with unit 1: the averages are those of the weights.
+
+    Integer weights give their exact sums / N bit for bit, and float
+    weights their sums to within 1e-15 of ``math.fsum``.
+    """
     system = PadicAffineSystem.from_ints(3, a, 1)
     n = 2 * _STREAM_TERMS + 7
-    weights = np.random.default_rng(a).standard_normal(n)
+    rng = np.random.default_rng(a)
     cps = (1, 5_000, _STREAM_TERMS, n)
     qs = [TimePolynomial.from_power(2), TimePolynomial((4,))]
-    series = padic_weighted_average(system, 0, 11, qs, weights, cps)
-    blocks = ((s, weights[s : s + _STREAM_TERMS].astype(complex)) for s in range(0, n, _STREAM_TERMS))
-    assert series.averages.tobytes() == _average_series(blocks, cps).averages.tobytes()
+    integers = rng.integers(-(10**6), 10**6, n)
+    series = padic_weighted_average(system, 0, 11, qs, integers, cps)
+    exact = np.asarray([int(integers[:c].sum()) / c for c in cps], dtype=np.complex128)
+    assert series.averages.tobytes() == exact.tobytes()
+    floats = rng.standard_normal(n)
+    series = padic_weighted_average(system, 0, 11, qs, floats, cps)
+    assert not series.averages.imag.any()
+    assert max(abs(v - math.fsum(floats[:c]) / c) for v, c in zip(series.averages.real, cps)) <= 1e-15
 
 
-@pytest.mark.parametrize("n", [5_000, 65_535, 70_000])
-def test_complex_weights_multiply_units_first(n):
-    """Each block's product is units * weights, whatever its size.
+def test_cycle_and_average_at_the_largest_prime_square_under_2_26():
+    """p^2 = 8191^2 = 67,092,481 < 2^26 and a = p^2 - 1, so T^2 = id and a product a x reaches 2^52.
 
-    The two factor orders differ in the last bit of complex products.
-    N = 5,000 and the 4,464-term last block of N = 70,000 are short enough
-    that numpy would not reuse an unnamed factor for the result.
+    The cycle is held as int32, but T steps in int64: a * x on an int32
+    block would wrap.  Forty class indices near 2^26 sum past 2^31, so
+    their sum is taken in int64 too.
     """
-    system = PadicAffineSystem.from_ints(3, 4, 1)
-    qs = [TimePolynomial.from_power(2), TimePolynomial.from_power(1)]
-    rng = np.random.default_rng(n)
-    weights = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    cps = sorted({1, n // 2, n})
-    series = padic_weighted_average(system, 1, 1, qs, weights, cps)
+    p, b, x0 = 8191, 12345, 10**7
+    system = PadicAffineSystem.from_ints(p, p**2 - 1, b)
+    tail, cycle = _orbit_cycle(system, x0, 2)
+    assert tail == [] and cycle.size == 2
+    assert cycle.tolist() == [x0, system.step_int(x0, 2)]
+    assert system.step_int(int(cycle[-1]), 2) == cycle[0]
 
-    tail, cycle = _orbit_cycle(system, 1, 1)
-    assert not tail and cycle.size == 3
-    classes = sum(cycle[np.asarray([q(k) for k in range(n)]) % 3] for q in qs) % 3
-    units = unit_values(classes / 3)
-    terms = units * weights
-    assert (terms != weights * units).any()
-    blocks = ((s, terms[s : s + _STREAM_TERMS]) for s in range(0, n, _STREAM_TERMS))
-    assert series.averages.tobytes() == _average_series(blocks, cps).averages.tobytes()
+    qs = [TimePolynomial.from_power(j % 4) for j in range(40)]
+    n = 200
+    seq = rademacher_sequence(6, n)
+    series = padic_weighted_average(system, 2, x0, qs, seq, [1, 77, n])
+    mod, total, expected = p**2, 0j, []
+    for i in range(n):
+        residue = sum(big_a * x0 + big_b for big_a, big_b in (_affine_power(p**2 - 1, b, q(i), mod) for q in qs))
+        total += int(seq.values[i]) * cmath.exp(2j * math.pi * ((residue % mod) / mod))
+        if i + 1 in (1, 77, n):
+            expected.append(total / (i + 1))
+    assert np.abs(series.averages - np.asarray(expected)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("level", [3, 10, 16])
+@pytest.mark.parametrize("checkpoints", [(2**17,), (1, 2**17)])
+def test_thue_morse_on_the_2_adic_odometer_averages_to_exactly_zero(level, checkpoints):
+    """x -> x + 1 on Z_2 at q(n) = n, N = 2^17: t_{n + 2^16} = -t_n, so every class sum mod 2^16 is 0.
+
+    The weights fold onto W = 2^16 (the least multiple of 2^level that
+    is at least 2^16), so the average at N is exactly 0.0, not rounding
+    noise.  A checkpoint at 1 splits the sum into u_0 t_0 and the rest,
+    whose class sums are -t_0 at class 0 and 0 elsewhere: the two parts
+    still cancel exactly, where a term-by-term running sum leaves up to 1.4e-19.
+    """
+    thue_morse = np.ones(1, dtype=np.int8)
+    while thue_morse.size < 2**17:
+        thue_morse = np.concatenate((thue_morse, -thue_morse))
+    system = PadicAffineSystem.from_ints(2, 1, 1)
+    series = padic_weighted_average(system, level, 5, [TimePolynomial.from_power(1)], thue_morse, checkpoints)
+    assert series.averages[-1] == 0.0
 
 
 def _affine_power(a, b, t, mod):

@@ -254,6 +254,18 @@ def test_verify_factorization_is_exactly_zero_on_exact_inputs(x, freqs):
     assert verify_factorization(tower, x, 10**5) == 0.0
 
 
+def test_verify_factorization_is_exactly_zero_on_inputs_below_2_to_the_minus_128():
+    """alpha = 1e-25 and x with bits below 2^-128 are truncated once, so every route sees one dyadic input.
+
+    Before, each route truncated a different quantity (x, the thetas, the
+    tower polynomial's seeds), and the difference grew like C(n, 6) to
+    2.2e-5 at n = 10^6.
+    """
+    x = (3 * 2.0**-90, 0.7, 1e-20, 0.3, 2.0**-100, 0.9)
+    tower = build_tower(SkewShiftSystem(6, 1e-25), CharacterObservable((0, 0, 0, 0, 0, 1)))
+    assert verify_factorization(tower, x, 10**6) == 0.0
+
+
 def frequency_pair(rng, m):
     """Two nonzero frequency vectors in [-3, 3]^m whose sum is nonzero too."""
     while True:
