@@ -11,9 +11,10 @@ finite data cannot prove decay, and an off-grid resonance narrower than
 the grid pitch is invisible to any value-based search.
 
 The grid stage is exact and cheap: on the grid {0, 1/G, ..., (G-1)/G}
-the phase of index n depends only on n mod G, so the sequence folds
-into G residue buckets and each grid point costs G multiply-adds
-regardless of N.
+the phase of index n depends only on n mod G, so the weights are summed
+onto their G residue classes (``polyphase._class_sums``, the fold of the
+spectrum scan and of p-adic averages) and each grid point costs G
+multiply-adds regardless of N.
 
 Every pitch is a power of two, so the refinement steps on a dyadic
 lattice no finer than 2^-16, where t_i +/- step is an exact float and
@@ -34,10 +35,10 @@ import numpy as np
 
 from .polyphase import (
     PhasePolynomial,
+    _class_sums,
     _integer,
     _period,
     _repeated,
-    _residue_buckets,
     _validated_checkpoints,
     _weights,
     phase_stream,
@@ -102,7 +103,7 @@ def grid_sup_average(
     values = _weights_prefix(seq, n_terms)
 
     # The grid phase of index n is determined by n mod G.
-    buckets = _residue_buckets(values, n_terms, g) / n_terms
+    buckets = _class_sums(values, 0, n_terms, 0, g, g) / n_terms
 
     # rho^j mod G for j = 1..degree.
     rho = np.arange(g, dtype=np.int64)

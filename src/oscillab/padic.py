@@ -26,6 +26,7 @@ from .polyphase import (
     _STREAM_TERMS,
     MAX_DEGREE,
     ErgodicAverageSeries,
+    _class_sums,
     _integer,
     _period,
     _validated_checkpoints,
@@ -198,6 +199,7 @@ def orbit_residue_census(
     (``np.unique``) are merged into the sorted counts so far, so memory
     grows with the classes visited, never with p^level.
     """
+    level, steps = _integer(level, "level"), _integer(steps, "steps")
     if not 0 <= level <= system.precision:
         raise ValueError("level: must be in [0, precision]")
     if steps < 1:
@@ -271,28 +273,6 @@ def _orbit_indices(q, count: int, tail_length: int, cycle_length: int):
         yield start, indices
 
 
-def _folded(values, lo: int, hi: int, start: int, stop: int, width: int):
-    """``(offset, sums)``: sums[i] of values[n], lo <= n < hi, at n mod width = start + offset + i.
-
-    Over the columns start..stop - 1 that some n meets, in int64 for integer weights.  Rows first..last - 1
-    lie inside [lo, hi): a strided view summed over axis 0 (numpy casts in buffers, so scratch stays
-    small).  Only rows first - 1 and last can meet [lo, hi) in part; they are added on their own.
-    """
-    first, last = -((start - lo) // width), (hi - stop) // width + 1
-    cuts = [(max(lo, k * width + start), min(hi, k * width + stop), k * width + start) for k in {first - 1, last}]
-    cuts = [(a, b, a - origin) for a, b, origin in cuts if a < b]
-    offset = 0 if first < last else min(column for _, _, column in cuts)
-    end = stop - start if first < last else max(column + b - a for a, b, column in cuts)
-    folded = np.zeros(end - offset, np.result_type(values, np.int64))
-    if first < last:
-        window = values[first * width + start : (last - 1) * width + stop]
-        rows = np.lib.stride_tricks.sliding_window_view(window, stop - start)[::width]
-        np.add.reduce(rows, axis=0, dtype=folded.dtype, out=folded)
-    for a, b, column in cuts:
-        folded[column - offset : column - offset + b - a] += values[a:b]
-    return offset, folded
-
-
 def padic_weighted_average(
     system: PadicAffineSystem,
     level: int,
@@ -308,9 +288,12 @@ def padic_weighted_average(
     values are read from the orbit's cycle mod p^level, which is exact
     because truncation commutes with the map.  The units repeat with a
     period P, so each checkpoint interval sums u_r B_r over r < W, the
-    least multiple of P >= 2^16 (capped at N; N on a tail), with B_r its
-    weights at n = r mod W (``_folded``), by numpy's pairwise sum, not BLAS.
+    least multiple of P >= 2^16 (capped at N; N on a tail), with B_r the
+    sum of its weights at n = r mod W (``polyphase._class_sums``, the fold
+    the spectrum scan and the grid stage use), by numpy's pairwise sum,
+    not BLAS.
     """
+    level = _integer(level, "level")
     if not 0 <= level <= system.precision:
         raise ValueError("level: must be in [0, precision]")
     qs = list(time_polynomials)
@@ -343,6 +326,5 @@ def padic_weighted_average(
         for i, (lo, hi) in enumerate(zip((0,) + cps[:-1], cps)):
             # The interval meets the block's columns at lo, or else first at the next n = start mod W.
             if (lo - start) % width < stop - start or lo + (start - lo) % width < hi:
-                offset, folded = _folded(values, lo, hi, start, stop, width)
-                sums[i] += np.add.reduce(units[offset : offset + folded.size] * folded)
+                sums[i] += np.add.reduce(units * _class_sums(values, lo, hi, start, stop, width))
     return ErgodicAverageSeries(cps, np.cumsum(sums) / np.asarray(cps, dtype=np.float64))

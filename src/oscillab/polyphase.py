@@ -50,12 +50,14 @@ the latter, so their phases never become floats.  Values agree with
 ``np.exp`` to about 1e-15, and come in 2^13-term pieces whose scratch
 stays in cache.
 
-Every long consumer (weighted and multiple ergodic averages, p-adic
-averages, the residue fold of the spectrum scan) works block by block:
-weights become complex one block at a time and each block's terms are
-cut at the checkpoints and summed (``np.add.reduceat``, pairwise within
-a piece), the pieces added in index order.  Memory beyond the weights
-themselves is constant in N.
+The weighted and multiple ergodic averages, p-adic averages and the
+spectrum scan hold no N-term array beyond the weights themselves.  The
+weighted and multiple averages make weights complex one block at a time
+and cut each block's terms at the checkpoints (``np.add.reduceat``,
+pairwise within a piece), the pieces added in index order.  The scan,
+the grid stage and p-adic averages sum the weights onto residue classes
+with one fold, ``_class_sums``: a strided view of whole rows summed over
+its rows, in int64 for integer weights, with no copy of the weights.
 """
 
 import bisect
@@ -795,39 +797,42 @@ def compose_time_polynomial(q_outer: PhasePolynomial, q_inner) -> PhasePolynomia
     return PhasePolynomial(_binomial_to_monomial(_forward_differences(values)))
 
 
-def _residue_buckets(values: np.ndarray, length: int, modulus: int) -> np.ndarray:
-    """Sums of values[n] over n < length in each residue class n mod modulus.
+def _class_sums(values: np.ndarray, lo: int, hi: int, start: int, stop: int, width: int) -> np.ndarray:
+    """Sums of values[n], lo <= n < hi, at each class n mod ``width`` in start..stop - 1.
 
-    The values are folded in blocks of whole rows of ``modulus`` entries,
-    each block made complex on its own.  Row 0 of a block carries the
-    sums so far, so every class adds its entries in index order, as one
-    fold of all N / modulus rows would.
+    In int64 for integer weights, else in the weights' own type.  Rows first..last - 1 of the
+    ``width``-wide grid lie inside [lo, hi): a strided view summed over axis 0, row by row (numpy
+    casts in buffers, so scratch stays small).  Only rows first - 1 and last can meet [lo, hi) in
+    part; they are added after, so from lo = start = 0 every class adds its entries in index order.
     """
-    rows = max(1, _STREAM_TERMS // modulus)
-    buckets = np.zeros(modulus, dtype=np.complex128)
-    for start in range(0, length, rows * modulus):
-        part = values[start : min(length, start + rows * modulus)]
-        block = np.zeros((1 + -(-part.size // modulus), modulus), dtype=np.complex128)
-        block[0] = buckets
-        block.reshape(-1)[modulus : modulus + part.size] = part
-        buckets = block.sum(axis=0)
-    return buckets
+    first, last = -((start - lo) // width), (hi - stop) // width + 1
+    sums = np.zeros(stop - start, np.result_type(values, np.int64))
+    if first < last:
+        window = values[first * width + start : (last - 1) * width + stop]
+        rows = np.lib.stride_tricks.sliding_window_view(window, stop - start)[::width]
+        np.add.reduce(rows, axis=0, dtype=sums.dtype, out=sums)
+    for origin in sorted({(first - 1) * width + start, last * width + start}):
+        a, b = max(lo, origin), min(hi, origin - start + stop)
+        if a < b:
+            sums[a - origin : b - origin] += values[a:b]
+    return sums
 
 
 def fourier_bohr_scan(seq, grid_frequencies: int, length: int) -> list[tuple[float, float]]:
     """Moduli |(1/N) sum c_n e(n * j/M)| for j = 0..M-1, sorted descending.
 
     The sum for frequency j/M only depends on n mod M, so the sequence is
-    folded into M residue buckets and a single FFT finishes the scan.
+    summed onto its M residue classes (``_class_sums``, exact in int64
+    for integer weights) and a single FFT finishes the scan.
     Ties in modulus break toward the smaller frequency index.
     """
     m = _integer(grid_frequencies, "grid_frequencies")
     if m < 2:
         raise ValueError("grid_frequencies: must be >= 2")
-    values = _weights(seq)
-    if length < 1 or length > len(values):
+    values, n = _weights(seq), _integer(length, "length")
+    if n < 1 or n > len(values):
         raise ValueError("length: must be in [1, sequence length]")
-    averages = np.fft.ifft(_residue_buckets(values, length, m)) * (m / length)
+    averages = np.fft.ifft(_class_sums(values, 0, n, 0, m, m)) * (m / n)
     moduli = np.abs(averages)
     order = np.lexsort((np.arange(m), -moduli))
     return [(j / m, float(moduli[j])) for j in order]
@@ -835,6 +840,7 @@ def fourier_bohr_scan(seq, grid_frequencies: int, length: int) -> list[tuple[flo
 
 def geometric_checkpoints(start: int, stop: int) -> tuple[int, ...]:
     """Doubling checkpoint schedule ceil(start * 2^i), capped by stop."""
+    start, stop = _integer(start, "start"), _integer(stop, "stop")
     if start < 1 or stop < start:
         raise ValueError("geometric_checkpoints: need 1 <= start <= stop")
     out = []

@@ -22,7 +22,7 @@ import numpy as np
 # growth_exponent lives in oscillation, which fits decay slopes with it too;
 # it stays importable from here.
 from .oscillation import _checked_grid, growth_exponent, sup_search
-from .polyphase import _weights
+from .polyphase import _integer, _weights
 from .sequences import ComplexSequence, _counter_blocks, rademacher_sequence
 
 RADEMACHER = "rademacher"
@@ -128,7 +128,7 @@ def lsk_empirical_sup(
     ``spec`` may be a RandomSequenceSpec or any sequence-like object;
     an N past its length is refused before any search.
     """
-    ns = sorted(int(n) for n in n_list)
+    ns = sorted(_integer(n, "n_list") for n in n_list)
     if not ns or ns[0] < 1:
         raise ValueError("n_list: nonempty, entries >= 1")
     sampled = isinstance(spec, RandomSequenceSpec)

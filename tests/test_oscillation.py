@@ -294,7 +294,7 @@ def test_search_refuses_pitch_off_powers_of_two_before_any_search(grid, message,
     from float(0.7), 1.2 turns away at n^3 by N = 3 * 10^5: weights
     conj e(7/10 n^3) got a sup of 0.483 beside a grid_sup of 1.000.
     """
-    monkeypatch.setattr(oscillation, "_residue_buckets", _no_search)
+    monkeypatch.setattr(oscillation, "_class_sums", _no_search)
     monkeypatch.setattr(oscillation, "_weighted_terms", _no_search)
     ones = ComplexSequence(np.ones(1000), "ones")
     with pytest.raises(ValueError, match=f"grid_per_dim: .*{message}"):

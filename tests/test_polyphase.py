@@ -16,6 +16,7 @@ from oscillab.polyphase import (
     ErgodicAverageSeries,
     PhasePolynomial,
     _average_series,
+    _class_sums,
     _cumulate_pairs,
     _difference_steps,
     _fixed_seed_table,
@@ -28,7 +29,6 @@ from oscillab.polyphase import (
     _register_seeds,
     _register_table,
     _repeated,
-    _residue_buckets,
     _seed_pairs,
     _to_fixed,
     _word_units,
@@ -42,7 +42,9 @@ from oscillab.polyphase import (
     unit_values,
     weighted_exponential_average,
 )
-from oscillab.sequences import ComplexSequence, polynomial_phase_sequence, rademacher_sequence
+from oscillab.padic import PadicAffineSystem, orbit_residue_census, padic_weighted_average
+from oscillab.probabilistic import lsk_empirical_sup
+from oscillab.sequences import ComplexSequence, mobius_sequence, polynomial_phase_sequence, rademacher_sequence
 from oscillab.torus import TimePolynomial
 
 SQRT2M1 = math.sqrt(2) - 1
@@ -717,19 +719,46 @@ def test_unit_values_refuse_phases_off_the_table_domain(bad):
         unit_values([0.25, bad])
 
 
+def _assert_class_sums(values, lo, hi, start, stop, width):
+    """``_class_sums`` against one zero-padded reshape summed over axis 0, dtype and bytes."""
+    padded = np.zeros(-(-hi // width) * width, dtype=np.result_type(values, np.int64))
+    padded[lo:hi] = values[lo:hi]
+    reference = padded.reshape(-1, width).sum(axis=0)[start:stop]
+    sums = _class_sums(values, lo, hi, start, stop, width)
+    assert sums.dtype == reference.dtype and sums.tobytes() == reference.tobytes()
+
+
 @pytest.mark.parametrize(
     "modulus, length",
     [(2, 1), (7, 65535), (16, 200_003), (1024, 65536 + 1), (4096, 300_000), (65536, 131_073),
-     (65537, 200_000), (100_000, 99_999)],
+     (65537, 200_000), (100_000, 99_999), (70_000, 1000)],
 )
 def test_residue_fold_in_blocks_equals_one_fold(modulus, length):
-    """Blocked folding adds each class in index order, so it is bit-identical."""
+    """``_class_sums`` is bit-identical to the reshape-sum, for int8, float64 and complex weights.
+
+    From n = 0 every class adds its entries in index order, as the reshape-sum does, so even
+    random floats agree bit for bit; int8 weights are summed exactly in int64.  Intervals
+    [lo, hi) and column windows start..stop - 1 as the p-adic average passes them add a
+    partial first row last, so there the floats are integers, whose sums are exact in any order.
+    """
     rng = np.random.default_rng(modulus)
-    values = rng.normal(size=length + 5) + 1j * rng.normal(size=length + 5)
-    padded = np.zeros(-(-length // modulus) * modulus, dtype=np.complex128)
-    padded[:length] = values[:length]
-    whole = padded.reshape(-1, modulus).sum(axis=0)
-    assert np.array_equal(_residue_buckets(values, length, modulus), whole)
+    normal = rng.normal(size=(2, length + 5))
+    integers = rng.integers(-3, 4, size=(2, length + 5))
+    for values in (integers[0].astype(np.int8), normal[0], normal[0] + 1j * normal[1]):
+        _assert_class_sums(values, 0, length, 0, modulus, modulus)
+    windows = {(0, modulus), (modulus // 3, max(modulus // 3 + 1, modulus // 2)), (modulus - 1, modulus)}
+    intervals = {(length // 3, length), (length // 5, length // 2 + 1), (length - 1, length)}
+    for values in (integers[0].astype(np.int8), 1.0 * integers[0], integers[0] + 1j * integers[1]):
+        for lo, hi in intervals:
+            for start, stop in windows:
+                _assert_class_sums(values, lo, hi, start, stop, modulus)
+
+
+@pytest.mark.parametrize("modulus, length", [(4096, 300_000), (65537, 200_000), (100_000, 99_999)])
+def test_spectrum_scan_of_int8_weights_equals_complex_scan(modulus, length):
+    """Int8 weights fold exactly in int64, so their scan is the complex128 scan bit for bit."""
+    weights = mobius_sequence(length).values
+    assert fourier_bohr_scan(weights, modulus, length) == fourier_bohr_scan(weights.astype(np.complex128), modulus, length)
 
 
 def test_average_constant_weights_zero_phase():
@@ -774,6 +803,55 @@ def test_checkpoints_must_be_integers():
     integral = weighted_exponential_average(ones, zero, [np.int64(10), 1e2, np.float32(1000.0)])
     assert integral.checkpoints == (10, 100, 1000)
     assert all(type(n) is int for n in integral.checkpoints)
+
+
+@pytest.mark.parametrize(
+    "field, call",
+    [
+        ("level", lambda: orbit_residue_census(PadicAffineSystem.from_ints(3, 4, 1), 0, 2.5, 100)),
+        ("level", lambda: orbit_residue_census(PadicAffineSystem.from_ints(3, 4, 1), 0, True, 100)),
+        ("steps", lambda: orbit_residue_census(PadicAffineSystem.from_ints(3, 4, 1), 0, 2, 9.5)),
+        ("n_list", lambda: lsk_empirical_sup(rademacher_sequence(1, 2000), 1, [1000.7, 2000], 16)),
+        ("n_list", lambda: lsk_empirical_sup(rademacher_sequence(1, 2000), 1, [True, 2000], 16)),
+        ("start", lambda: geometric_checkpoints(1.5, 10)),
+        ("start", lambda: geometric_checkpoints(True, 10)),
+        ("stop", lambda: geometric_checkpoints(1, 10.5)),
+        ("length", lambda: fourier_bohr_scan(np.ones(128), 8, 100.5)),
+        ("length", lambda: fourier_bohr_scan(np.ones(128), 8, True)),
+        (
+            "level",
+            lambda: padic_weighted_average(
+                PadicAffineSystem.from_ints(3, 4, 1), 2.5, 0, [TimePolynomial.from_power(1)], np.ones(9), [9]
+            ),
+        ),
+        (
+            "level",
+            lambda: padic_weighted_average(
+                PadicAffineSystem.from_ints(3, 4, 1), True, 0, [TimePolynomial.from_power(1)], np.ones(9), [9]
+            ),
+        ),
+    ],
+    ids=["census-level", "census-level-bool", "census-steps", "lsk-n", "lsk-n-bool", "checkpoints-start",
+         "checkpoints-start-bool", "checkpoints-stop", "scan-length", "scan-length-bool", "padic-level",
+         "padic-level-bool"],
+)
+def test_lengths_and_levels_refuse_fractions_and_bools(field, call):
+    """A fractional or bool length, level or count raises naming the field instead of being truncated.
+
+    The census at level 2.5 used to count 83 classes mod 3^2.5, ``lsk_empirical_sup`` to measure
+    N = 1000 for 1000.7 and ``geometric_checkpoints(1.5, 10)`` to return (1.5, 3.0, 6.0, 10).
+    """
+    with pytest.raises(ValueError, match=f"^{field}: expected an integer"):
+        call()
+
+
+def test_lengths_and_levels_accept_integral_floats():
+    system, qs, weights = PadicAffineSystem.from_ints(3, 4, 1), [TimePolynomial.from_power(1)], np.ones(9)
+    assert orbit_residue_census(system, 0, 2.0, 100.0) == orbit_residue_census(system, 0, 2, 100)
+    assert geometric_checkpoints(2.0, np.int64(10)) == (2, 4, 8, 10)
+    assert fourier_bohr_scan(np.ones(128), 8, 100.0) == fourier_bohr_scan(np.ones(128), 8, 100)
+    averages = [padic_weighted_average(system, level, 0, qs, weights, [9]).averages for level in (2.0, 2)]
+    assert np.array_equal(*averages)
 
 
 def test_series_invariants():
