@@ -31,7 +31,6 @@ from .polyphase import (
     fourier_bohr_scan,
     geometric_checkpoints,
     phase_at,
-    phase_blocks,
     phase_stream,
     weighted_exponential_average,
 )

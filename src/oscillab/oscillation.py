@@ -19,8 +19,9 @@ multiply-adds regardless of N.
 Every pitch is a power of two, so the refinement steps on a dyadic
 lattice no finer than 2^-16, where t_i +/- step is an exact float and
 e(P(n)) repeats with period q <= 2^16, the lcm of the denominators of
-t_1..t_d.  So its N-term factors e(step n^i) and terms c_n e(P(n))
-stream one period and repeat it, bit for bit the full stream.
+t_1..t_d.  So its N-term factors e(step n^i) and units e(P(n)) come from
+``polyphase.unit_stream``, which reads one period off the stream's
+fixed-point words and repeats it, bit for bit the full stream.
 
 The constant coefficient only rotates the average, so it is pinned to 0
 and excluded from the search dimensions (the reported argmax vector
@@ -37,12 +38,9 @@ from .polyphase import (
     PhasePolynomial,
     _class_sums,
     _integer,
-    _period,
-    _repeated,
     _validated_checkpoints,
     _weights,
-    phase_stream,
-    unit_values,
+    unit_stream,
 )
 
 GRID_BUDGET = 10_000_000
@@ -69,10 +67,11 @@ class GridBudgetError(RuntimeError):
 
 
 def _weights_prefix(seq, n_terms: int) -> np.ndarray:
+    """The first ``n_terms`` weights in their own dtype; n_terms outside [1, length] raises a ValueError."""
     values = _weights(seq)
     if n_terms < 1 or n_terms > len(values):
         raise ValueError("n_terms: must be in [1, sequence length]")
-    return np.asarray(values[:n_terms], dtype=np.complex128)
+    return values[:n_terms]
 
 
 def _checked_grid(degree: int, grid_per_dim) -> int:
@@ -102,8 +101,8 @@ def grid_sup_average(
     g = _checked_grid(degree, grid_per_dim)
     values = _weights_prefix(seq, n_terms)
 
-    # The grid phase of index n is determined by n mod G.
-    buckets = _class_sums(values, 0, n_terms, 0, g, g) / n_terms
+    # The grid phase of index n is determined by n mod G; the weights fold as they are, int8 in int64.
+    buckets = _class_sums(values, 0, n_terms, 0, g, g).astype(np.complex128) / n_terms
 
     # rho^j mod G for j = 1..degree.
     rho = np.arange(g, dtype=np.int64)
@@ -133,24 +132,6 @@ def grid_sup_average(
     return math.sqrt(max(best_sq, 0.0)), coeffs
 
 
-def _unit_stream(poly: PhasePolynomial, n: int) -> np.ndarray:
-    """e(P(k)) for k < n: one period of q = ``_period`` terms, streamed and ``_repeated``.
-
-    On the refinement's 2^-k lattice the seeds are exact, frac(P(k)) and
-    frac(P(k + q)) are the same float and the repeat is
-    ``unit_values(phase_stream(poly, n))`` bit for bit; inexact seeds
-    (thirds) would repeat values within 1e-15 of it.  No second n-term
-    array is made when q reaches n.
-    """
-    first = unit_values(phase_stream(poly, min(n, _period(poly.coefficients))))
-    return first if first.size == n else _repeated(first, 0, n)
-
-
-def _weighted_terms(values: np.ndarray, coefficients) -> np.ndarray:
-    """Terms c_n * e(P(n)) for n < len(values), P given by its coefficients."""
-    return values * _unit_stream(PhasePolynomial(coefficients), len(values))
-
-
 def refine_local(
     seq,
     degree: int,
@@ -176,10 +157,10 @@ def refine_local(
     taken only if that exact value beats the best, so the returned sup is
     the exact objective at the returned coefficients.
 
-    Factors and terms come from ``_unit_stream``, which streams one
-    period and repeats it: every coordinate and step has a denominator
-    of at most 2^16 once the step is 2^-16 or more, so at N = 2 * 10^5 a
-    factor is at most 65,536 streamed terms.
+    Factors and units come from ``polyphase.unit_stream``, which reads one
+    period off the stream's words and repeats it: every coordinate and
+    step has a denominator of at most 2^16 once the step is 2^-16 or
+    more, so at N = 2 * 10^5 a factor is at most 65,536 streamed terms.
     """
     if degree < 1:
         raise ValueError("degree: must be >= 1")
@@ -191,9 +172,9 @@ def refine_local(
         raise ValueError(f"initial_step: must be 2^-k with k >= 1, got {initial_step!r}")
     if not all((c / step).is_integer() for c in coeffs[1:]):
         raise ValueError(f"start: t_1..t_d must be multiples of initial_step {step!r}")
-    values = _weights_prefix(seq, n_terms)
+    values = np.asarray(_weights_prefix(seq, n_terms), dtype=np.complex128)
 
-    base = _weighted_terms(values, coeffs)
+    base = values * unit_stream(PhasePolynomial(coeffs), n_terms)
     best = abs(base.sum()) / n_terms
     evals = 1
     while step >= MIN_STEP and evals < MAX_EVALS:
@@ -206,21 +187,21 @@ def refine_local(
                 candidate = list(coeffs)
                 candidate[i] = (candidate[i] + sign * step) % 1.0
                 if factor is None:
-                    factor = _unit_stream(PhasePolynomial.monomial(step, i), n_terms)
+                    factor = unit_stream(PhasePolynomial.monomial(step, i), n_terms)
                 total = np.dot(base, factor) if sign > 0 else np.vdot(factor, base)
                 evals += 1
                 if abs(total) / n_terms <= best:
                     continue
                 # Hold one N-length array while re-streaming.
                 factor = base = None
-                base = _weighted_terms(values, candidate)
+                base = values * unit_stream(PhasePolynomial(candidate), n_terms)
                 value = abs(base.sum()) / n_terms
                 if value > best:
                     best = value
                     coeffs = candidate
                     improved = True
                     break
-                base = _weighted_terms(values, coeffs)
+                base = values * unit_stream(PhasePolynomial(coeffs), n_terms)
         if not improved:
             step *= 0.5
     return best, tuple(coeffs)
@@ -241,7 +222,7 @@ def sup_search(seq, degree: int, n: int, grid: int) -> CheckpointEstimate:
     pitch-1/grid grid and ``refine_local`` polishes its argmax from a step of 1/grid.
     A ``grid`` that is no power of two raises a ValueError before the scan.
     """
-    values = _weights_prefix(seq, n)
+    values = np.asarray(_weights_prefix(seq, n), dtype=np.complex128)
     grid_value, start = grid_sup_average(values, degree, grid, n)
     sup, coeffs = refine_local(values, degree, start, n, initial_step=1.0 / grid)
     return CheckpointEstimate(n, sup, coeffs, grid_value)

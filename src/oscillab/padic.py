@@ -31,7 +31,7 @@ from .polyphase import (
     _period,
     _validated_checkpoints,
     _weights,
-    unit_values,
+    _word_units,
 )
 from .torus import TimePolynomial, _check_nonnegative_times
 
@@ -113,7 +113,7 @@ def affine_minimality_check(a: int, b: int, p: int) -> bool:
     p = _check_prime(p)
     if p == 2:
         raise ValueError("p: the p = 2 minimality criterion is not supported")
-    return a % p == 1 and b % p != 0
+    return _integer(a, "a") % p == 1 and _integer(b, "b") % p != 0
 
 
 def _affine_power(a: int, b: int, t: int, mod: int) -> tuple[int, int]:
@@ -273,6 +273,21 @@ def _orbit_indices(q, count: int, tail_length: int, cycle_length: int):
         yield start, indices
 
 
+def _class_units(classes: np.ndarray, mod: int) -> np.ndarray:
+    """e(k / mod) of int64 classes 0 <= k < mod <= 2^26, read off their words floor(k 2^64 / mod) by ``_word_units``.
+
+    With 2^64 = q mod + r, r in [1, mod], a word is k q + floor(k r / mod), k q < 2^64 and k r < 2^52: exact in uint64.
+    """
+    q = ((1 << 64) - 1) // mod
+    low = classes * ((1 << 64) - q * mod)
+    low //= mod
+    words = classes.view(np.uint64)
+    words *= np.uint64(q)
+    words += low.view(np.uint64)
+    del low
+    return _word_units(words)
+
+
 def padic_weighted_average(
     system: PadicAffineSystem,
     level: int,
@@ -291,7 +306,8 @@ def padic_weighted_average(
     least multiple of P >= 2^16 (capped at N; N on a tail), with B_r the
     sum of its weights at n = r mod W (``polyphase._class_sums``, the fold
     the spectrum scan and the grid stage use), by numpy's pairwise sum,
-    not BLAS.
+    not BLAS.  Each unit is read off the exact word of its class
+    (``_class_units``).
     """
     level = _integer(level, "level")
     if not 0 <= level <= system.precision:
@@ -321,10 +337,11 @@ def padic_weighted_average(
     width = min(n_max, -(-_STREAM_TERMS // period) * period)
     sums = np.zeros(len(cps), dtype=np.complex128)
     for blocks in zip(*(_orbit_indices(q, width, len(tail), cycle.size) for q in qs)):
-        units = unit_values(np.sum([orbit[indices] for _, indices in blocks], axis=0, dtype=np.int64) % mod / mod)
+        units = _class_units(np.sum([orbit[indices] for _, indices in blocks], axis=0, dtype=np.int64) % mod, mod)
         start, stop = blocks[0][0], blocks[0][0] + units.size
         for i, (lo, hi) in enumerate(zip((0,) + cps[:-1], cps)):
             # The interval meets the block's columns at lo, or else first at the next n = start mod W.
             if (lo - start) % width < stop - start or lo + (start - lo) % width < hi:
                 sums[i] += np.add.reduce(units * _class_sums(values, lo, hi, start, stop, width))
+        del units  # before the next block's units are made beside it
     return ErgodicAverageSeries(cps, np.cumsum(sums) / np.asarray(cps, dtype=np.float64))

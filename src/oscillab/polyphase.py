@@ -16,37 +16,34 @@ paths avoid this:
 
 * ``phase_at`` computes frac(P(n)) for a single n with exact integer
   arithmetic.  It is slow and serves as the reference oracle.
-* ``phase_blocks`` emits frac(P(n)) for n = 0..N-1 in blocks of about
-  ``_STREAM_TERMS`` terms using blocked forward-difference tables held
-  in 128-bit fixed point; a constant P is one row, never stepped.  The
-  seeds are exact.  With den the lcm of the denominators, the forward
-  differences of den * P at 0 are the registers of the difference
-  recurrence; when each times 2^128 / den is an integer (every float
-  coefficient >= 2^-76, and binomial phases with such thetas) the
-  recurrence runs on uint64 word pairs in one block, else on a
-  Python-integer table of den * P(n) mod den, truncated once per seed.
-  Mod-1 addition is exact in that representation, so the only error is
-  that one 2^-128 truncation per seed (none on the word route) plus one
-  float rounding on output: the 1e-9 bound at N = 10^6, d <= 4 is met
-  with orders of magnitude to spare.  Streams whose seeds are all
-  multiples of 2^-64 step their high words alone, since their low words
-  stay 0.  ``_stepped_blocks`` yields each block's fixed-point words,
-  and ``phase_stream`` converts them straight into one array.
-  ``_register_phases`` takes fronts of exact registers r_0, ..., r_k of
-  the same recurrence, seeds each from its own registers as the word
-  seeds are, and streams its last register on the same lane table in
-  the same blocks: the skew-shift orbit and the tower routes of
-  ``torus``.  Every fixed-point value becomes a float by the one
-  conversion hi * 2^-64 + lo * 2^-128 of its (hi, lo) words
-  (``_pair_floats``, ``_fixed_to_float`` for one int).
+* ``phase_stream`` emits frac(P(n)) for n = 0..N-1 from blocked
+  forward-difference tables held in 128-bit fixed point; a constant P
+  is one row, never stepped.  The seeds are exact.  With den the lcm of
+  the denominators, the forward differences of den * P at 0 are the
+  registers of the difference recurrence; when each times 2^128 / den
+  is an integer (every float coefficient >= 2^-76, and binomial phases
+  with such thetas) the recurrence runs on uint64 word pairs in one
+  block, else on a Python-integer table of den * P(n) mod den, truncated
+  once per seed.  Mod-1 addition is exact in that representation, so the
+  only error is that one 2^-128 truncation per seed (none on the word
+  route) plus one float rounding on output: the 1e-9 bound at
+  N = 10^6, d <= 4 is met with orders of magnitude to spare.  Streams
+  whose seeds are all multiples of 2^-64 step their high words alone,
+  since their low words stay 0.  ``_stepped_blocks`` yields each block's
+  fixed-point words, about ``_STREAM_TERMS`` terms a block.
+  ``_register_words`` steps fronts of exact registers r_0, ..., r_k of
+  the same recurrence, each seeded from its own registers as the word
+  seeds are, in the same blocks: the skew-shift orbit and the tower
+  routes of ``torus``.  Every fixed-point value that becomes a float
+  does so by the one conversion hi * 2^-64 + lo * 2^-128 of its (hi, lo)
+  words (``_pair_floats``, ``_fixed_to_float`` for one int).
 
 ``_turned`` makes e(phase) without a complex exponential, as a table
 root e(k / 4096) times a degree-5 Taylor series in the residual angle,
-below 1.6e-3 (off by under 2e-20).  Two front ends give it k and the
-angle: ``unit_values`` from float phases, and ``_word_units`` from a
-stream's words, with k = hi >> 52 and the low 52 bits of hi as the
-angle; the weighted averages and ``polynomial_phase_sequence`` take
-the latter, so their phases never become floats.  Values agree with
+below 1.6e-3 (off by under 2e-20).  Every computation gives it a
+stream's words (``_word_units``: k = hi >> 52, the low 52 bits of hi the
+angle), so no phase becomes a float on the way to e(.); ``unit_values``
+gives it float phases, as the tests' reference.  Values agree with
 ``np.exp`` to about 1e-15, and come in 2^13-term pieces whose scratch
 stays in cache.
 
@@ -330,20 +327,31 @@ def _register_seeds(registers: list, count: int) -> tuple[np.ndarray, np.ndarray
     return hi, lo
 
 
-def _register_phases(fronts, count: int):
-    """``(start, phases)``: frac(r_k(n)), n = 0..count-1, for each front r_0, ..., r_k, a row per front.
+def _register_words(fronts, count: int) -> list:
+    """One ``_stepped_blocks`` stream per front r_0, ..., r_k: the words of r_k(n), n = 0..count-1.
 
     A front is the registers of ``_difference_steps`` at step 0 as 128-bit
     fixed-point ints, so r_k(n) = sum_j C(n, k - j) r_j mod 2^128 is a
-    polynomial of degree <= k in n.  It is seeded by ``_register_seeds``,
-    as the word seeds of ``_seed_pairs`` are, and steps on
-    ``_stepped_blocks`` in the blocks of ``phase_blocks``, which depend on
-    ``count`` alone, so fronts of any lengths zip.  An entry is
-    ``_fixed_to_float`` of its exact value.
+    polynomial of degree <= k in n, seeded by ``_register_seeds``.  Blocks
+    depend on ``count`` alone, so fronts of any lengths and phase streams zip.
     """
-    streams = [_stepped_blocks(*_register_seeds(front, _seed_count(len(front) - 1, count)), count) for front in fronts]
-    for blocks in zip(*streams):
+    return [_stepped_blocks(*_register_seeds(front, _seed_count(len(front) - 1, count)), count) for front in fronts]
+
+
+def _register_phases(fronts, count: int):
+    """``(start, phases)``: frac(r_k(n)) of each front, a row per front, each ``_fixed_to_float`` of its exact value."""
+    for blocks in zip(*_register_words(fronts, count)):
         yield blocks[0][0], _folded(np.array([_pair_floats(*words) for _, words in blocks]))
+
+
+def _register_units(fronts, polys, count: int):
+    """``(start, units)``: e(r_k(n)) of each front, then e(P(n)) of each polynomial, a row each, off high words."""
+    streams = _register_words(fronts, count) + [_phase_words(poly, count) for poly in polys]
+    for blocks in zip(*streams):
+        units = np.empty((len(blocks), blocks[0][1][0].size), dtype=np.complex128)
+        for row, (_, (hi, *_)) in zip(units, blocks):
+            _word_units(hi, out=row)
+        yield blocks[0][0], units
 
 
 def _seed_front(coeffs: tuple[Fraction, ...]) -> tuple[int, list[int]]:
@@ -398,36 +406,35 @@ def _lanes(count: int) -> int:
     return min(_MAX_LANES, max(64, count // 8))
 
 
-def phase_blocks(poly: PhasePolynomial, count: int):
-    """frac(P(n)) for n = 0..count-1 as ``(start, phases)`` blocks in index order.
-
-    The stream is split into lanes of stride B: for each residue r the
-    polynomial P(m*B + r) in m is advanced with a forward-difference
-    table of d+1 registers, each step one addition per register.  The
-    registers live in 128-bit fixed point (a pair of uint64 arrays)
-    where mod-1 addition is exact, so no rounding accumulates across
-    steps.  They are seeded exactly by ``_seed_pairs``, on uint64 pairs
-    when the seeds are exact in fixed point, else from a big-int table
-    with one truncation per seed.  When every seed is a multiple of 2^-64
-    (every denominator divides 2^64: float coefficients >= 2^-12, points
-    and shifts on the search's 2^-16 lattice) every low word is 0 and
-    stays 0, so only the high words are stepped, with no carry; the
-    floats are the same, bit for bit.  Agrees with ``phase_at`` to well
-    below 1e-9 for N <= 10^7 and degree <= 8.
-
-    Each block holds a whole number of rows of B terms, about
-    ``_STREAM_TERMS`` terms, so only the registers and one block are
-    alive at a time.  The blocks are fresh arrays the caller may keep.
-    """
-    return ((start, _folded(_pair_floats(*words))) for start, words in _phase_words(poly, count))
-
-
 def phase_stream(poly: PhasePolynomial, count: int) -> np.ndarray:
-    """frac(P(n)) for n = 0..count-1 as one array: the blocks of ``phase_blocks``, converted straight into it."""
+    """frac(P(n)) for n = 0..count-1 as one array, each block of ``_phase_words`` converted straight into it.
+
+    Lane r of stride B advances P(m*B + r) in m on a forward-difference
+    table of d + 1 registers in 128-bit fixed point, where mod-1 addition
+    is exact, so no rounding accumulates.  Agrees with ``phase_at`` to
+    well below 1e-9 for N <= 10^7 and degree <= 8.
+    """
     phases = np.empty(count)
     for start, words in _phase_words(poly, count):
         _folded(_pair_floats(*words, out=phases[start : start + words[0].size]))
     return phases
+
+
+def unit_stream(poly: PhasePolynomial, count: int) -> np.ndarray:
+    """e(P(n)) for n = 0..count-1: one period of q = ``_period`` terms (at most count) off words, ``_repeated``.
+
+    With exact seeds (denominators dividing 2^128: the refinement's
+    lattice) P(n) and P(n + q) have the same words, so the repeat is the
+    full stream bit for bit; inexact seeds (thirds) repeat values within
+    1e-15 of it.  No second count-term array is made when q reaches count.
+    """
+    period = min(count, _period(poly.coefficients))
+    blocks = _phase_words(poly, period)
+    units = np.empty(period, dtype=np.complex128)
+    for start, (hi, *_) in blocks:
+        _word_units(hi, out=units[start : start + hi.size])
+    del hi  # a view of the stepper's last block, which would stay alive through the repeat
+    return units if units.size == count else _repeated(units, 0, count)
 
 
 def _phase_words(poly: PhasePolynomial, count: int):
@@ -468,8 +475,8 @@ def _stepped_blocks(hi: np.ndarray, lo: np.ndarray, count: int):
     ``words``, (hi,) when every low word is 0 else (hi, lo), are the
     block's fixed-point phases, in buffers the next block overwrites.
     Every block but the last holds the whole lane rows of at least
-    ``_STREAM_TERMS`` terms, so streams over one count (``phase_blocks``,
-    ``_register_phases``) zip block by block.
+    ``_STREAM_TERMS`` terms, so streams over one count (``_phase_words``,
+    ``_register_words``) zip block by block.
     """
     lanes = _lanes(count)
     steps = -(-count // lanes)
@@ -523,7 +530,7 @@ def _repeated(period: np.ndarray, start: int, stop: int) -> np.ndarray:
 
 
 def unit_values(phases) -> np.ndarray:
-    """e(phase) for an array of phases in turns, as a complex array of the same shape.
+    """e(phase) for an array of phases in turns, as a complex array of the same shape: the tests' reference e(.).
 
     x = 4096 * phase and k = floor(x) are exact in floats, so
     e(phase) = R[k mod 4096] * e(r / 4096) with r = x - k in [0, 1) also
@@ -532,14 +539,8 @@ def unit_values(phases) -> np.ndarray:
     moduli are within 1e-15 of 1.  Every value depends on its phase
     alone, not on its place in the array or the array's size, and phases
     that differ by an integer give the same values bit for bit as long
-    as both are exact floats.
-
-    The input is worked through in ``_UNIT_TERMS`` = 2^13-term pieces
-    written into the one preallocated result, so a piece's scratch stays
-    in cache whatever the size; at ``_STREAM_TERMS`` it would not fit a
-    core's L2 cache and run slower per term.  Phases must be finite with
-    magnitude below 2^51, so that k fits an int64; others raise a
-    ValueError.
+    as both are exact floats.  Phases must be finite with magnitude below
+    2^51, so that k fits an int64; others raise a ValueError.
     """
     phases = np.asarray(phases, dtype=np.float64)
     values = np.empty(phases.shape, dtype=np.complex128)
@@ -726,7 +727,7 @@ def weighted_exponential_average(
 ) -> ErgodicAverageSeries:
     """Partial averages (1/N) sum c_n e(P(n)) at the given checkpoints.
 
-    Single pass over the blocks of ``phase_blocks``: each block's units
+    Single pass over the blocks of ``_phase_words``: each block's units
     e(P(n)) are read off its high words (``_word_units``) and its
     weights multiplied into them in place; the terms are summed as
     ``_average_series`` describes, so results are deterministic.

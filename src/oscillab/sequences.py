@@ -23,10 +23,10 @@ from .polyphase import (
     MAX_DEGREE,
     PhasePolynomial,
     _average_series,
-    _phase_words,
+    _integer,
     _repeated,
     _validated_checkpoints,
-    _word_units,
+    unit_stream,
 )
 
 _SEED_LIMIT = 1 << 64
@@ -164,6 +164,7 @@ def _counter_blocks(seed: int, n: int, width: int = 1):
     Row i - start of the (stop - start, width) uint64 ``words`` hashes counters
     width * i .. width * i + width - 1, so no entry depends on n or on the blocking.
     """
+    seed = _integer(seed, "seed")
     if not 0 <= seed < _SEED_LIMIT:
         raise ValueError("seed: must fit in 64 bits")
     for start in range(0, n, _STREAM_TERMS):
@@ -189,8 +190,8 @@ def rademacher_sequence(seed: int, n: int) -> ComplexSequence:
 def polynomial_phase_sequence(alpha, power: int, n: int) -> ComplexSequence:
     """c_i = e(i^power * alpha) for i = 0..n-1.
 
-    Values are read off the exact difference-table stream's high words
-    (``_word_units``), so every value has modulus 1 up to float rounding.
+    Values are ``unit_stream``'s, read off the exact difference-table
+    stream's high words, so every value has modulus 1 up to float rounding.
     """
     if power < 1:
         raise ValueError("power: must be >= 1")
@@ -198,9 +199,7 @@ def polynomial_phase_sequence(alpha, power: int, n: int) -> ComplexSequence:
         raise ValueError(f"power: exceeds the supported cap {MAX_DEGREE}")
     if n < 1:
         raise ValueError("n: must be >= 1")
-    values = np.empty(n, dtype=np.complex128)
-    for start, (hi, *_) in _phase_words(PhasePolynomial.monomial(alpha, power), n):
-        _word_units(hi, out=values[start : start + hi.size])
+    values = unit_stream(PhasePolynomial.monomial(alpha, power), n)
     return ComplexSequence(values, f"polyphase(alpha={alpha!r}, power={power}, n={n})")
 
 

@@ -18,13 +18,14 @@ difference recurrence r_j += r_{j-1}, on the registers (alpha, x_1, ...,
 x_m) and on the level phases: the last register of a front (alpha, x_1,
 ..., x_j) or (theta_0, ..., theta_j) is a polynomial in n, and so is
 c + <k, T^n x>, whose front is the forward differences of its values at
-n = 0..m.  ``_register_phases`` streams each front exactly in 128-bit
-fixed point on the lane table of ``phase_blocks`` and converts it to
-floats once, by the conversion hi * 2^-64 + lo * 2^-128 (1.0 folded to
-0) of every fixed-point phase.  So the three routes compared by
-``verify_factorization`` agree to float resolution, not merely to a
-drifting tolerance, and ``orbit_point`` matches the stepped orbit bit
-for bit.
+n = 0..m.  Each front streams exactly in 128-bit fixed point on the
+lane table of every phase stream.  The orbit (``_register_phases``)
+converts it to floats once, by the conversion hi * 2^-64 + lo * 2^-128
+(1.0 folded to 0) of every fixed-point phase, so ``orbit_point`` matches
+the stepped orbit bit for bit.  ``verify_factorization`` reads its three
+routes' units e(.) off their fixed-point words (``_register_units``), so
+routes whose exact values agree give the same units, not merely values
+within a drifting tolerance.
 """
 
 import bisect
@@ -44,11 +45,11 @@ from .polyphase import (
     _forward_differences,
     _integer,
     _register_phases,
+    _register_units,
     _to_fixed,
     _validated_checkpoints,
     binomial_phase_polynomial,
     compose_time_polynomial,
-    phase_blocks,
     unit_values,
     weighted_exponential_average,
 )
@@ -66,6 +67,7 @@ class SkewShiftSystem:
     alpha: float
 
     def __post_init__(self):
+        object.__setattr__(self, "dimension", _integer(self.dimension, "dimension"))
         if self.dimension < 1:
             raise ValueError("dimension: must be >= 1")
         alpha = float(self.alpha)
@@ -270,11 +272,13 @@ def verify_factorization(tower: QuasiEigenTower, point, n_max: int) -> float:
     phases theta_0, ..., theta_k by the tower identity
     f_j(Tx) = f_{j-1}(x) f_j(x) and reads the top one; route 3 evaluates
     e(Q(n)) through the monomial expansion of the tower phase polynomial
-    on ``phase_blocks``.  All three see alpha and x truncated to 128-bit
-    fixed point once and run in exact arithmetic mod 1 (routes 1 and 2 on
-    ``_register_phases``), so a valid tower deviates by 0.0.  The routes
-    go block by block side by side, so memory does not grow with ``n_max``.
+    on a phase stream.  All three see alpha and x truncated to 128-bit
+    fixed point once and run in exact arithmetic mod 1, and every unit is
+    read off its route's fixed-point words (``_register_units``), so a
+    valid tower deviates by 0.0.  The routes go block by block side by
+    side, so memory does not grow with ``n_max``.
     """
+    n_max = _integer(n_max, "n_max")
     if n_max < 1:
         raise ValueError("n_max: must be >= 1")
     count = n_max + 1
@@ -294,10 +298,8 @@ def verify_factorization(tower: QuasiEigenTower, point, n_max: int) -> float:
         [v & _FIXED_MASK for v in reversed(_forward_differences(characters))],
         [_to_fixed(theta) for theta in thetas],
     ]
-    routes = zip(_register_phases(fronts, count), phase_blocks(binomial_phase_polynomial(thetas), count))
     deviation = 0.0
-    for (_, phases), (_, stream) in routes:
-        values = unit_values(np.concatenate((phases, stream[None])))
+    for _, values in _register_units(fronts, [binomial_phase_polynomial(thetas)], count):
         deviation = max(deviation, *(np.abs(values[a] - values[b]).max() for a, b in ((0, 1), (0, 2), (1, 2))))
     return float(deviation)
 

@@ -2,9 +2,15 @@
 
 import numpy as np
 
-from oscillab.oscillation import sup_search
+from oscillab.oscillation import grid_sup_average, sup_search
 from oscillab.padic import PadicAffineSystem, _orbit_cycle, padic_weighted_average
-from oscillab.polyphase import PhasePolynomial, fourier_bohr_scan, phase_blocks, unit_values, weighted_exponential_average
+from oscillab.polyphase import (
+    PhasePolynomial,
+    _phase_words,
+    fourier_bohr_scan,
+    unit_values,
+    weighted_exponential_average,
+)
 from oscillab.probabilistic import Distribution, RandomSequenceSpec, sample
 from oscillab.sequences import (
     cesaro_l1_norm,
@@ -25,14 +31,14 @@ def test_weighted_average_transient_peak(traced_peak):
     assert traced_peak(weighted_exponential_average, weights, poly, [10**5, 10**6, N]) < 16 * MB
 
 
-def test_phase_blocks_transient_peak(traced_peak):
-    # 1.63 MiB traced (2.26 with two-word steps): the high words' two register tables and two 512 KB
-    # blocks, the caller's and the next, set the peak; evaluating the seeds of 9 x 4096 lanes takes
-    # 1.13 MiB before them.  The whole stream would be 8 MB.
+def test_phase_words_transient_peak(traced_peak):
+    # 1.08 MiB traced: evaluating the seeds of 9 x 4096 lanes sets the peak, above the high words' two
+    # register tables and one 512 KB block of words.  Converting each block to floats, as a caller
+    # keeping the blocks did, traced 1.63 MiB (2.26 with two-word steps); the whole stream would be 8 MB.
     poly = PhasePolynomial(np.random.default_rng(8).random(9).tolist())
 
     def drain():
-        for _ in phase_blocks(poly, 10**6):
+        for _ in _phase_words(poly, 10**6):
             pass
 
     assert traced_peak(drain) < 2.5 * MB
@@ -49,6 +55,12 @@ def test_sup_search_peak(traced_peak):
     # its terms and one factor, and streams one period of each factor.
     weights = rademacher_sequence(7, 200_000)
     assert traced_peak(sup_search, weights, 1, 200_000, 16) < 10.5 * MB
+
+
+def test_grid_stage_folds_the_weights_as_they_are(traced_peak):
+    # 0.1 MiB traced: the int8 weights are summed onto the G classes in int64 through a strided view.
+    # A complex copy of the weight prefix first traced 61.1 MiB.
+    assert traced_peak(grid_sup_average, mobius_sequence(N), 2, 16, N) < 1 * MB
 
 
 def test_spectrum_scan_transient_peak(traced_peak):

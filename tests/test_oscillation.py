@@ -15,7 +15,6 @@ from oscillab.oscillation import (
     DegreeProfile,
     GridBudgetError,
     OscillationReport,
-    _unit_stream,
     classify_exact_order,
     estimate_oscillation_profile,
     grid_sup_average,
@@ -23,7 +22,7 @@ from oscillab.oscillation import (
     report_to_json,
     sup_search,
 )
-from oscillab.polyphase import PhasePolynomial, phase_stream, unit_values
+from oscillab.polyphase import PhasePolynomial, _phase_words, _word_units, phase_stream, unit_stream, unit_values
 from oscillab.sequences import ComplexSequence, polynomial_phase_sequence
 
 SQRT2M1 = math.sqrt(2) - 1
@@ -211,7 +210,7 @@ def test_refine_refuses_steps_off_the_dyadic_lattice(start, step, monkeypatch):
     n^3 at N = 3 * 10^5.  Such a start or step is refused before any
     candidate is scored.
     """
-    monkeypatch.setattr(oscillation, "_weighted_terms", _no_search)
+    monkeypatch.setattr(oscillation, "unit_stream", _no_search)
     seq = ComplexSequence(np.ones(64), "ones")
     with pytest.raises(ValueError, match="initial_step|start"):
         refine_local(seq, 3, start, 64, initial_step=step)
@@ -232,11 +231,11 @@ def _lengths_around(q):
     constant=st.floats(0.0, 1.0, exclude_max=True),
 )
 def test_unit_stream_repeats_dyadic_periods_bit_for_bit(bits, numerators, constant):
-    """On a 2^-k lattice the repeated period is the full stream's unit values, bit for bit."""
+    """On a 2^-k lattice, with any t_0, the repeated period is the full stream's word units, bit for bit."""
     poly = PhasePolynomial([constant] + [Fraction(m % 2**bits, 2**bits) for m in numerators])
     for n in _lengths_around(_period(poly)):
-        expected = unit_values(phase_stream(poly, n))
-        assert np.array_equal(_unit_stream(poly, n), expected), n
+        expected = np.concatenate([_word_units(hi) for _, (hi, *_) in _phase_words(poly, n)])
+        assert np.array_equal(unit_stream(poly, n).view(np.uint64), expected.view(np.uint64)), n
 
 
 @settings(max_examples=30, deadline=None)
@@ -249,7 +248,7 @@ def test_unit_stream_repeats_other_periods_within_rounding(numerators, denominat
     poly = PhasePolynomial([0] + [Fraction(m, d) for m, d in zip(numerators, denominators)])
     for n in _lengths_around(_period(poly)) + [5_000]:
         expected = unit_values(phase_stream(poly, n))
-        assert np.abs(_unit_stream(poly, n) - expected).max() <= 1e-15, n
+        assert np.abs(unit_stream(poly, n) - expected).max() <= 1e-15, n
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
@@ -295,7 +294,7 @@ def test_search_refuses_pitch_off_powers_of_two_before_any_search(grid, message,
     conj e(7/10 n^3) got a sup of 0.483 beside a grid_sup of 1.000.
     """
     monkeypatch.setattr(oscillation, "_class_sums", _no_search)
-    monkeypatch.setattr(oscillation, "_weighted_terms", _no_search)
+    monkeypatch.setattr(oscillation, "unit_stream", _no_search)
     ones = ComplexSequence(np.ones(1000), "ones")
     with pytest.raises(ValueError, match=f"grid_per_dim: .*{message}"):
         estimate_oscillation_profile(ones, 3, [250, 500, 1000], grid_per_dim=grid)

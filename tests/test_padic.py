@@ -583,6 +583,32 @@ def test_weighted_average_matches_term_by_term(p, level, a, b, x0, binomials, n,
     assert abs(total / n - series.averages[0]) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "p, a, b, level, x0",
+    [(3, 4, 1, 2, 5), (3, 4, 1, 5, 12345), (5, 6, 2, 4, 77), (7, 8, 3, 3, 10), (3, 6, 1, 3, 4), (2, 5, 1, 6, 3)],
+    ids=["3^2", "3^5", "5^4", "7^3", "3^3-tail", "2^6"],
+)
+def test_average_is_the_sum_of_exact_class_word_units(p, a, b, level, x0):
+    """Each unit is e(floor(k 2^64 / m) 2^-64) of its class k < m = p^level, the exact word a stream would hold.
+
+    Term by term, with each word's phase correctly rounded, e(.) from ``cmath`` and the terms summed
+    exactly by ``math.fsum``, the average agrees within 1e-16 at both checkpoints.
+    """
+    n = 2000
+    system = PadicAffineSystem.from_ints(p, a, b)
+    qs = [TimePolynomial.from_power(2), TimePolynomial.from_power(1)]
+    seq = rademacher_sequence(level + 1, n)
+    cps = [n // 3, n]
+    series = padic_weighted_average(system, level, x0, qs, seq, cps)
+    mod = p**level
+    terms = []
+    for i in range(n):
+        k = sum(big_a * x0 + big_b for big_a, big_b in (_affine_power(a, b, q(i), mod) for q in qs)) % mod
+        terms.append(int(seq.values[i]) * cmath.exp(2j * math.pi * ((k * 2**64 // mod) / 2**64)))
+    expected = [complex(math.fsum(t.real for t in terms[:c]), math.fsum(t.imag for t in terms[:c])) / c for c in cps]
+    assert np.abs(series.averages - expected).max() <= 1e-16
+
+
 def _squared_distance(lead, center, shift):
     """q(n) = lead * (n - center)^2 + shift in the binomial basis: q(0), dq(0), d^2 q(0)."""
     values = [lead * (n - center) ** 2 + shift for n in range(3)]

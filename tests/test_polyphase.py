@@ -37,15 +37,24 @@ from oscillab.polyphase import (
     fourier_bohr_scan,
     geometric_checkpoints,
     phase_at,
-    phase_blocks,
     phase_stream,
+    unit_stream,
     unit_values,
     weighted_exponential_average,
 )
-from oscillab.padic import PadicAffineSystem, orbit_residue_census, padic_weighted_average
-from oscillab.probabilistic import lsk_empirical_sup
+from oscillab import polyphase
+from oscillab.oscillation import refine_local, sup_search
+from oscillab.padic import PadicAffineSystem, affine_minimality_check, orbit_residue_census, padic_weighted_average
+from oscillab.probabilistic import Distribution, RandomSequenceSpec, lsk_empirical_sup, sample
 from oscillab.sequences import ComplexSequence, mobius_sequence, polynomial_phase_sequence, rademacher_sequence
-from oscillab.torus import TimePolynomial
+from oscillab.torus import (
+    CharacterObservable,
+    SkewShiftSystem,
+    TimePolynomial,
+    build_tower,
+    multiple_ergodic_average,
+    verify_factorization,
+)
 
 SQRT2M1 = math.sqrt(2) - 1
 
@@ -339,11 +348,11 @@ def test_register_phases_are_the_one_conversion_of_exact_fronts(fronts, count):
 
     Fronts of different lengths seed tables of different depths, and
     still zip block by block: counts of 1, a block +-1 and three blocks
-    are drawn, and the blocks are those of ``phase_blocks`` over the same
+    are drawn, and the blocks are those of ``_phase_words`` over the same
     count.
     """
     got = list(_register_phases(fronts, count))
-    blocks = [(start, (len(fronts), p.size)) for start, p in phase_blocks(PhasePolynomial([0, 0.5]), count)]
+    blocks = [(start, (len(fronts), w[0].size)) for start, w in _phase_words(PhasePolynomial([0, 0.5]), count)]
     assert [(start, phases.shape) for start, phases in got] == blocks
     phases = np.concatenate([phases for _, phases in got], axis=1)
     assert phases.tolist() == front_phases(fronts, count)
@@ -360,7 +369,7 @@ def test_constant_streams_are_the_one_conversion(constant, pad):
     poly = PhasePolynomial([constant] + [0] * pad)
     value = _fixed_to_float(_to_fixed(constant))
     for count in (1, 65, _STREAM_TERMS + 1):
-        blocks = list(phase_blocks(poly, count))
+        blocks = float_blocks(poly, count)
         assert [s for s, _ in blocks[1:]] == block_edges(count)
         assert np.concatenate([phases for _, phases in blocks]).tolist() == [value] * count
         assert phase_stream(poly, count).tolist() == [value] * count
@@ -421,7 +430,7 @@ def test_stream_is_the_one_conversion_of_the_exact_value(degree):
         poly = PhasePolynomial([a / 2**128 for a in big])
         assert table_words(poly, degree + 1, lanes) == words
         stream = phase_stream(poly, count)
-        blocks = list(phase_blocks(poly, count))
+        blocks = float_blocks(poly, count)
         assert len(blocks) >= 4
         assert np.array_equal(np.concatenate([phases for _, phases in blocks]).view(np.uint64), stream.view(np.uint64))
         for n in sorted(n for n in samples | {count - 1} if 0 <= n < count):
@@ -453,7 +462,7 @@ def test_one_low_bit_takes_the_pair_step(words, data, numerator, count):
     assert table_words(poly, rows, lanes) == 2
     exact = [one_conversion(v) for v in _fixed_seed_table(poly.coefficients, count)]
     assert phase_stream(poly, count).tolist() == exact
-    assert np.concatenate([phases for _, phases in phase_blocks(poly, count)]).tolist() == exact
+    assert np.concatenate([phases for _, phases in float_blocks(poly, count)]).tolist() == exact
 
 
 def test_binomial_phases_seed_without_the_big_int_table(monkeypatch):
@@ -478,7 +487,7 @@ def test_binomial_phases_seed_without_the_big_int_table(monkeypatch):
     monkeypatch.setattr("oscillab.polyphase._fixed_seed_table", refuse)
     for poly, exact in zip(polys, expected):
         assert phase_stream(poly, count).tolist() == exact
-        assert len(list(phase_blocks(poly, 10**6))) == 16
+        assert len(list(_phase_words(poly, 10**6))) == 16
     with pytest.raises(BigIntTable):
         phase_stream(PhasePolynomial([Fraction(1, 3), 0.25]), count)
 
@@ -511,8 +520,13 @@ def test_register_streams_step_one_word_on_multiples_of_2_64(monkeypatch, unit, 
         assert got.tolist() == front_phases(fronts, count), count
 
 
+def float_blocks(poly, count):
+    """``(start, phases)`` blocks of ``_phase_words``, each converted by ``_pair_floats`` before the next overwrites it."""
+    return [(start, _folded(_pair_floats(*words))) for start, words in _phase_words(poly, count)]
+
+
 def block_edges(count):
-    """Starts after 0 of the blocks ``phase_blocks`` cuts a ``count``-term stream into."""
+    """Starts after 0 of the blocks ``_phase_words`` cuts a ``count``-term stream into."""
     lanes = _lanes(count)
     size = -(-_STREAM_TERMS // lanes) * lanes
     return list(range(size, count, size))
@@ -572,8 +586,8 @@ def test_streamed_average_matches_full_array_reference(count, kind, degree, cons
 @pytest.mark.parametrize("count", _STREAM_COUNTS)
 def test_constant_and_stepped_streams_share_block_edges(count):
     """Streams over one count zip block by block, the constant one included."""
-    stepped = [(s, p.size) for s, p in phase_blocks(PhasePolynomial([0.25, 0.5]), count)]
-    constant = [(s, p.size) for s, p in phase_blocks(PhasePolynomial([0.25]), count)]
+    stepped = [(s, w[0].size) for s, w in _phase_words(PhasePolynomial([0.25, 0.5]), count)]
+    constant = [(s, w[0].size) for s, w in _phase_words(PhasePolynomial([0.25]), count)]
     assert stepped == constant
     assert [s for s, _ in stepped[1:]] == block_edges(count)
     assert sum(size for _, size in stepped) == count
@@ -612,7 +626,7 @@ def test_word_units_match_numpy_exp_on_pair_streams(coefficients):
     """Streams stepped on (hi, lo) pairs: the units read off hi alone are within 1e-15 of np.exp."""
     poly = PhasePolynomial(coefficients)
     count = _STREAM_TERMS + 4097
-    phases = np.concatenate([p for _, p in phase_blocks(poly, count)])
+    phases = np.concatenate([p for _, p in float_blocks(poly, count)])
     units = np.concatenate([_word_units(hi) for _, (hi, _) in _phase_words(poly, count)])  # two words a block
     assert np.abs(units - _exp_reference(phases)).max() <= 1e-15
     series = weighted_exponential_average(np.ones(count), poly, [100, count])
@@ -845,6 +859,63 @@ def test_lengths_and_levels_refuse_fractions_and_bools(field, call):
         call()
 
 
+_TOWER = build_tower(SkewShiftSystem(2, 0.3), CharacterObservable((1, 1)))
+
+
+@pytest.mark.parametrize(
+    "field, call",
+    [
+        ("seed", lambda: rademacher_sequence(1.5, 10)),
+        ("seed", lambda: rademacher_sequence(True, 10)),
+        ("seed", lambda: sample(RandomSequenceSpec(Distribution("rademacher"), 1.5, 10))),
+        ("seed", lambda: sample(RandomSequenceSpec(Distribution("standard-gaussian"), 1.5, 10))),
+        ("b", lambda: affine_minimality_check(4, 1.5, 3)),
+        ("a", lambda: affine_minimality_check(4.5, 1, 3)),
+        ("a", lambda: affine_minimality_check(True, 1, 3)),
+        ("n_max", lambda: verify_factorization(_TOWER, (0.1, 0.2), True)),
+        ("n_max", lambda: verify_factorization(_TOWER, (0.1, 0.2), 10.5)),
+        ("dimension", lambda: SkewShiftSystem(2.5, 0.1)),
+        ("dimension", lambda: SkewShiftSystem(True, 0.1)),
+    ],
+    ids=["rademacher-seed", "rademacher-seed-bool", "sample-seed", "gaussian-seed", "minimality-b", "minimality-a",
+         "minimality-a-bool", "tower-n-max-bool", "tower-n-max", "skew-dimension", "skew-dimension-bool"],
+)
+def test_seeds_coefficients_and_sizes_refuse_fractions_and_bools(field, call):
+    """Seeds, affine coefficients, tower lengths and torus dimensions raise naming the field.
+
+    ``rademacher_sequence(1.5, n)`` and ``(True, n)`` drew seed 1's sequence,
+    ``affine_minimality_check(4, 1.5, 3)`` and ``(True, 1, 3)`` returned True,
+    ``verify_factorization`` ran n_max = True as 1 and raised a TypeError
+    about '64.0' for 10.5, and ``SkewShiftSystem(2.5, 0.1)`` was built.
+    """
+    with pytest.raises(ValueError, match=f"^{field}: expected an integer"):
+        call()
+
+
+def test_every_computation_reads_units_off_words(monkeypatch):
+    """Only ``unit_values`` takes float phases: no search, average, tower check or sequence reaches its front end."""
+
+    def refuse(*args):
+        raise AssertionError("a float phase reached e(.)")
+
+    monkeypatch.setattr(polyphase, "_float_front", refuse)
+    weights = rademacher_sequence(4, 3000)
+    system = SkewShiftSystem(3, 0.618)
+    sup_search(weights, 2, 3000, 16)
+    refine_local(weights, 1, (0.0, 0.25), 3000, initial_step=1 / 16)
+    qs = [TimePolynomial.from_power(2), TimePolynomial.from_power(1)]
+    for p, a, level in ((3, 4, 5), (2, 5, 6), (3, 6, 3), (3, 4, 0)):
+        padic_weighted_average(PadicAffineSystem.from_ints(p, a, 1), level, 7, qs, weights, [100, 3000])
+    assert verify_factorization(build_tower(system, CharacterObservable((1, -2, 3))), (0.1, 0.2, 0.3), 3000) == 0.0
+    weighted_exponential_average(weights, PhasePolynomial([0.1, Fraction(1, 3), 0.7]), [100, 3000])
+    chars = [CharacterObservable((0, 1, 1)), CharacterObservable((1, 0, 0))]
+    multiple_ergodic_average(system, chars, qs, (0.1, 0.2, 0.3), weights, [3000])
+    polynomial_phase_sequence(0.3, 3, 3000)
+    polynomial_phase_sequence(Fraction(1, 3), 2, 3000)
+    with pytest.raises(AssertionError, match="float phase"):
+        unit_values([0.25])
+
+
 def test_lengths_and_levels_accept_integral_floats():
     system, qs, weights = PadicAffineSystem.from_ints(3, 4, 1), [TimePolynomial.from_power(1)], np.ones(9)
     assert orbit_residue_census(system, 0, 2.0, 100.0) == orbit_residue_census(system, 0, 2, 100)
@@ -852,6 +923,10 @@ def test_lengths_and_levels_accept_integral_floats():
     assert fourier_bohr_scan(np.ones(128), 8, 100.0) == fourier_bohr_scan(np.ones(128), 8, 100)
     averages = [padic_weighted_average(system, level, 0, qs, weights, [9]).averages for level in (2.0, 2)]
     assert np.array_equal(*averages)
+    assert np.array_equal(rademacher_sequence(2.0, 50).values, rademacher_sequence(2, 50).values)
+    assert affine_minimality_check(4.0, 1.0, 3) is affine_minimality_check(4, 1, 3) is True
+    assert verify_factorization(_TOWER, (0.1, 0.2), 100.0) == verify_factorization(_TOWER, (0.1, 0.2), 100)
+    assert SkewShiftSystem(2.0, 0.1) == SkewShiftSystem(2, 0.1)
 
 
 def test_series_invariants():
@@ -1111,11 +1186,12 @@ def test_every_consumer_reads_a_block_before_the_next(monkeypatch, coefficient, 
     tower = build_tower(SkewShiftSystem(3, float(coefficient)), CharacterObservable((1, 0, 2)))
 
     def results():
-        blocks = list(phase_blocks(poly, count))
+        blocks = float_blocks(poly, count)
         return (
             [start for start, _ in blocks],
             np.concatenate([phases for _, phases in blocks]),
             phase_stream(poly, count),
+            unit_stream(poly, count),
             weighted_exponential_average(seq, poly, [1000, _STREAM_TERMS + 1, count]).averages,
             polynomial_phase_sequence(coefficient, 2, count).values,
             verify_factorization(tower, (0.1, 0.2, 0.3), count),
