@@ -39,8 +39,8 @@ from .polyphase import (
     ErgodicAverageSeries,
     PhasePolynomial,
     _integer,
+    _spectrum,
     _validated_checkpoints,
-    fourier_bohr_scan,
     geometric_checkpoints,
     weighted_exponential_average,
 )
@@ -361,10 +361,13 @@ def _run_scan_spectrum(config: ExperimentConfig, out: Path) -> list[Path]:
     if refine and m & (m - 1):
         raise ConfigError("grid-size: must be a power of two with --refine")
     seq = _load_weights(config.params, n, config.seed)
-    scan = fourier_bohr_scan(seq, m, n)
-    paths = [_write_csv(out / "spectrum.csv", "frequency,modulus", "%.17g,%.17g", scan)]
+    moduli = _spectrum(seq, m, n)
+    order = np.argsort(-moduli, kind="stable")
+    chunks = (order[i : i + _CSV_CHUNK_ROWS] for i in range(0, m, _CSV_CHUNK_ROWS))
+    rows = itertools.chain.from_iterable(zip((js / m).tolist(), moduli[js].tolist()) for js in chunks)
+    paths = [_write_csv(out / "spectrum.csv", "frequency,modulus", "%.17g,%.17g", rows)]
     if refine:
-        top_freq, top_mod = scan[0]
+        top_freq, top_mod = int(order[0]) / m, float(moduli[order[0]])
         refined, coeffs = refine_local(
             seq, 1, (0.0, top_freq), n, initial_step=1.0 / m
         )
@@ -592,11 +595,30 @@ _RUNNERS = {
 }
 COMMANDS = tuple(_RUNNERS)
 
+# The commands whose runners read checkpoints.
+_CHECKPOINTED = ("average", "estimate-order", "multi-average")
+
+
+def _check_keys(config: ExperimentConfig) -> None:
+    """Refuse a ``params`` key or ``checkpoints`` that the command's runner would not read."""
+    flags = _SUBCOMMAND_FLAGS[config.command]
+    known = {flag.lstrip("-") for flag in flags}
+    if "--generator" in flags:
+        known.add("seed")  # a config file's seed for rademacher weights
+    if config.command == "multi-average":
+        known.add("ell")  # the character count, checked against --chars
+    for key in config.params:
+        if key not in known:
+            raise ConfigError(f"{key}: not a parameter of {config.command}")
+    if config.checkpoints is not None and config.command not in _CHECKPOINTED:
+        raise ConfigError(f"checkpoints: {config.command} takes no checkpoints")
+
 
 def run_experiment(config: ExperimentConfig) -> tuple[int, list[Path]]:
     """Validate and execute one experiment; returns (exit status, outputs)."""
     if config.command not in _RUNNERS:
         raise ConfigError(f"command: unknown command {config.command!r}")
+    _check_keys(config)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()

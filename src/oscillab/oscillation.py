@@ -67,8 +67,8 @@ class GridBudgetError(RuntimeError):
 
 
 def _weights_prefix(seq, n_terms: int) -> np.ndarray:
-    """The first ``n_terms`` weights in their own dtype; n_terms outside [1, length] raises a ValueError."""
-    values = _weights(seq)
+    """The first ``n_terms`` weights in their own dtype; n_terms not an integer in [1, length] raises a ValueError."""
+    values, n_terms = _weights(seq), _integer(n_terms, "n_terms")
     if n_terms < 1 or n_terms > len(values):
         raise ValueError("n_terms: must be in [1, sequence length]")
     return values[:n_terms]
@@ -100,6 +100,7 @@ def grid_sup_average(
     """
     g = _checked_grid(degree, grid_per_dim)
     values = _weights_prefix(seq, n_terms)
+    n_terms = len(values)
 
     # The grid phase of index n is determined by n mod G; the weights fold as they are, int8 in int64.
     buckets = _class_sums(values, 0, n_terms, 0, g, g).astype(np.complex128) / n_terms
@@ -173,6 +174,7 @@ def refine_local(
     if not all((c / step).is_integer() for c in coeffs[1:]):
         raise ValueError(f"start: t_1..t_d must be multiples of initial_step {step!r}")
     values = np.asarray(_weights_prefix(seq, n_terms), dtype=np.complex128)
+    n_terms = len(values)
 
     base = values * unit_stream(PhasePolynomial(coeffs), n_terms)
     best = abs(base.sum()) / n_terms
@@ -223,6 +225,7 @@ def sup_search(seq, degree: int, n: int, grid: int) -> CheckpointEstimate:
     A ``grid`` that is no power of two raises a ValueError before the scan.
     """
     values = np.asarray(_weights_prefix(seq, n), dtype=np.complex128)
+    n = len(values)
     grid_value, start = grid_sup_average(values, degree, grid, n)
     sup, coeffs = refine_local(values, degree, start, n, initial_step=1.0 / grid)
     return CheckpointEstimate(n, sup, coeffs, grid_value)

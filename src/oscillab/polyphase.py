@@ -819,13 +819,12 @@ def _class_sums(values: np.ndarray, lo: int, hi: int, start: int, stop: int, wid
     return sums
 
 
-def fourier_bohr_scan(seq, grid_frequencies: int, length: int) -> list[tuple[float, float]]:
-    """Moduli |(1/N) sum c_n e(n * j/M)| for j = 0..M-1, sorted descending.
+def _spectrum(seq, grid_frequencies: int, length: int) -> np.ndarray:
+    """Moduli |(1/N) sum c_n e(n * j/M)| by frequency index j = 0..M-1.
 
     The sum for frequency j/M only depends on n mod M, so the sequence is
     summed onto its M residue classes (``_class_sums``, exact in int64
     for integer weights) and a single FFT finishes the scan.
-    Ties in modulus break toward the smaller frequency index.
     """
     m = _integer(grid_frequencies, "grid_frequencies")
     if m < 2:
@@ -833,10 +832,14 @@ def fourier_bohr_scan(seq, grid_frequencies: int, length: int) -> list[tuple[flo
     values, n = _weights(seq), _integer(length, "length")
     if n < 1 or n > len(values):
         raise ValueError("length: must be in [1, sequence length]")
-    averages = np.fft.ifft(_class_sums(values, 0, n, 0, m, m)) * (m / n)
-    moduli = np.abs(averages)
-    order = np.lexsort((np.arange(m), -moduli))
-    return [(j / m, float(moduli[j])) for j in order]
+    return np.abs(np.fft.ifft(_class_sums(values, 0, n, 0, m, m)) * (m / n))
+
+
+def fourier_bohr_scan(seq, grid_frequencies: int, length: int) -> list[tuple[float, float]]:
+    """``_spectrum`` as (j/M, modulus) pairs sorted descending, ties toward the smaller j."""
+    moduli = _spectrum(seq, grid_frequencies, length)
+    order = np.argsort(-moduli, kind="stable")
+    return list(zip((order / len(moduli)).tolist(), moduli[order].tolist()))
 
 
 def geometric_checkpoints(start: int, stop: int) -> tuple[int, ...]:

@@ -24,7 +24,7 @@ from oscillab.cli import (
 )
 from oscillab.oscillation import estimate_oscillation_profile
 from oscillab.padic import PadicAffineSystem
-from oscillab.polyphase import ErgodicAverageSeries
+from oscillab.polyphase import ErgodicAverageSeries, fourier_bohr_scan
 from oscillab.sequences import mobius_sequence, read_sequence, write_sequence
 from oscillab.torus import SkewShiftSystem, orbit_point
 
@@ -663,6 +663,65 @@ def test_plain_spectrum_scan_takes_any_grid_size(tmp_path):
     argv = ["scan-spectrum", "--generator", "mobius", "--n", "2000", "--grid-size", "1000"]
     assert run(argv + ["--out", str(out)]) == 0
     assert len((out / "spectrum.csv").read_text().splitlines()) == 1001
+
+
+def test_spectrum_csv_is_the_ranked_scan_across_chunks(tmp_path):
+    """M = 65,536 rows span four CSV chunks; the file is the scan's rows and --refine starts at row 0."""
+    m, n = 4 * _CSV_CHUNK_ROWS, 3000
+    out = tmp_path / "out"
+    argv = ["scan-spectrum", "--generator", "mobius", "--n", str(n), "--grid-size", str(m), "--refine"]
+    assert run(argv + ["--out", str(out)]) == 0
+    scan = fourier_bohr_scan(mobius_sequence(n), m, n)
+    expected = "frequency,modulus\n" + "".join("%.17g,%.17g\n" % row for row in scan)
+    assert (out / "spectrum.csv").read_text() == expected
+    refined = json.loads((out / "spectrum_refined.json").read_text())
+    assert (refined["grid_peak_frequency"], refined["grid_peak_modulus"]) == scan[0]
+
+
+@pytest.mark.parametrize(
+    "field, command, params, checkpoints",
+    [
+        ("grid_size", "scan-spectrum", {"generator": "mobius", "n": 100, "grid_size": 64, "refnie": True}, None),
+        ("refnie", "scan-spectrum", {"generator": "mobius", "n": 100, "grid-size": 64, "refnie": True}, None),
+        ("ell", "average", {"generator": "mobius", "n": 100, "coeffs": "0,0.5", "ell": 2}, None),
+        ("seed", "lsk-check", {"seeds": "1", "d": 1, "n-list": "256,512", "seed": 3}, None),
+        ("checkpoints", "scan-spectrum", {"generator": "mobius", "n": 100}, [10, 20]),
+        ("checkpoints", "lsk-check", {"seeds": "1", "d": 1, "n-list": "256,512"}, [256]),
+    ],
+    ids=["scan-underscore-key", "scan-misspelt-flag", "average-ell", "lsk-seed", "scan-checkpoints",
+         "lsk-checkpoints"],
+)
+def test_config_keys_no_runner_reads_exit_one(tmp_path, capsys, field, command, params, checkpoints):
+    """A params key the command has no flag for, or checkpoints it does not take, exit 1 before any run."""
+    out = tmp_path / "out"
+    config = ExperimentConfig(command=command, params=params, out_dir=str(out), checkpoints=checkpoints)
+    cfg = tmp_path / "keys.json"
+    cfg.write_text(config.serialize())
+    assert run([command, "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+    assert not out.exists()
+
+
+def test_checkpoints_flag_on_a_scan_exits_one(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["scan-spectrum", "--generator", "mobius", "--n", "100", "--checkpoints", "10,20"]
+    assert run(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: checkpoints: scan-spectrum takes no checkpoints")
+    assert not out.exists()
+
+
+def test_config_weight_seed_is_read(tmp_path):
+    """A weight seed in params is a config-only key, not an unknown one (multi-average reads ell)."""
+    for seed in (4, 5):
+        config = ExperimentConfig(
+            command="average",
+            params={"generator": "rademacher", "seed": seed, "n": 100, "coeffs": "0,0.5"},
+            out_dir=str(tmp_path / str(seed)),
+        )
+        cfg = tmp_path / f"seed{seed}.json"
+        cfg.write_text(config.serialize())
+        assert run(["average", "--config", str(cfg)]) == 0
+    assert (tmp_path / "4" / "average.csv").read_text() != (tmp_path / "5" / "average.csv").read_text()
 
 
 def test_lsk_check_rejects_length_one(tmp_path, capsys):

@@ -7,6 +7,7 @@ from oscillab.padic import PadicAffineSystem, _orbit_cycle, padic_weighted_avera
 from oscillab.polyphase import (
     PhasePolynomial,
     _phase_words,
+    _spectrum,
     fourier_bohr_scan,
     unit_values,
     weighted_exponential_average,
@@ -69,6 +70,13 @@ def test_spectrum_scan_transient_peak(traced_peak):
     # complex copies of 2^16-weight blocks instead traced 2.30 MiB.
     weights = mobius_sequence(N)
     assert traced_peak(fourier_bohr_scan, weights, 4096, N) < 1 * MB
+
+
+def test_zero_padded_spectrum_peak(traced_peak):
+    # 160 MiB traced at M = 2^22 >= 4n: the int64 class sums (32 MiB), the FFT's complex input and
+    # output (64 MiB each) and the moduli.  fourier_bohr_scan's list of M (frequency, modulus) tuples
+    # traces 577 MiB.
+    assert traced_peak(_spectrum, mobius_sequence(10**6), 1 << 22, 10**6) < 200 * MB
 
 
 def test_cesaro_norm_transient_peak(traced_peak):

@@ -30,6 +30,7 @@ from oscillab.polyphase import (
     _register_table,
     _repeated,
     _seed_pairs,
+    _spectrum,
     _to_fixed,
     _word_units,
     binomial_phase_polynomial,
@@ -43,7 +44,7 @@ from oscillab.polyphase import (
     weighted_exponential_average,
 )
 from oscillab import polyphase
-from oscillab.oscillation import refine_local, sup_search
+from oscillab.oscillation import grid_sup_average, refine_local, sup_search
 from oscillab.padic import PadicAffineSystem, affine_minimality_check, orbit_residue_census, padic_weighted_average
 from oscillab.probabilistic import Distribution, RandomSequenceSpec, lsk_empirical_sup, sample
 from oscillab.sequences import ComplexSequence, mobius_sequence, polynomial_phase_sequence, rademacher_sequence
@@ -832,6 +833,9 @@ def test_checkpoints_must_be_integers():
         ("stop", lambda: geometric_checkpoints(1, 10.5)),
         ("length", lambda: fourier_bohr_scan(np.ones(128), 8, 100.5)),
         ("length", lambda: fourier_bohr_scan(np.ones(128), 8, True)),
+        ("n_terms", lambda: grid_sup_average(rademacher_sequence(1, 1000), 1, 16, 100.5)),
+        ("n_terms", lambda: grid_sup_average(rademacher_sequence(1, 1000), 1, 16, True)),
+        ("n_terms", lambda: sup_search(rademacher_sequence(1, 1000), 1, 100.5, 16)),
         (
             "level",
             lambda: padic_weighted_average(
@@ -846,14 +850,15 @@ def test_checkpoints_must_be_integers():
         ),
     ],
     ids=["census-level", "census-level-bool", "census-steps", "lsk-n", "lsk-n-bool", "checkpoints-start",
-         "checkpoints-start-bool", "checkpoints-stop", "scan-length", "scan-length-bool", "padic-level",
-         "padic-level-bool"],
+         "checkpoints-start-bool", "checkpoints-stop", "scan-length", "scan-length-bool", "grid-n", "grid-n-bool",
+         "search-n", "padic-level", "padic-level-bool"],
 )
 def test_lengths_and_levels_refuse_fractions_and_bools(field, call):
     """A fractional or bool length, level or count raises naming the field instead of being truncated.
 
     The census at level 2.5 used to count 83 classes mod 3^2.5, ``lsk_empirical_sup`` to measure
-    N = 1000 for 1000.7 and ``geometric_checkpoints(1.5, 10)`` to return (1.5, 3.0, 6.0, 10).
+    N = 1000 for 1000.7 and ``geometric_checkpoints(1.5, 10)`` to return (1.5, 3.0, 6.0, 10);
+    ``grid_sup_average`` searched one term for N = True and raised a TypeError for 100.5.
     """
     with pytest.raises(ValueError, match=f"^{field}: expected an integer"):
         call()
@@ -921,6 +926,9 @@ def test_lengths_and_levels_accept_integral_floats():
     assert orbit_residue_census(system, 0, 2.0, 100.0) == orbit_residue_census(system, 0, 2, 100)
     assert geometric_checkpoints(2.0, np.int64(10)) == (2, 4, 8, 10)
     assert fourier_bohr_scan(np.ones(128), 8, 100.0) == fourier_bohr_scan(np.ones(128), 8, 100)
+    signs = rademacher_sequence(1, 1000)
+    assert grid_sup_average(signs, 1, 16, 500.0) == grid_sup_average(signs, 1, 16, 500)
+    assert sup_search(signs, 1, 500.0, 16) == sup_search(signs, 1, 500, 16)
     averages = [padic_weighted_average(system, level, 0, qs, weights, [9]).averages for level in (2.0, 2)]
     assert np.array_equal(*averages)
     assert np.array_equal(rademacher_sequence(2.0, 50).values, rademacher_sequence(2, 50).values)
@@ -1101,6 +1109,23 @@ def test_fourier_bohr_grid_size_must_be_an_integer():
     with pytest.raises(ValueError, match=r"grid_frequencies: expected an integer, got 64\.7"):
         fourier_bohr_scan(ones, 64.7, 128)
     assert fourier_bohr_scan(ones, 64.0, 128) == fourier_bohr_scan(ones, 64, 128)
+
+
+@pytest.mark.parametrize(
+    "weights, m, n",
+    [
+        (np.ones(128), 8, 128),
+        (mobius_sequence(1000), 1000, 777),
+        (np.exp(2j * np.pi * np.arange(500) / 3), 30, 500),
+        (rademacher_sequence(5, 100), 256, 100),
+    ],
+    ids=["exact-ties", "m-not-a-power-of-two", "complex-m-not-a-power-of-two", "m-above-n"],
+)
+def test_fourier_bohr_scan_is_the_lexsort_of_the_spectrum(weights, m, n):
+    """The scan is ``_spectrum`` sorted by descending modulus, ties toward the smaller index, bit for bit."""
+    moduli = _spectrum(weights, m, n)
+    order = np.lexsort((np.arange(m), -moduli))
+    assert fourier_bohr_scan(weights, m, n) == [(int(j) / m, float(moduli[j])) for j in order]
 
 
 def test_fourier_bohr_sorted_descending():
