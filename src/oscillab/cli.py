@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from .oscillation import (
+    MIN_STEP,
     GridBudgetError,
     OscillationReport,
     _checked_grid,
@@ -360,6 +361,8 @@ def _run_scan_spectrum(config: ExperimentConfig, out: Path) -> list[Path]:
     refine = _require(config.params, "refine", _bool, default=False)
     if refine and m & (m - 1):
         raise ConfigError("grid-size: must be a power of two with --refine")
+    if refine and m * MIN_STEP > 1:
+        raise ConfigError(f"grid-size: at most {round(1 / MIN_STEP)} with --refine: a first step 1/M below MIN_STEP runs no sweep")
     seq = _load_weights(config.params, n, config.seed)
     moduli = _spectrum(seq, m, n)
     order = np.argsort(-moduli, kind="stable")
@@ -597,10 +600,12 @@ COMMANDS = tuple(_RUNNERS)
 
 # The commands whose runners read checkpoints.
 _CHECKPOINTED = ("average", "estimate-order", "multi-average")
+# The keys each weight generator reads beside ``generator``.
+_GENERATOR_KEYS = {"mobius": (), "liouville": (), "rademacher": ("seed",), "polyphase": ("alpha", "power"), "file": ("path",)}
 
 
 def _check_keys(config: ExperimentConfig) -> None:
-    """Refuse a ``params`` key or ``checkpoints`` that the command's runner would not read."""
+    """Refuse a ``params`` key, ``--weights`` key, seed or ``checkpoints`` that the command's runner would not read."""
     flags = _SUBCOMMAND_FLAGS[config.command]
     known = {flag.lstrip("-") for flag in flags}
     if "--generator" in flags:
@@ -612,6 +617,15 @@ def _check_keys(config: ExperimentConfig) -> None:
             raise ConfigError(f"{key}: not a parameter of {config.command}")
     if config.checkpoints is not None and config.command not in _CHECKPOINTED:
         raise ConfigError(f"checkpoints: {config.command} takes no checkpoints")
+    weights = config.params.get("weights") if "--weights" in flags else config.params
+    if isinstance(weights, dict) and (generator := weights.get("generator")) in _GENERATOR_KEYS:
+        # Every key of --weights, the generator keys of a command's params, and a config seed.
+        keys = [k for k in weights if k in ("alpha", "power", "path", "seed") or ("--weights" in flags and k != "generator")]
+        for key in keys + ["seed"] * (config.seed is not None):
+            if key not in _GENERATOR_KEYS[generator]:
+                raise ConfigError(f"{key}: not read by the {generator} generator")
+    elif config.seed is not None and not {"--generator", "--weights", "--seeds"} & set(flags):
+        raise ConfigError(f"seed: {config.command} reads no seed")
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[int, list[Path]]:

@@ -13,8 +13,9 @@ need q(n) positioned inside the orbit cycle, never q(n) literal
 iterations.  Those positions q(n) mod L, for a cycle of length L, are
 integers, stepped exactly in int64 from q's forward differences mod L,
 at any N.  On a cycle they repeat with the period of q / L, and the
-weights are summed onto one period of units.  A non-invertible a adds a
-pre-periodic tail of at most ``level`` points, met at the few n with q(n) in it.
+weights are summed onto one period of units.  For p | a, T^t x is one
+fixed point for every t >= level, so the average is that point's unit
+times the weights' sums, but at the few n with some q(n) < level.
 """
 
 import math
@@ -168,24 +169,6 @@ def _cycle_from(system: PadicAffineSystem, y: int, level: int) -> np.ndarray:
     return cycle
 
 
-def _orbit_cycle(system: PadicAffineSystem, x0: int, level: int) -> tuple[list[int], np.ndarray]:
-    """Orbit of x0 mod p^level split as (pre-periodic tail, cycle).
-
-    For p not dividing a, T permutes Z/p^level, so there is no tail and
-    the cycle starts at x0.  For p | a, a^level = 0 mod p^level, so
-    T^level is constant; its value is a fixed point, reached within
-    ``level`` steps, and the cycle is that one point.
-    """
-    x = x0 % system.prime**level
-    if system.a % system.prime:
-        return [], _cycle_from(system, x, level)
-    tail = []
-    while (following := system.step_int(x, level)) != x:
-        tail.append(x)
-        x = following
-    return tail, np.array([x], dtype=np.int32)
-
-
 def orbit_residue_census(
     system: PadicAffineSystem, x0, level: int, steps: int
 ) -> dict[int, int]:
@@ -228,8 +211,7 @@ def _cycle_positions(q, count: int, cycle_length: int):
     mod L, up to the last one nonzero mod L, whose row is constant.  With
     entries below L <= 2^26, one prefix sum of 2^16 terms stays below
     2^42 and two below 2^58, so int64 stays exact when every other row,
-    and row 0, is reduced mod L.  A cycle after a tail is one point, so
-    there L = 1 and each block is a single ``np.full``.
+    and row 0, is reduced mod L.
     """
     registers = [a % cycle_length for a in q.binomial_coefficients]
     while len(registers) > 1 and not registers[-1]:
@@ -248,31 +230,6 @@ def _cycle_positions(q, count: int, cycle_length: int):
         yield start, row
 
 
-def _orbit_indices(q, count: int, tail_length: int, cycle_length: int):
-    """Blocks ``(start, i(q(n)))`` with orbit[i(t)] = T^t x0 for orbit = tail + cycle.
-
-    i(t) = tail_length + (t - tail_length) mod L, from the integer
-    positions ``_cycle_positions`` steps for q - tail_length, in the same
-    ``_STREAM_TERMS``-term blocks, except on the runs where q(n) <
-    tail_length, found exactly by forward differences, where i(t) = t.
-    Those runs hold at most degree * tail_length points unless q is
-    constant.
-    """
-    a = q.binomial_coefficients
-    shifted = TimePolynomial((a[0] - tail_length,) + a[1:])
-    low_runs = shifted.negative_runs(count)
-    for start, indices in _cycle_positions(shifted, count, cycle_length):
-        indices += tail_length  # each block of positions is a new array
-        stop = start + indices.size
-        for lo, hi in low_runs:
-            lo, hi = max(lo, start), min(hi, stop)
-            if lo < hi:
-                indices[lo - start : hi - start] = (
-                    [q(n) for n in range(lo, hi)] if q.degree else q(0)
-                )
-        yield start, indices
-
-
 def _class_units(classes: np.ndarray, mod: int) -> np.ndarray:
     """e(k / mod) of int64 classes 0 <= k < mod <= 2^26, read off their words floor(k 2^64 / mod) by ``_word_units``.
 
@@ -288,6 +245,30 @@ def _class_units(classes: np.ndarray, mod: int) -> np.ndarray:
     return _word_units(words)
 
 
+def _fixed_point_sums(system: PadicAffineSystem, level: int, x0: int, qs, values, cps) -> np.ndarray:
+    """Interval sums for p | a, where a^level = 0 mod p^level makes T^t x0 = y, a fixed point, for t >= level.
+
+    Each interval's sum is then e(F / p^level) times its weights' sum, F = sum_j f_j with f_j = y (T^min(q_j(0), level) x0
+    for a constant q_j), but at the few n where a non-constant q_j(n) < level (``negative_runs``, at most degree * level
+    per q_j): their weights leave the folded sum and add their exact terms.
+    """
+    mod = system.prime**level
+    orbit = next(_orbit_blocks(system, x0, level, level + 1))[1].tolist()
+    runs = (TimePolynomial((q(0) - level,) + q.binomial_coefficients[1:]).negative_runs(cps[-1]) for q in qs if q.degree)
+    at = np.asarray(sorted({n for q_runs in runs for lo, hi in q_runs for n in range(lo, hi)}), dtype=np.intp)
+    fixed = sum(orbit[level if q.degree else min(q(0), level)] for q in qs)
+    exact = [sum(orbit[min(q(n), level)] for q in qs) for n in at.tolist()]
+    units = _class_units(np.asarray([fixed, *exact], dtype=np.int64) % mod, mod)
+    picked, kind = values[at], np.result_type(values, np.int64)
+    terms, bounds = picked * units[1:], (0,) + cps
+    edges = np.searchsorted(at, bounds)
+    return np.array([
+        units[0] * (np.add.reduce(values[lo:hi], dtype=kind) - np.add.reduce(picked[i:j], dtype=kind))
+        + np.add.reduce(terms[i:j])
+        for lo, hi, i, j in zip(bounds, bounds[1:], edges, edges[1:])
+    ])
+
+
 def padic_weighted_average(
     system: PadicAffineSystem,
     level: int,
@@ -299,15 +280,16 @@ def padic_weighted_average(
     """(1/N) sum c_n prod_j e((T^{q_j(n)} x0 mod p^level) / p^level).
 
     The observable is the cylinder character of the first ``level``
-    digits (level 0 is the constant 1, on a one-point cycle).  Orbit
-    values are read from the orbit's cycle mod p^level, which is exact
+    digits (level 0 is the constant 1).  For p not dividing a, orbit
+    values are read from the cycle of x0 mod p^level, which is exact
     because truncation commutes with the map.  The units repeat with a
     period P, so each checkpoint interval sums u_r B_r over r < W, the
-    least multiple of P >= 2^16 (capped at N; N on a tail), with B_r the
-    sum of its weights at n = r mod W (``polyphase._class_sums``, the fold
-    the spectrum scan and the grid stage use), by numpy's pairwise sum,
-    not BLAS.  Each unit is read off the exact word of its class
-    (``_class_units``).
+    least multiple of P >= 2^16 (capped at N), with B_r the sum of its
+    weights at n = r mod W (``polyphase._class_sums``, the fold the
+    spectrum scan and the grid stage use), by numpy's pairwise sum, not
+    BLAS.  For p | a the orbit ends at a fixed point within ``level``
+    steps, and the sums take closed form (``_fixed_point_sums``).  Each
+    unit is read off the exact word of its class (``_class_units``).
     """
     level = _integer(level, "level")
     if not 0 <= level <= system.precision:
@@ -329,15 +311,17 @@ def padic_weighted_average(
     mod = system.prime**level
     if mod > (1 << 26):
         raise ValueError("level: p^level observable classes exceed the supported size")
-    tail, cycle = _orbit_cycle(system, _integer(x0, "x0"), level)
-    orbit = np.concatenate((np.asarray(tail, dtype=cycle.dtype), cycle)) if tail else cycle
-    # With no tail, q_j(n) mod L repeats with the period of q_j / L, and so do the units with their lcm.
-    scaled = ([c / cycle.size for c in q.monomial_coefficients()] for q in qs)
-    period = n_max if tail else _period(*scaled)
+    x0 = _integer(x0, "x0") % mod
+    if not system.a % system.prime:
+        sums = _fixed_point_sums(system, level, x0, qs, values, cps)
+        return ErgodicAverageSeries(cps, np.cumsum(sums) / np.asarray(cps, dtype=np.float64))
+    cycle = _cycle_from(system, x0, level)
+    # q_j(n) mod L repeats with the period of q_j / L, and so do the units with their lcm.
+    period = _period(*([c / cycle.size for c in q.monomial_coefficients()] for q in qs))
     width = min(n_max, -(-_STREAM_TERMS // period) * period)
     sums = np.zeros(len(cps), dtype=np.complex128)
-    for blocks in zip(*(_orbit_indices(q, width, len(tail), cycle.size) for q in qs)):
-        units = _class_units(np.sum([orbit[indices] for _, indices in blocks], axis=0, dtype=np.int64) % mod, mod)
+    for blocks in zip(*(_cycle_positions(q, width, cycle.size) for q in qs)):
+        units = _class_units(np.sum([cycle[positions] for _, positions in blocks], axis=0, dtype=np.int64) % mod, mod)
         start, stop = blocks[0][0], blocks[0][0] + units.size
         for i, (lo, hi) in enumerate(zip((0,) + cps[:-1], cps)):
             # The interval meets the block's columns at lo, or else first at the next n = start mod W.

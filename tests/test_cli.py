@@ -710,6 +710,60 @@ def test_checkpoints_flag_on_a_scan_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
+_AVERAGE = ["average", "--n", "100", "--coeffs", "0,0.5"]
+_MULTI = ["multi-average", "--m", "2", "--alpha", "0.3", "--x", "0.25,0.5", "--chars", "0,1", "--qs", "0,1", "--n", "100"]
+
+
+@pytest.mark.parametrize(
+    "field, argv, config",
+    [
+        ("alpha", _AVERAGE + ["--generator", "mobius", "--alpha", "0.3", "--power", "7"], None),
+        ("path", ["generate", "--generator", "polyphase", "--alpha", "0.3", "--power", "2", "--n", "10",
+                  "--path", "x.txt"], None),
+        ("power", ["generate", "--generator", "liouville", "--n", "10", "--power", "2"], None),
+        ("seed", _AVERAGE + ["--generator", "mobius", "--seed", "3"], None),
+        ("seed", ["average"], {"params": {"generator": "mobius", "n": 100, "coeffs": "0,0.5", "seed": 3}}),
+        ("seed", ["generate"], {"params": {"generator": "polyphase", "alpha": 0.3, "power": 2, "n": 10}, "seed": 3}),
+        ("sed", _MULTI + ["--weights", '{"generator":"mobius","sed":1,"n":5}'], None),
+        ("n", _MULTI + ["--weights", '{"generator":"mobius","n":5}'], None),
+        ("alpha", _MULTI + ["--weights", '{"generator":"rademacher","seed":1,"alpha":0.3}'], None),
+        ("seed", _MULTI + ["--weights", '{"generator":"liouville"}', "--seed", "3"], None),
+        ("seed", ["simulate-torus", "--m", "2", "--alpha", "0.3", "--x", "0.1,0.2", "--steps", "5", "--seed", "1"], None),
+        ("seed", ["verify-tower", "--m", "2", "--alpha", "0.3", "--x", "0.1,0.2", "--freqs", "0,1", "--n-max", "10",
+                  "--seed", "1"], None),
+        ("seed", ["simulate-padic", "--p", "3", "--a", "4", "--b", "1", "--x0", "0", "--steps", "5", "--seed", "1"], None),
+        ("seed", ["census", "--p", "3", "--a", "4", "--b", "1", "--x0", "0", "--level", "2", "--steps", "9",
+                  "--seed", "5"], None),
+        ("seed", ["subnormal-check", "--distribution", "rademacher", "--seed", "1"], None),
+        ("seed", ["census"], {"params": {"p": 3, "a": 4, "b": 1, "x0": 0, "level": 2, "steps": 9}, "seed": 5}),
+    ],
+    ids=["mobius-alpha", "polyphase-path", "liouville-power", "mobius-seed-flag", "mobius-params-seed",
+         "polyphase-config-seed", "weights-sed", "weights-n", "weights-rademacher-alpha", "weights-liouville-seed",
+         "simulate-torus-seed", "verify-tower-seed", "simulate-padic-seed", "census-seed", "subnormal-check-seed",
+         "census-config-seed"],
+)
+def test_values_no_runner_reads_exit_one(tmp_path, capsys, field, argv, config):
+    """A generator key, --weights key or seed that no runner reads exits 1 naming it, before any run."""
+    out = tmp_path / "out"
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"command": argv[0], **config}))
+        argv = argv + ["--config", str(cfg)]
+    assert run(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+    assert not out.exists()
+
+
+def test_refined_scan_above_the_least_step_exits_one(tmp_path, capsys):
+    """--refine starts at step 1/M; past M = 2^16 that is below ``MIN_STEP``, so no sweep would run."""
+    out = tmp_path / "out"
+    argv = ["scan-spectrum", "--generator", "mobius", "--n", "1000", "--grid-size", "131072", "--refine"]
+    assert run(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: grid-size: at most 65536 with --refine")
+    assert not (out / "spectrum.csv").exists()
+    assert run(argv[:-1] + ["--out", str(out)]) == 0
+
+
 def test_config_weight_seed_is_read(tmp_path):
     """A weight seed in params is a config-only key, not an unknown one (multi-average reads ell)."""
     for seed in (4, 5):

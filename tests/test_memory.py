@@ -3,7 +3,7 @@
 import numpy as np
 
 from oscillab.oscillation import grid_sup_average, sup_search
-from oscillab.padic import PadicAffineSystem, _orbit_cycle, padic_weighted_average
+from oscillab.padic import PadicAffineSystem, _cycle_from, padic_weighted_average
 from oscillab.polyphase import (
     PhasePolynomial,
     _phase_words,
@@ -155,8 +155,17 @@ def test_padic_level_zero_transient_peak(traced_peak):
     assert traced_peak(padic_weighted_average, system, 0, 0, qs, weights, [10**5, N]) < 16 * MB
 
 
+def test_padic_tail_average_holds_no_orbit(traced_peak):
+    # p | a: the orbit is one fixed point past level steps, so N = 10^7 weights sum in closed form.
+    # Streamed as a one-point cycle with W = N, as before, the same call traced 4.65 MiB.
+    weights = rademacher_sequence(3, 10**7)
+    system = PadicAffineSystem.from_ints(3, 3, 1)
+    qs = [TimePolynomial.from_power(3), TimePolynomial.from_power(1)]
+    assert traced_peak(padic_weighted_average, system, 12, 12345, qs, weights, [10**5, 10**7]) < MB
+
+
 def test_padic_orbit_cycle_peak(traced_peak):
     # The level-14 cycle of a minimal system is 3^14 int32 points (18.2 MiB); it is filled in place,
     # not gathered as blocks and then concatenated, which held it twice.
     system = PadicAffineSystem.from_ints(3, 4, 1)
-    assert traced_peak(_orbit_cycle, system, 12345, 14) <= 3**14 * 4 + 4 * MB
+    assert traced_peak(_cycle_from, system, 12345, 14) <= 3**14 * 4 + 4 * MB

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from oscillab import padic
 from oscillab.padic import (
     PadicAffineSystem,
+    _cycle_from,
     _cycle_positions,
-    _orbit_cycle,
     affine_minimality_check,
     orbit_residue_census,
     padic_weighted_average,
@@ -148,8 +148,7 @@ def test_minimal_orbits_have_exact_period():
         for k in (1, 2, 3):
             system = PadicAffineSystem.from_ints(p, 1 + p, 1, precision=6)
             assert affine_minimality_check(1 + p, 1, p)
-            tail, cycle = _orbit_cycle(system, 0, k)
-            assert tail == []
+            cycle = _cycle_from(system, 0, k)
             assert len(cycle) == p**k
             assert sorted(cycle) == list(range(p**k))
 
@@ -176,12 +175,18 @@ def _dict_walk(system, x0, level):
 @example(p=2, a=4, b=1, level=8, x0=255)
 @example(p=5, a=6, b=0, level=5, x0=7)
 def test_orbit_cycle_matches_dict_walk(p, a, b, level, x0):
-    """p | a: a tail onto a fixed point; otherwise a cycle from x0 and no tail."""
+    """p not dividing a: the cycle from x0 and no tail; p | a: T^level x0 is the one-point cycle."""
     assume(p**level <= 5000)
     system = PadicAffineSystem.from_ints(p, a, b)
-    tail, cycle = _orbit_cycle(system, x0, level)
     ref_tail, ref_cycle = _dict_walk(system, x0, level)
-    assert tail == ref_tail
+    y = x0 % p**level
+    if a % p:
+        assert ref_tail == []
+    else:
+        assert len(ref_tail) <= level
+        for _ in range(level):
+            y = system.step_int(y, level)
+    cycle = _cycle_from(system, y, level)
     assert cycle.dtype == np.int32
     assert cycle.tolist() == ref_cycle
 
@@ -257,7 +262,7 @@ def test_weighted_average_matches_literal_iteration():
 
 
 def test_weighted_average_preperiodic_orbit():
-    # a = 0 mod 3 contracts onto a short cycle; table path must still be exact
+    # a = 0 mod 3 contracts onto a fixed point; the closed form must still be exact
     system = PadicAffineSystem.from_ints(3, 3, 1, precision=8)
     q = TimePolynomial.from_power(1)
     n = 40
@@ -420,6 +425,8 @@ _AROUND_THE_PERIOD = [
     (7, 8, 1, 2, 5, [TimePolynomial.from_power(8), TimePolynomial((0, 0, 1))], 98),
     (3, 4, 1, 10, 12345, [TimePolynomial.from_power(3)], 3**10),  # 2^16 +- 1 cross a block edge
     (3, 3, 1, 4, 7, [TimePolynomial((0, 1, 2)), TimePolynomial.from_power(1)], None),  # p | a: a tail
+    (3, 6, 2, 6, 5, [TimePolynomial((2,)), TimePolynomial((0,)), TimePolynomial.from_power(2)], None),  # constants
+    (5, 10, 3, 3, 9, [TimePolynomial((9, -5, 2)), TimePolynomial((0, 0, 1))], None),  # (n - 3)^2: a run inside
 ]
 
 
@@ -504,8 +511,8 @@ def test_cycle_and_average_at_the_largest_prime_square_under_2_26():
     """
     p, b, x0 = 8191, 12345, 10**7
     system = PadicAffineSystem.from_ints(p, p**2 - 1, b)
-    tail, cycle = _orbit_cycle(system, x0, 2)
-    assert tail == [] and cycle.size == 2
+    cycle = _cycle_from(system, x0, 2)
+    assert cycle.size == 2
     assert cycle.tolist() == [x0, system.step_int(x0, 2)]
     assert system.step_int(int(cycle[-1]), 2) == cycle[0]
 
@@ -629,6 +636,11 @@ def _squared_distance(lead, center, shift):
     n=st.integers(1, 300),
     seed=st.integers(0, 2**31),
 )
+@example(p=3, level=4, k=1, b=1, x0=5, q=TimePolynomial((2,)), n=40, seed=1)  # a constant below level
+@example(p=3, level=4, k=2, b=2, x0=7, q=TimePolynomial((0, 0, 0)), n=40, seed=2)  # q = 0
+@example(p=5, level=0, k=1, b=1, x0=3, q=TimePolynomial((0, 0, 1)), n=40, seed=3)  # level 0
+@example(p=3, level=4, k=1, b=1, x0=11, q=TimePolynomial((0, 1)), n=40, seed=4)  # q = n: the same runs
+@example(p=5, level=4, k=3, b=7, x0=2, q=_squared_distance(1, 2, 0), n=40, seed=5)  # runs 1..3 and 0..3
 def test_preperiodic_average_matches_term_by_term(p, level, k, b, x0, q, n, seed):
     """a = k * p: tails up to ``level`` long, met wherever q(n) dips below the tail length."""
     a = k * p
