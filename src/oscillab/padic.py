@@ -151,18 +151,25 @@ def _orbit_blocks(system: PadicAffineSystem, x: int, level: int, count: int):
         yield start, block[: count - start]
 
 
-def _cycle_from(system: PadicAffineSystem, y: int, level: int) -> np.ndarray:
-    """The cycle y, Ty, ... mod p^level through a periodic point y, as int32 for p^level <= 2^26.
+def _cycle_length(system: PadicAffineSystem, y: int, level: int) -> int:
+    """The length L of the cycle y, Ty, ... mod p^level through a periodic point y.
 
-    T^e is a translation for e the order of a, so the cycle length L divides p^(2 level) (p - 1):
-    it is the least divisor t with T^t y = y.  ``_orbit_blocks`` fill it, stepping in int64 (A y overflows int32).
+    T^e is a translation for e the order of a, so L divides p^(2 level) (p - 1): the least divisor t with T^t y = y.
     """
     p, mod = system.prime, system.prime**level
     divisors = {d for i in range(1, math.isqrt(p - 1) + 1) if (p - 1) % i == 0 for d in (i, (p - 1) // i)}
     for length in sorted(p**i * d for i in range(2 * level + 1) for d in divisors):
         big_a, big_c = _affine_power(system.a, system.b, length, mod)
         if (big_a * y + big_c) % mod == y:
-            break
+            return length
+
+
+def _cycle_from(system: PadicAffineSystem, y: int, level: int) -> np.ndarray:
+    """The cycle y, Ty, ... mod p^level through a periodic point y, as int32 for p^level <= 2^26.
+
+    ``_orbit_blocks`` fill its ``_cycle_length`` points, stepping in int64 (A y overflows int32).
+    """
+    length = _cycle_length(system, y, level)
     cycle = np.empty(length, dtype=np.int32)
     for start, block in _orbit_blocks(system, y, level, length):
         cycle[start : start + block.size] = block
@@ -177,17 +184,29 @@ def orbit_residue_census(
     Counts x0, Tx0, ..., T^(steps-1)x0, keyed in increasing residue
     order.  For a minimal system the orbit mod p^level is a single cycle
     of exact length p^level, so over m * p^level steps every class is
-    hit exactly m times.  The visits come a ``_STREAM_TERMS`` block at a
-    time from ``_orbit_blocks``, and each block's counts
-    (``np.unique``) are merged into the sorted counts so far, so memory
-    grows with the classes visited, never with p^level.
+    hit exactly m times.  For p not dividing a, T permutes the classes,
+    so x0 lies on a cycle of some length L; when p^level <= 2^26 and
+    steps >= L that cycle is filled once (``_cycle_from``) and each of
+    its classes is visited steps // L times, once more for the first
+    steps mod L.  Otherwise the visits come a ``_STREAM_TERMS`` block at
+    a time from ``_orbit_blocks``, and each block's counts (``np.unique``)
+    are merged into the sorted counts so far.  Either way memory grows
+    with the classes visited, never with p^level.
     """
     level, steps = _integer(level, "level"), _integer(steps, "steps")
     if not 0 <= level <= system.precision:
         raise ValueError("level: must be in [0, precision]")
     if steps < 1:
         raise ValueError("steps: must be >= 1")
-    blocks = _orbit_blocks(system, _integer(x0, "x0"), level, steps)
+    x0, mod = _integer(x0, "x0"), system.prime**level
+    if system.a % system.prime and mod <= 1 << 26 and steps >= _cycle_length(system, x0 % mod, level):
+        cycle = _cycle_from(system, x0 % mod, level)
+        order = np.argsort(cycle)
+        rounds, rest = divmod(steps, cycle.size)
+        hits = (order < rest).astype(np.int64)  # int64 before the add: numpy 1.x would type it by its value
+        hits += rounds
+        return dict(zip(cycle[order].tolist(), hits.tolist()))
+    blocks = _orbit_blocks(system, x0, level, steps)
     keys, counts = np.unique(next(blocks)[1], return_counts=True)
     for _, block in blocks:
         values, hits = np.unique(block, return_counts=True)
@@ -198,7 +217,8 @@ def orbit_residue_census(
         seen[inside] = keys[at[inside]] == values[inside]
         counts[at[seen]] += hits[seen]
         new = ~seen
-        keys, counts = np.insert(keys, at[new], values[new]), np.insert(counts, at[new], hits[new])
+        if new.any():
+            keys, counts = np.insert(keys, at[new], values[new]), np.insert(counts, at[new], hits[new])
     return dict(zip(keys.tolist(), counts.tolist()))
 
 

@@ -1,6 +1,7 @@
 """Affine maps of Z_p on ints mod p^K: minimality, censuses, cylinder averages."""
 
 import cmath
+import collections
 import math
 import random
 
@@ -126,6 +127,7 @@ def _census_walk(system, x0, level, steps):
         (5, 7, 2, 24, 3, 11),  # a shorter cycle, revisited within each block
         (3, 6, 1, 24, 9, 12345),  # p | a: a pre-periodic tail onto a fixed point
         (3, 4, 1, 40, 40, 2),  # 3^40 > 2^63: the visits are Python ints
+        (3, 1, 3**6, 24, 17, 5),  # 3^17 > 2^26, so streamed: a 3^11 cycle, which the last block closes
     ],
 )
 def test_census_blocks_match_the_step_loop(p, a, b, precision, level, x0, steps):
@@ -134,6 +136,46 @@ def test_census_blocks_match_the_step_loop(p, a, b, precision, level, x0, steps)
     assert census == _census_walk(system, x0, level, steps)
     assert list(census) == sorted(census)
     assert all(type(k) is int and type(v) is int for k, v in census.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    a=st.integers(0, 60),
+    b=st.integers(0, 60),
+    level=st.integers(0, 3),
+    x0=st.integers(0, 10**4),
+    rounds=st.integers(0, 3),
+    shift=st.integers(-1, 1),
+)
+@example(p=3, a=4, b=1, level=2, x0=0, rounds=1, shift=0)  # steps = L on a full cycle
+@example(p=3, a=4, b=1, level=3, x0=5, rounds=0, shift=-1)  # steps = L - 1: streamed
+@example(p=3, a=6, b=1, level=3, x0=12345, rounds=2, shift=1)  # p | a: a tail onto a fixed point
+@example(p=2, a=3, b=0, level=0, x0=7, rounds=3, shift=1)  # level 0: one class
+def test_census_matches_a_counter_around_the_cycle_length(p, a, b, level, x0, rounds, shift):
+    """Steps k L + r around multiples of the cycle length L through x0 (p^level for a tail, p | a)."""
+    system = PadicAffineSystem.from_ints(p, a, b, precision=4)
+    mod = p**level
+    length = padic._cycle_length(system, x0 % mod, level) if a % p else mod
+    steps = max(1, rounds * length + shift * random.Random(x0).randrange(length))
+    walk, x = collections.Counter(), x0 % mod
+    for _ in range(steps):
+        walk[x] += 1
+        x = system.step_int(x, level)
+    census = orbit_residue_census(system, x0, level, steps)
+    assert census == dict(sorted(walk.items()))
+    assert list(census) == sorted(census)
+    assert all(type(k) is int and type(v) is int for k, v in census.items())
+
+
+def test_census_fills_the_cycle_once():
+    """(3, 4, 1) at level 12 over 10^7 steps: the census of one 3^12 cycle, 18 or 19 visits a class."""
+    system = PadicAffineSystem.from_ints(3, 4, 1)
+    census = orbit_residue_census(system, 12345, 12, 10**7)
+    assert list(census) == list(range(3**12))
+    assert collections.Counter(census.values()) == {19: 10**7 % 3**12, 18: 3**12 - 10**7 % 3**12}
+    cycle = _cycle_from(system, 12345, 12)
+    assert all(census[k] == 19 for k in cycle[: 10**7 % 3**12].tolist())
 
 
 def test_census_allocates_nothing_per_class(traced_peak):

@@ -2,6 +2,7 @@
 
 import math
 import tempfile
+import warnings
 from unittest import mock
 from pathlib import Path
 
@@ -248,7 +249,7 @@ _TOKENS = st.one_of(
     st.sampled_from([
         "0", "1", "-1", "-0.0", "+0", "nan", "-nan", "NaN", "inf", "-inf", "Infinity",
         "5e-324", "1.7976931348623157e308", "1e400", "1_0", "1__0", "٣", "0x10",
-        "1.", ".5", "abc", "1e", "--1",
+        "1.", ".5", "abc", "1e", "--1", "-0", "-00", "007", "127", "-128", "128", "-129",
     ]),
     st.floats(allow_nan=False).map(lambda x: f"{x:.17g}"),
     st.integers(-(10**20), 10**20).map(str),
@@ -281,6 +282,9 @@ _LINE = st.one_of(_DATA, _DATA, _DATA, _BLANK, _COMMENT)
 @example(lines=["1_0 0", "2 0"], ending="\r\n", final_newline=True)
 @example(lines=["# header", "1 2 3", "4 5 6"], ending="\n", final_newline=True)
 @example(lines=["1", "2"], ending="\n", final_newline=True)
+@example(lines=["# header", "1 0", "-0 0", "0 -1", "127 -128", "1 -0"], ending="\n", final_newline=True)
+@example(lines=["127 -128", "128 0"], ending="\n", final_newline=True)  # past int8: the float parse
+@example(lines=["-1 +0", "-129 0"], ending="\n", final_newline=True)
 @example(
     lines=["nan -0.0", "inf -inf", "5e-324 1.7976931348623157e308"],
     ending="\n",
@@ -298,18 +302,86 @@ def test_read_sequence_matches_line_parser(lines, ending, final_newline):
 
 
 def test_read_sequence_one_loadtxt_call(tmp_path):
-    """Leading blank and comment lines are skipped, then one loadtxt call parses the rest."""
+    """Leading blank and comment lines are skipped, then one int8 loadtxt call parses an integer file."""
     path = tmp_path / "seq.txt"
     path.write_text("\n# header\n  # note\n1 2\n\n3 4\n", encoding="utf-8")
     with mock.patch.object(sequences.np, "loadtxt", wraps=np.loadtxt) as loadtxt:
         values = read_sequence(path).values
+    assert values.dtype == np.complex128
     assert values.tolist() == [1 + 2j, 3 + 4j]
     assert loadtxt.call_count == 1
     # A str path, not a handle: only then does loadtxt's C reader read the file in chunks.
     assert loadtxt.call_args.args == (str(path),)
+    assert loadtxt.call_args.kwargs["dtype"] is np.int8
     assert loadtxt.call_args.kwargs["encoding"] == "utf-8"
     assert loadtxt.call_args.kwargs["comments"] is None
     assert loadtxt.call_args.kwargs["skiprows"] == 3
+
+
+def test_read_sequence_float_file_takes_one_failed_int8_call(tmp_path):
+    """A float file: one int8 call that raises, then one float call on the same path and lines."""
+    path = tmp_path / "seq.txt"
+    path.write_text("# header\n1 2\n0.5 -3\n", encoding="utf-8")
+    with mock.patch.object(sequences.np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        values = read_sequence(path).values
+    assert values.tolist() == [1 + 2j, 0.5 - 3j]
+    assert loadtxt.call_count == 2
+    int8_call, float_call = loadtxt.call_args_list
+    assert int8_call.kwargs["dtype"] is np.int8
+    assert "dtype" not in float_call.kwargs
+    for call in (int8_call, float_call):
+        assert call.args == (str(path),)
+        assert call.kwargs["encoding"] == "utf-8"
+        assert call.kwargs["comments"] is None
+        assert call.kwargs["skiprows"] == 1
+
+
+def test_read_sequence_negative_zero_across_scan_chunks(tmp_path):
+    """A '-' ending one 1 MiB scan chunk and the '0' opening the next still make -0."""
+    line = "1 0\n"
+    head = "#" * ((1 << 20) - 2 - 3 * len(line)) + "\n" + line * 3
+    path = tmp_path / "seq.txt"
+    path.write_text(head + "-0 1\n", encoding="utf-8")
+    assert path.read_bytes()[(1 << 20) - 1 : (1 << 20) + 1] == b"-0"
+    back = read_sequence(path).values
+    assert back.view(np.uint64).tolist() == reference_read_sequence(path).view(np.uint64).tolist()
+    assert math.copysign(1.0, back[-1].real) == -1.0
+
+
+def test_read_sequence_integers_then_a_float_last(tmp_path):
+    """70,000 integer lines, the last '0.5 0': the int8 parse fails on the last line, and the float parse reads all."""
+    path = tmp_path / "seq.txt"
+    lines = ["%d %d" % (k % 3 - 1, k % 5 - 2) for k in range(69_999)] + ["0.5 0"]
+    path.write_text("# ints then a float\n" + "\n".join(lines) + "\n", encoding="utf-8")
+    back = read_sequence(path).values
+    assert back.dtype == np.complex128 and back.size == 70_000
+    assert back.view(np.uint64).tolist() == reference_read_sequence(path).view(np.uint64).tolist()
+
+
+def test_read_sequence_refuses_integer_parse_through_float(tmp_path):
+    """numpy 1.x parses '0.5' in an int8 column as 0 and only warns; the float parse must decide.
+
+    The stand-in does what numpy 1.24 does: a warning made an error becomes
+    the ValueError of the token, an ignored one leaves the truncated value.
+    The warning is ignored around the read, as it is outside the test suite.
+    """
+    real_loadtxt = np.loadtxt
+
+    def truncating_loadtxt(*args, dtype=float, **kwargs):
+        table = real_loadtxt(*args, **kwargs)
+        if dtype is np.int8 and not np.array_equal(table, np.trunc(table)):
+            try:
+                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+            except DeprecationWarning as exc:
+                raise ValueError("could not convert string '0.5' to int8 at row 1, column 1.") from exc
+        return table.astype(dtype)
+
+    path = tmp_path / "seq.txt"
+    path.write_text("1 0\n0.5 -2.75\n", encoding="utf-8")
+    with mock.patch.object(sequences.np, "loadtxt", side_effect=truncating_loadtxt), warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        values = read_sequence(path).values
+    assert values.tolist() == [1 + 0j, 0.5 - 2.75j]
 
 
 def test_read_sequence_compressed_suffixes_read_as_plain_text(tmp_path):
