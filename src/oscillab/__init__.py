@@ -15,6 +15,7 @@ from .oscillation import (
     classify_exact_order,
     estimate_oscillation_profile,
     grid_sup_average,
+    growth_exponent,
     refine_local,
 )
 from .padic import (
@@ -37,7 +38,6 @@ from .polyphase import (
 from .probabilistic import (
     Distribution,
     RandomSequenceSpec,
-    growth_exponent,
     lsk_empirical_sup,
     sample,
     subnormality_margin,
@@ -60,7 +60,6 @@ from .torus import (
     TimePolynomial,
     build_tower,
     multiple_ergodic_average,
-    orbit_point,
     tower_phase_polynomial,
     verify_factorization,
 )

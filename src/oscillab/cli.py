@@ -31,6 +31,7 @@ from .oscillation import (
     _checked_grid,
     classify_exact_order,
     estimate_oscillation_profile,
+    growth_exponent,
     refine_local,
     report_to_json,
 )
@@ -48,13 +49,11 @@ from .polyphase import (
 from .probabilistic import (
     Distribution,
     RandomSequenceSpec,
-    growth_exponent,
     lsk_empirical_sup,
     subnormality_margin,
 )
 from .sequences import (
     ComplexSequence,
-    cesaro_l1_norm,
     liouville_sequence,
     mobius_sequence,
     polynomial_phase_sequence,

@@ -246,12 +246,6 @@ class OscillationReport:
 
     degrees: tuple[DegreeProfile, ...]
 
-    def profile(self, degree: int) -> DegreeProfile:
-        for item in self.degrees:
-            if item.degree == degree:
-                return item
-        raise KeyError(f"no profile for degree {degree}")
-
 
 def report_to_json(report: OscillationReport) -> str:
     """Serialize per-degree records to the documented JSON schema."""

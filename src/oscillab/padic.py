@@ -100,10 +100,6 @@ class PadicAffineSystem:
     ) -> "PadicAffineSystem":
         return cls(prime, a, b, precision)
 
-    def step_int(self, x: int, level: int) -> int:
-        """One step at digit level `level` (exact by 1-Lipschitz compatibility)."""
-        return (self.a * x + self.b) % self.prime**level
-
 
 def affine_minimality_check(a: int, b: int, p: int) -> bool:
     """Minimality of x -> ax + b on Z_p for odd primes p.
@@ -185,41 +181,34 @@ def orbit_residue_census(
     order.  For a minimal system the orbit mod p^level is a single cycle
     of exact length p^level, so over m * p^level steps every class is
     hit exactly m times.  For p not dividing a, T permutes the classes,
-    so x0 lies on a cycle of some length L; when p^level <= 2^26 and
-    steps >= L that cycle is filled once (``_cycle_from``) and each of
-    its classes is visited steps // L times, once more for the first
-    steps mod L.  Otherwise the visits come a ``_STREAM_TERMS`` block at
-    a time from ``_orbit_blocks``, and each block's counts (``np.unique``)
-    are merged into the sorted counts so far.  Either way memory grows
-    with the classes visited, never with p^level.
+    so x0 lies on a cycle of some length L (``_cycle_length``): its
+    first min(steps, L) points are distinct, and each is visited
+    steps // L times, once more for the first steps mod L.  For p | a the
+    orbit reaches a fixed point within ``level`` steps, which takes every
+    visit past the first level + 1.  Either way ``_orbit_blocks`` fills
+    the points once, and memory grows with the classes visited, never
+    with p^level.
     """
     level, steps = _integer(level, "level"), _integer(steps, "steps")
     if not 0 <= level <= system.precision:
         raise ValueError("level: must be in [0, precision]")
     if steps < 1:
         raise ValueError("steps: must be >= 1")
-    x0, mod = _integer(x0, "x0"), system.prime**level
-    if system.a % system.prime and mod <= 1 << 26 and steps >= _cycle_length(system, x0 % mod, level):
-        cycle = _cycle_from(system, x0 % mod, level)
-        order = np.argsort(cycle)
-        rounds, rest = divmod(steps, cycle.size)
-        hits = (order < rest).astype(np.int64)  # int64 before the add: numpy 1.x would type it by its value
-        hits += rounds
-        return dict(zip(cycle[order].tolist(), hits.tolist()))
-    blocks = _orbit_blocks(system, x0, level, steps)
-    keys, counts = np.unique(next(blocks)[1], return_counts=True)
-    for _, block in blocks:
-        values, hits = np.unique(block, return_counts=True)
-        # Merge into the sorted classes so far: add to those seen, insert the rest in order.
-        at = np.searchsorted(keys, values)
-        seen = np.zeros(values.size, dtype=bool)
-        inside = at < keys.size
-        seen[inside] = keys[at[inside]] == values[inside]
-        counts[at[seen]] += hits[seen]
-        new = ~seen
-        if new.any():
-            keys, counts = np.insert(keys, at[new], values[new]), np.insert(counts, at[new], hits[new])
-    return dict(zip(keys.tolist(), counts.tolist()))
+    x0 = _integer(x0, "x0") % system.prime**level
+    if not system.a % system.prime:
+        points = next(_orbit_blocks(system, x0, level, min(steps, level + 1)))[1].tolist()
+        counts = dict.fromkeys(sorted(points), 0)
+        for point in points:
+            counts[point] += 1
+        counts[points[-1]] += steps - len(points)
+        return counts
+    length = _cycle_length(system, x0, level)
+    cycle = np.concatenate([block for _, block in _orbit_blocks(system, x0, level, min(steps, length))])
+    order = np.argsort(cycle)
+    rounds, rest = divmod(steps, length)
+    hits = (order < rest).astype(np.int64)  # int64 before the add: numpy 1.x would type it by its value
+    hits += rounds
+    return dict(zip(cycle[order].tolist(), hits.tolist()))
 
 
 def _cycle_positions(q, count: int, cycle_length: int):

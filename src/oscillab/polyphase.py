@@ -36,16 +36,15 @@ paths avoid this:
   seeds are, in the same blocks: the skew-shift orbit and the tower
   routes of ``torus``.  Every fixed-point value that becomes a float
   does so by the one conversion hi * 2^-64 + lo * 2^-128 of its (hi, lo)
-  words (``_pair_floats``, ``_fixed_to_float`` for one int).
+  words (``_pair_floats``).
 
 ``_turned`` makes e(phase) without a complex exponential, as a table
 root e(k / 4096) times a degree-5 Taylor series in the residual angle,
-below 1.6e-3 (off by under 2e-20).  Every computation gives it a
-stream's words (``_word_units``: k = hi >> 52, the low 52 bits of hi the
-angle), so no phase becomes a float on the way to e(.); ``unit_values``
-gives it float phases, as the tests' reference.  Values agree with
-``np.exp`` to about 1e-15, and come in 2^13-term pieces whose scratch
-stays in cache.
+below 1.6e-3 (off by under 2e-20).  It has one front end: every
+computation gives it a stream's words (``_word_units``: k = hi >> 52,
+the low 52 bits of hi the angle), so no phase becomes a float on the way
+to e(.).  Values agree with ``np.exp`` to about 1e-15, and come in
+2^13-term pieces whose scratch stays in cache.
 
 The weighted and multiple ergodic averages, p-adic averages and the
 spectrum scan hold no N-term array beyond the weights themselves.  The
@@ -103,9 +102,10 @@ _WORD_ANGLE = _ROOT_STEP * 2.0**-52
 _QUARTER_ROOTS = np.exp((1j * _ROOT_STEP) * np.arange(_ROOT_COUNT // 4))
 _ROOTS = np.concatenate([_QUARTER_ROOTS, 1j * _QUARTER_ROOTS, -_QUARTER_ROOTS, -1j * _QUARTER_ROOTS])
 
-# Terms per piece of ``unit_values``: its scratch, 72 bytes a term, is
+# Terms per piece of ``_word_units``: its scratch, 72 bytes a term, is
 # then 576 KB and a piece's dozen passes stay in a core's L2 cache.  On a
-# Xeon with 2 MB of L2 per core, 10^6 phases took 18 ns/term in 2^13-term
+# Xeon with 2 MB of L2 per core, 10^6 float phases (through the float
+# front end the tests keep as a reference) took 18 ns/term in 2^13-term
 # pieces, 23 in ``_STREAM_TERMS`` pieces (3.5 MB of scratch) and 55 as
 # one piece (np.exp: 64); one piece also raised the sup search's peak
 # RSS by 19%.
@@ -159,10 +159,6 @@ class PhasePolynomial:
         return self._coefficients
 
     @property
-    def float_coefficients(self) -> tuple[float, ...]:
-        return tuple(float(c) for c in self._coefficients)
-
-    @property
     def degree(self) -> int:
         return len(self._coefficients) - 1
 
@@ -213,12 +209,6 @@ def _to_fixed(value) -> int:
     """Phase value mod 1 as a 128-bit fixed-point integer (exact for floats)."""
     f = _reduced(value)
     return (f.numerator << _FIXED_BITS) // f.denominator
-
-
-def _fixed_to_float(fx: int) -> float:
-    """A 128-bit fixed-point phase as a float in [0, 1): ``_pair_floats`` and ``_folded`` on one int."""
-    value = (fx >> 64) * _INV_2_64 + (fx & _MASK64) * _INV_2_128
-    return 0.0 if value >= 1.0 else value
 
 
 def _pair_floats(hi: np.ndarray, lo: np.ndarray | None = None, out=None) -> np.ndarray:
@@ -339,7 +329,7 @@ def _register_words(fronts, count: int) -> list:
 
 
 def _register_phases(fronts, count: int):
-    """``(start, phases)``: frac(r_k(n)) of each front, a row per front, each ``_fixed_to_float`` of its exact value."""
+    """``(start, phases)``: frac(r_k(n)) of each front, a row per front, each ``_pair_floats`` of its exact words."""
     for blocks in zip(*_register_words(fronts, count)):
         yield blocks[0][0], _folded(np.array([_pair_floats(*words) for _, words in blocks]))
 
@@ -529,71 +519,28 @@ def _repeated(period: np.ndarray, start: int, stop: int) -> np.ndarray:
     return out
 
 
-def unit_values(phases) -> np.ndarray:
-    """e(phase) for an array of phases in turns, as a complex array of the same shape: the tests' reference e(.).
-
-    x = 4096 * phase and k = floor(x) are exact in floats, so
-    e(phase) = R[k mod 4096] * e(r / 4096) with r = x - k in [0, 1) also
-    exact (``_float_front``, then ``_turned``).  Values agree with
-    ``np.exp(2j * pi * phase)`` to about 1e-15 on [-1, 1), and their
-    moduli are within 1e-15 of 1.  Every value depends on its phase
-    alone, not on its place in the array or the array's size, and phases
-    that differ by an integer give the same values bit for bit as long
-    as both are exact floats.  Phases must be finite with magnitude below
-    2^51, so that k fits an int64; others raise a ValueError.
-    """
-    phases = np.asarray(phases, dtype=np.float64)
-    values = np.empty(phases.shape, dtype=np.complex128)
-    # For finite phases below 2^51 no step is invalid; for others the cast of k is.
-    try:
-        with np.errstate(invalid="raise"):
-            _by_pieces(_float_front, phases.reshape(-1), values.reshape(-1))
-    except FloatingPointError:
-        raise ValueError("phases: must be finite with magnitude below 2^51") from None
-    return values
-
-
 def _word_units(hi: np.ndarray, out=None) -> np.ndarray:
-    """e(hi * 2^-64) for the high words of fixed-point phases, into ``out`` if given: ``unit_values``' table.
+    """e(hi * 2^-64) for the high words of fixed-point phases, into ``out`` if given, by pieces of ``_UNIT_TERMS``.
 
-    ``_word_front`` reads the root index and angle off hi: the float front
-    end's, bit for bit, when hi * 2^-64 is an exact float.  A low word
-    would move e(phase) by under 3.4e-19, so it is not read.
+    Each piece reads its root index hi >> 52 and angle (hi mod 2^52) *
+    _ROOT_STEP * 2^-52 off the words into scratch, and ``_turned``
+    finishes it.  When hi * 2^-64 is an exact float these are the index
+    and angle of that float phase, 4096 * phase = k + r, bit for bit.  A
+    low word would move e(phase) by under 3.4e-19, so it is not read.
     """
     out = np.empty(hi.size, dtype=np.complex128) if out is None else out
-    _by_pieces(_word_front, hi, out)
-    return out
-
-
-def _by_pieces(front, src: np.ndarray, dst: np.ndarray) -> None:
-    """e(.) of 1-D ``src`` into ``dst`` by pieces of ``_UNIT_TERMS``; ``front`` puts root index and angle in scratch."""
-    size = min(src.size, _UNIT_TERMS)
+    size = min(hi.size, _UNIT_TERMS)
     scratch = [np.empty(size) for _ in range(4)]
     scratch += [np.empty(size, dtype=np.intp)] + [np.empty(size, dtype=np.complex128) for _ in range(2)]
-    for start in range(0, src.size, _UNIT_TERMS):
-        stop = min(src.size, start + _UNIT_TERMS)
+    for start in range(0, hi.size, _UNIT_TERMS):
+        stop = min(hi.size, start + _UNIT_TERMS)
         piece = [a[: stop - start] for a in scratch]
-        front(src[start:stop], piece)
-        _turned(dst[start:stop], piece)
-
-
-def _float_front(phases: np.ndarray, scratch) -> None:
-    """Root index k mod 4096 and angle 2 pi r / 4096 of float phases, 4096 * phase = k + r."""
-    x, k, _, _, index, _, _ = scratch
-    np.multiply(phases, float(_ROOT_COUNT), out=x)
-    np.floor(x, out=k)
-    np.subtract(x, k, out=x)
-    index[...] = k
-    np.bitwise_and(index, _ROOT_COUNT - 1, out=index)
-    np.multiply(x, _ROOT_STEP, out=x)
-
-
-def _word_front(hi: np.ndarray, scratch) -> None:
-    """Root index hi >> 52 and angle (hi mod 2^52) * _ROOT_STEP * 2^-52 of high words."""
-    theta, bits, _, _, index, _, _ = scratch
-    np.right_shift(hi, _INDEX_SHIFT, out=index.view(np.uint64))
-    np.bitwise_and(hi, _ANGLE_MASK, out=bits.view(np.uint64))
-    np.multiply(bits.view(np.int64), _WORD_ANGLE, out=theta)
+        theta, bits, _, _, index, _, _ = piece
+        np.right_shift(hi[start:stop], _INDEX_SHIFT, out=index.view(np.uint64))
+        np.bitwise_and(hi[start:stop], _ANGLE_MASK, out=bits.view(np.uint64))
+        np.multiply(bits.view(np.int64), _WORD_ANGLE, out=theta)
+        _turned(out[start:stop], piece)
+    return out
 
 
 def _turned(out: np.ndarray, scratch) -> None:

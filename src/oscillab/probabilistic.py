@@ -19,9 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# growth_exponent lives in oscillation, which fits decay slopes with it too;
-# it stays importable from here.
-from .oscillation import _checked_grid, growth_exponent, sup_search
+from .oscillation import _checked_grid, sup_search
 from .polyphase import _integer, _weights
 from .sequences import ComplexSequence, _counter_blocks, rademacher_sequence
 

@@ -21,8 +21,8 @@ c + <k, T^n x>, whose front is the forward differences of its values at
 n = 0..m.  Each front streams exactly in 128-bit fixed point on the
 lane table of every phase stream.  The orbit (``_register_phases``)
 converts it to floats once, by the conversion hi * 2^-64 + lo * 2^-128
-(1.0 folded to 0) of every fixed-point phase, so ``orbit_point`` matches
-the stepped orbit bit for bit.  ``verify_factorization`` reads its three
+(1.0 folded to 0) of every fixed-point phase, so each coordinate is its
+exact closed form rounded once.  ``verify_factorization`` reads its three
 routes' units e(.) off their fixed-point words (``_register_units``), so
 routes whose exact values agree give the same units, not merely values
 within a drifting tolerance.
@@ -41,7 +41,6 @@ from .polyphase import (
     PhasePolynomial,
     _binomial_to_monomial,
     _difference_steps,
-    _fixed_to_float,
     _forward_differences,
     _integer,
     _register_phases,
@@ -50,7 +49,6 @@ from .polyphase import (
     _validated_checkpoints,
     binomial_phase_polynomial,
     compose_time_polynomial,
-    unit_values,
     weighted_exponential_average,
 )
 
@@ -85,42 +83,13 @@ class SkewShiftSystem:
             )
         return pt
 
-    def step(self, point) -> tuple[float, ...]:
-        """One application of T (float arithmetic; test oracle)."""
-        x = self.validate_point(point)
-        new = [(x[0] + self.alpha) % 1.0]
-        for j in range(1, self.dimension):
-            new.append((x[j] + x[j - 1]) % 1.0)
-        return tuple(new)
-
-
-def orbit_point(system: SkewShiftSystem, point, n: int) -> tuple[float, ...]:
-    """T^n(x) by the closed form x_j(n) = frac(sum_i C(n, j-i) x_i + C(n, j) alpha).
-
-    Exact fixed-point accumulation, so the result matches n-fold
-    application of the one-step map to float resolution for any n that
-    keeps the binomials in memory.
-    """
-    if n < 0:
-        raise ValueError("n: must be nonnegative")
-    x = system.validate_point(point)
-    fx = [_to_fixed(c) for c in x]
-    fa = _to_fixed(system.alpha)
-    out = []
-    for j in range(1, system.dimension + 1):
-        acc = math.comb(n, j) * fa
-        for i in range(1, j + 1):
-            acc += math.comb(n, j - i) * fx[i - 1]
-        out.append(_fixed_to_float(acc & _FIXED_MASK))
-    return tuple(out)
-
 
 def _orbit_blocks(system: SkewShiftSystem, point, count: int):
     """``(start, coordinates)``: x_1, ..., x_m of T^n(x), n = 0..count-1, an (m, size) array per block.
 
     Coordinate j streams the front (alpha, x_1, ..., x_j) of T's
     registers on ``_register_phases``, exactly mod 1, so x_j is the
-    closed form of ``orbit_point`` to the bit.
+    closed form frac(sum_i C(n, j-i) x_i + C(n, j) alpha) to the bit.
     """
     registers = [_to_fixed(c) for c in (system.alpha, *system.validate_point(point))]
     return _register_phases([registers[: j + 1] for j in range(1, len(registers))], count)
@@ -145,10 +114,6 @@ class CharacterObservable:
             if self.frequencies[i]:
                 return i + 1
         return 0
-
-    def evaluate(self, point) -> complex:
-        phase = sum(k * _to_fixed(c) for k, c in zip(self.frequencies, point)) & _FIXED_MASK
-        return complex(unit_values(_fixed_to_float(phase)))
 
 
 @dataclass(frozen=True)
@@ -202,23 +167,6 @@ class QuasiEigenTower:
     def top(self) -> TowerLevel:
         return self.levels[-1]
 
-    @classmethod
-    def constant(cls, system: SkewShiftSystem, theta) -> "QuasiEigenTower":
-        zero = (0,) * system.dimension
-        return cls(system, (TowerLevel(Fraction(theta) % 1, zero),))
-
-    def is_valid(self) -> bool:
-        """Check every level identity symbolically (exact arithmetic)."""
-        alpha = Fraction(self.system.alpha)
-        for j in range(1, len(self.levels)):
-            upper = self.levels[j]
-            lower = self.levels[j - 1]
-            if lower.frequencies != _shift_down(upper.frequencies):
-                return False
-            if lower.constant_phase != (alpha * upper.frequencies[0]) % 1:
-                return False
-        return True
-
 
 def build_tower(system: SkewShiftSystem, char: CharacterObservable) -> QuasiEigenTower:
     """Tower for the character e(<k, x>) by repeated division f(Tx)/f(x).
@@ -235,7 +183,7 @@ def build_tower(system: SkewShiftSystem, char: CharacterObservable) -> QuasiEige
     order = char.order
     if order == 0:
         raise ValueError(
-            "frequencies: zero vector (constant observable); use QuasiEigenTower.constant"
+            "frequencies: zero vector (a constant observable, which has no tower to build)"
         )
     alpha = Fraction(system.alpha)
     levels = [TowerLevel(Fraction(0), freqs)]

@@ -9,7 +9,6 @@ from oscillab.polyphase import (
     _phase_words,
     _spectrum,
     fourier_bohr_scan,
-    unit_values,
     weighted_exponential_average,
 )
 from oscillab.probabilistic import Distribution, RandomSequenceSpec, sample
@@ -21,6 +20,8 @@ from oscillab.sequences import (
     write_sequence,
 )
 from oscillab.torus import CharacterObservable, SkewShiftSystem, TimePolynomial, build_tower, verify_factorization
+
+from oracles import unit_values
 
 N = 4_000_000
 MB = 1 << 20

@@ -20,7 +20,6 @@ from oscillab.polyphase import (
     _cumulate_pairs,
     _difference_steps,
     _fixed_seed_table,
-    _fixed_to_float,
     _folded,
     _lanes,
     _pair_floats,
@@ -40,7 +39,6 @@ from oscillab.polyphase import (
     phase_at,
     phase_stream,
     unit_stream,
-    unit_values,
     weighted_exponential_average,
 )
 from oscillab import polyphase
@@ -56,6 +54,8 @@ from oscillab.torus import (
     multiple_ergodic_average,
     verify_factorization,
 )
+
+from oracles import _fixed_to_float, unit_values
 
 SQRT2M1 = math.sqrt(2) - 1
 
@@ -78,7 +78,7 @@ def test_phase_at_quadratic():
 
 def test_phase_polynomial_reduces_mod_one():
     poly = PhasePolynomial([1.25, -0.25, 3.0])
-    assert poly.float_coefficients == (0.25, 0.75, 0.0)
+    assert tuple(float(c) for c in poly.coefficients) == (0.25, 0.75, 0.0)
 
 
 def test_phase_polynomial_degree_cap():
@@ -897,13 +897,9 @@ def test_seeds_coefficients_and_sizes_refuse_fractions_and_bools(field, call):
         call()
 
 
-def test_every_computation_reads_units_off_words(monkeypatch):
-    """Only ``unit_values`` takes float phases: no search, average, tower check or sequence reaches its front end."""
-
-    def refuse(*args):
-        raise AssertionError("a float phase reached e(.)")
-
-    monkeypatch.setattr(polyphase, "_float_front", refuse)
+def test_every_computation_reads_units_off_words():
+    """e(.) has one front end, the words': the package keeps no float one, and every computation runs without it."""
+    assert not hasattr(polyphase, "unit_values") and not hasattr(polyphase, "_float_front")
     weights = rademacher_sequence(4, 3000)
     system = SkewShiftSystem(3, 0.618)
     sup_search(weights, 2, 3000, 16)
@@ -917,8 +913,6 @@ def test_every_computation_reads_units_off_words(monkeypatch):
     multiple_ergodic_average(system, chars, qs, (0.1, 0.2, 0.3), weights, [3000])
     polynomial_phase_sequence(0.3, 3, 3000)
     polynomial_phase_sequence(Fraction(1, 3), 2, 3000)
-    with pytest.raises(AssertionError, match="float phase"):
-        unit_values([0.25])
 
 
 def test_lengths_and_levels_accept_integral_floats():
@@ -1003,20 +997,20 @@ def test_binomial_phase_polynomial_degenerate():
     assert const.degree == 0
     assert phase_at(const, 9) == pytest.approx(0.4)
     zero = binomial_phase_polynomial([0, 0, 0])
-    assert zero.float_coefficients == (0.0, 0.0, 0.0)
+    assert tuple(float(c) for c in zero.coefficients) == (0.0, 0.0, 0.0)
 
 
 def test_compose_examples():
     q_lin = PhasePolynomial([0, 0.3])
     squared = compose_time_polynomial(q_lin, [0, 0, 1])  # q(n) = n^2
-    assert squared.float_coefficients == (0.0, 0.0, 0.3)
+    assert tuple(float(c) for c in squared.coefficients) == (0.0, 0.0, 0.3)
 
     const = PhasePolynomial([0.45])
-    assert compose_time_polynomial(const, [0, 0, 1]).float_coefficients[0] == 0.45
+    assert float(compose_time_polynomial(const, [0, 0, 1]).coefficients[0]) == 0.45
 
     q_sq = PhasePolynomial([0, 0, 0.5])
     doubled = compose_time_polynomial(q_sq, [0, 2])  # q(n) = 2n
-    assert all(c == 0 for c in doubled.float_coefficients)
+    assert all(float(c) == 0 for c in doubled.coefficients)
 
 
 def test_compose_agrees_pointwise():

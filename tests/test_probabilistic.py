@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 
 from oscillab import oscillation, probabilistic, sequences
-from oscillab.oscillation import grid_sup_average, refine_local
+from oscillab.oscillation import grid_sup_average, growth_exponent, refine_local
 from oscillab.probabilistic import (
     Distribution,
     RandomSequenceSpec,
-    growth_exponent,
     lsk_empirical_sup,
     sample,
     subnormality_margin,
